@@ -13,19 +13,13 @@ The ADF regression is the constant-included specification
 and the statistic is the t-ratio b_hat / se(b_hat).  Right-tail
 exceedance indicates explosive behaviour.
 
-Two engines compute the window sweep:
-
-:``naive``
-    one OLS per window through :mod:`landmetrics.linreg`.  Slow and
-    definitional; this path is the correctness reference.
-:``fast``
-    all windows at once from prefix sums of globally centered
-    cross-products, solved per window in closed form (k = 1) or by a
-    batched solve.  Agrees with ``naive`` to ~1e-13 on the t-ratio and is
-    what makes the Monte-Carlo critical values affordable.
-
-:param engine: every sweep entry point accepts ``engine="fast"`` (default)
-    or ``engine="naive"`` to force the reference path.
+Every window of a sweep is evaluated at once from prefix sums of
+globally centered cross-products, with the intercept partialled out and
+the slopes solved per window in closed form (one or two regressors) or
+by a batched solve.  With ``lag_selection="bic"`` each candidate lag
+count is swept the same way and the lag is chosen per window.  The
+definitional reference, one OLS per window written out by hand, lives
+in the test suite (``tests/oracles.py``), not here.
 """
 
 from __future__ import annotations
@@ -46,8 +40,6 @@ from .errors import (
 )
 from .linreg import DesignMatrix, ols_fit
 from .series import TimeSeries, _fmt
-
-_ENGINES = ("fast", "naive")
 
 #: windows whose residual sum of squares falls below this relative floor
 #: are treated as degenerate (an exact fit has no usable t-ratio)
@@ -218,7 +210,7 @@ class DatestampResult:
 
 
 # ---------------------------------------------------------------------------
-# single-window ADF (reference path)
+# single-window ADF
 # ---------------------------------------------------------------------------
 
 
@@ -311,7 +303,7 @@ def _bic_select(y: np.ndarray, kmax: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# fast engine: all windows from prefix sums
+# window sweep: every window from prefix sums
 # ---------------------------------------------------------------------------
 
 
@@ -336,25 +328,27 @@ class _WindowPlan:
         self.counts = counts
         self.R2 = np.repeat(r2s, counts)
         self.S1 = np.concatenate([np.arange(c) for c in counts])
-        self.lo = self.S1
-        self.hi = self.R2 - k
-        self.n = (self.hi - self.lo).astype(np.float64)
+        self.lo, self.hi, self.n = self.slots(k)
         self.seg_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
 
+    def slots(self, k: int, skip: int = 0):
+        """Prefix-slot bounds (lo, hi] and row count of every window's
+        k-lag regression with its first ``skip`` rows left out."""
+        lo = self.S1 + skip
+        hi = self.R2 - k
+        return lo, hi, (hi - lo).astype(np.float64)
 
-def _bsadf_fast(y: np.ndarray, plan: _WindowPlan):
-    """BSADF sequence via centered prefix sums.
 
-    Returns (sup_stats, argmax_starts) aligned with plan.r2s.  Degenerate
-    windows (near-singular normal matrix or an exact fit) are dropped from
-    each supremum; an r2 whose windows all degenerate yields -inf and is
-    resolved by the caller.
+def _prefix_sums(y: np.ndarray, k: int):
+    """Prefix sums of the centered k-lag ADF regressors Z and response d.
+
+    Row j is regression time t = j + k + 1: Z = [y[t-1], dy[t-1], ...,
+    dy[t-k]] and d = dy[t].  Centering by the full-sample means keeps the
+    windowed cross-products well conditioned.
     """
-    T, k = plan.T, plan.k
-    m = k + 1
+    T = y.shape[0]
     dy = np.diff(y)
-    nrows = T - 1 - k
-    Z = np.empty((nrows, m))
+    Z = np.empty((T - 1 - k, k + 1))
     Z[:, 0] = y[k:-1]
     for i in range(1, k + 1):
         Z[:, i] = dy[k - i:T - 1 - i]
@@ -367,13 +361,21 @@ def _bsadf_fast(y: np.ndarray, plan: _WindowPlan):
         np.cumsum(a, axis=0, out=out[1:])
         return out
 
-    P_z = prefix(Z)
-    P_d = prefix(d)
-    P_zz = prefix(Z[:, :, None] * Z[:, None, :])
-    P_zd = prefix(Z * d[:, None])
-    P_dd = prefix(d * d)
+    return (prefix(Z), prefix(d), prefix(Z[:, :, None] * Z[:, None, :]),
+            prefix(Z * d[:, None]), prefix(d * d))
 
-    lo, hi, n = plan.lo, plan.hi, plan.n
+
+def _window_fits(P, lo, hi, n):
+    """OLS of d on [1, Z] over prefix slots (lo, hi] of every window.
+
+    Returns (stat, rss, singular, Sdd): the t-ratio on the lagged level,
+    the residual sum of squares, a flag for a near-singular normal matrix,
+    and the window's response sum of squares.  The intercept is
+    partialled out in closed form; the slopes are solved in closed form
+    for one or two regressors and by a batched solve otherwise.
+    """
+    P_z, P_d, P_zz, P_zd, P_dd = P
+    m = P_z.shape[1]
     Sz = P_z[hi] - P_z[lo]
     Sd = P_d[hi] - P_d[lo]
     Szz = P_zz[hi] - P_zz[lo]
@@ -422,22 +424,70 @@ def _bsadf_fast(y: np.ndarray, plan: _WindowPlan):
             rss = cdd - np.einsum("wj,wj->w", g, b)
             bad |= ~np.isfinite(g0) | ~(inv00 > 0.0) | ~(np.min(diag, axis=1) > 0.0)
 
-        resp_scale = np.maximum(Sdd, 1.0)
-        bad = bad | ~(rss > _RSS_RTOL * resp_scale)
         df = n - (m + 1)
         sigma2 = rss / df
         stat = g0 / np.sqrt(sigma2 * inv00)
-    stat = np.where(bad | ~np.isfinite(stat), -np.inf, stat)
+    return stat, rss, bad, Sdd
 
-    n_seg = plan.r2s.shape[0]
+
+def _fixed_stats(P, lo, hi, n) -> np.ndarray:
+    """Per-window t-ratios; -inf where the window is degenerate
+    (near-singular normal matrix or an exact fit)."""
+    stat, rss, singular, Sdd = _window_fits(P, lo, hi, n)
+    bad = singular | ~(rss > _RSS_RTOL * np.maximum(Sdd, 1.0))
+    return np.where(bad | ~np.isfinite(stat), -np.inf, stat)
+
+
+def _bic_stats(y: np.ndarray, plan: _WindowPlan) -> np.ndarray:
+    """Per-window t-ratios with the lag count chosen per window by BIC.
+
+    Applies :func:`_bic_select`'s rule to every window at once.  Candidate
+    k in [0, kmax] is fitted on the common sample of the kmax regression,
+    which drops the first kmax - k rows of its own sample, from the same
+    prefix sums as its fixed-k sweep.  Candidates are tried in ascending
+    k; a later one wins only with a BIC below the best by more than 1e-12,
+    the first with rss <= 0 wins outright, and singular ones are skipped.
+    The winner's statistic is its fixed-k sweep's.  Windows shorter than
+    :func:`adf_stat` accepts, or with no usable candidate, give -inf.
+    Candidates are swept one at a time so memory stays at one k = kmax
+    sweep plus a few per-window vectors.
+    """
+    kmax = plan.k
+    selecting = plan.R2 - plan.S1 + 1 >= max(2 * kmax + 4, kmax + 5)
+    best_bic = np.full(plan.S1.shape, np.inf)
+    stat = np.full(plan.S1.shape, -np.inf)
+    for k in range(kmax + 1):
+        P = _prefix_sums(y, k)
+        own = _fixed_stats(P, *plan.slots(k))
+        lo, hi, n = plan.slots(k, skip=kmax - k)
+        _, rss, singular, _ = _window_fits(P, lo, hi, n)
+        usable = selecting & ~singular
+        exact = usable & (rss <= 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bic = n * np.log(rss / n) + (k + 2) * np.log(n)
+        take = exact | (usable & (bic < best_bic - 1e-12))
+        best_bic = np.where(take, bic, best_bic)
+        stat = np.where(take, own, stat)
+        selecting &= ~exact
+    return stat
+
+
+def _window_stats(y: np.ndarray, plan: _WindowPlan, spec: AdfSpec) -> np.ndarray:
+    """ADF t-ratio of every window in ``plan``; -inf where none is usable."""
+    if spec.lag_selection == "bic":
+        return _bic_stats(y, plan)
+    return _fixed_stats(_prefix_sums(y, plan.k), plan.lo, plan.hi, plan.n)
+
+
+def _sup_argmax(stat: np.ndarray, plan: _WindowPlan):
+    """Per-r2 supremum of the window statistics and the first start
+    attaining it (the start ``np.argmax`` would pick); an r2 whose windows
+    all degenerate has supremum -inf and is resolved by the caller."""
     sup = np.maximum.reduceat(stat, plan.seg_starts)
-    # argmax start per segment
-    argmax = np.empty(n_seg, dtype=np.int64)
-    seg_ends = np.append(plan.seg_starts[1:], stat.shape[0])
-    for i in range(n_seg):
-        seg = stat[plan.seg_starts[i]:seg_ends[i]]
-        argmax[i] = int(np.argmax(seg))
-    return sup, argmax
+    at_sup = stat == np.repeat(sup, plan.counts)
+    first = np.minimum.reduceat(np.where(at_sup, plan.S1, plan.S1.shape[0]),
+                                plan.seg_starts)
+    return sup, first
 
 
 # ---------------------------------------------------------------------------
@@ -445,36 +495,7 @@ def _bsadf_fast(y: np.ndarray, plan: _WindowPlan):
 # ---------------------------------------------------------------------------
 
 
-def _check_engine(engine: str, spec: AdfSpec) -> str:
-    if engine not in _ENGINES:
-        raise ValidationError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    # per-window BIC selection has no prefix-sum formulation
-    if spec.lag_selection == "bic":
-        return "naive"
-    return engine
-
-
-def _bsadf_naive_at(y: np.ndarray, r2: int, r0: int, spec: AdfSpec) -> BsadfPoint:
-    if r0 < spec.n_lags + 5:
-        raise ValidationError(f"r0={r0} must be >= n_lags + 5 = {spec.n_lags + 5}")
-    best, best_s1, failures = -np.inf, -1, 0
-    n_windows = r2 - r0 + 1
-    for s1 in range(0, n_windows):
-        try:
-            res = adf_stat(y[s1:r2 + 1], spec)
-        except (SingularDesignError, InsufficientDataError):
-            failures += 1
-            continue
-        if res.stat > best:
-            best, best_s1 = res.stat, s1
-    if failures == n_windows:
-        raise NoValidWindowError(f"all {n_windows} windows ending at {r2} failed")
-    return BsadfPoint(t_index=r2, stat=float(best), argmax_start=best_s1)
-
-
-def bsadf_at(
-    series, r2: int, r0: int, spec: AdfSpec = AdfSpec(), engine: str = "fast"
-) -> BsadfPoint:
+def bsadf_at(series, r2: int, r0: int, spec: AdfSpec = AdfSpec()) -> BsadfPoint:
     """Backward supremum ADF at a single index r2.
 
     :param series: TimeSeries or 1-d array.
@@ -487,25 +508,23 @@ def bsadf_at(
         raise ValidationError(f"r2={r2} outside series of length {y.shape[0]}")
     if r2 < r0:
         raise ValidationError(f"r2={r2} < r0={r0}")
-    engine = _check_engine(engine, spec)
-    if engine == "naive":
-        return _bsadf_naive_at(y, r2, r0, spec)
+    y = y[: r2 + 1]
+    if not np.all(np.isfinite(y)):
+        raise ValidationError("bsadf_at requires finite values")
     plan = _WindowPlan(r2 + 1, r0, spec.n_lags)
-    sup, argmax = _bsadf_fast(y[: r2 + 1], plan)
+    sup, argmax = _sup_argmax(_window_stats(y, plan, spec), plan)
     if not np.isfinite(sup[-1]):
         raise NoValidWindowError(f"all windows ending at {r2} failed")
     return BsadfPoint(t_index=r2, stat=float(sup[-1]), argmax_start=int(argmax[-1]))
 
 
-def bsadf_series(
-    series, r0: int | None = None, spec: AdfSpec = AdfSpec(), engine: str = "fast"
-) -> list[BsadfPoint]:
+def bsadf_series(series, r0: int | None = None, spec: AdfSpec = AdfSpec()) -> list[BsadfPoint]:
     """BSADF sequence: one point per r2 in [r0, T-1].
 
     ``r0=None`` applies :func:`default_min_window`.  The point at r2
-    depends only on observations [0, r2], so appending data never changes
-    earlier points (bit for bit on the naive engine; the fast engine's
-    shared centering constant can move them by floating-point roundoff).
+    depends only on observations [0, r2], so appending data changes
+    earlier points only by floating-point roundoff (the sweep's centering
+    constant depends on the full sample).
     """
     y = _as_values(series)
     T = y.shape[0]
@@ -515,11 +534,8 @@ def bsadf_series(
         r0 = default_min_window(T)
     if T <= r0:
         raise InsufficientDataError(f"series length {T} must exceed r0={r0}")
-    engine = _check_engine(engine, spec)
-    if engine == "naive":
-        return [_bsadf_naive_at(y, r2, r0, spec) for r2 in range(r0, T)]
     plan = _WindowPlan(T, r0, spec.n_lags)
-    sup, argmax = _bsadf_fast(y, plan)
+    sup, argmax = _sup_argmax(_window_stats(y, plan, spec), plan)
     out = []
     for i, r2 in enumerate(plan.r2s):
         if not np.isfinite(sup[i]):
@@ -563,8 +579,7 @@ def mc_critical_values(
     for rep in range(n_rep):
         rng = Generator(Philox(key=[seed, rep]))
         y = np.concatenate([[0.0], np.cumsum(rng.standard_normal(T - 1))])
-        sup, _ = _bsadf_fast(y, plan)
-        stats[rep] = sup
+        stats[rep] = np.maximum.reduceat(_window_stats(y, plan, spec), plan.seg_starts)
     if not np.all(np.isfinite(stats)):
         raise NoValidWindowError("a null replication produced no valid window")
     cv = np.quantile(stats, alphas, axis=0).T.copy()

@@ -30,7 +30,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 
 import numpy as np
 
@@ -76,7 +76,7 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_opt_int(text: str):
+def _parse_opt_int(text: str) -> int | None:
     s = text.strip()
     if s == "" or s.lower() == "none":
         return None
@@ -137,35 +137,14 @@ _KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings of one run; reproducible from (inputs, config)."""
-
-    transactions: str
-    prices: str
-    out_dir: str
-    metaverse: str
-    coin: str
-    market_symbols: tuple
-    currencies: tuple
-    winsor_lo: float
-    winsor_hi: float
-    min_per_period: int
-    freq: str
-    resample_rule: str
-    diff_mode: str
-    fill: str
-    log_prices: bool
-    r0: int | None
-    adf_lags: int
-    lag_selection: str
-    alphas: tuple
-    level: float
-    n_rep: int
-    seed: int
-    p_max: int
-    max_offset: int
-    adf_alpha: float
+# one field per _KEYS entry, typed by the return annotation of its parser
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(key, parser.__annotations__["return"]) for key, (parser, _, _) in _KEYS.items()],
+    frozen=True,
+    namespace={"__doc__": "Resolved settings of one run; reproducible from (inputs, config).",
+               "__module__": __name__},
+)
 
 
 def load_config_file(path: str) -> dict:
@@ -619,6 +598,21 @@ def _write_panel_b(path: str, columns) -> None:
             writer.writerow([name] + cells)
 
 
+def _index_quote_columns(cfg: RunConfig, fx: FxTable, fit, level: TimeSeries):
+    """Differenced index level and weekly quotes over their common span."""
+    if cfg.freq == "weekly" and fit.gap_periods and cfg.fill == "none":
+        gaps = ", ".join(d.isoformat() for d in fit.gap_periods)
+        raise ValidationError(
+            f"index has gap periods ({gaps}); differencing across gaps is "
+            f"not meaningful. Set fill=interpolate to bridge them."
+        )
+    columns = [level] + [
+        _weekly_quote(fx, sym, cfg.resample_rule) for sym in _analysis_symbols(cfg)
+    ]
+    columns = _common_span(columns)
+    return [difference(s, mode=cfg.diff_mode).rename(s.name) for s in columns]
+
+
 def _granger_columns(cfg: RunConfig, series_kv) -> tuple[list[TimeSeries], str, str]:
     """The aligned columns to test plus the (cause, effect) pair.
 
@@ -641,19 +635,7 @@ def _granger_columns(cfg: RunConfig, series_kv) -> tuple[list[TimeSeries], str, 
     if not cfg.coin:
         raise _UsageError("granger needs the coin key (or --series overrides)")
     _, fit, level, _ = _build_index(cfg, dataset)
-    if cfg.freq == "weekly" and fit.gap_periods and cfg.fill == "none":
-        gaps = ", ".join(d.isoformat() for d in fit.gap_periods)
-        raise ValidationError(
-            f"index has gap periods ({gaps}); differencing across gaps is "
-            f"not meaningful. Set fill=interpolate to bridge them."
-        )
-    coin = cfg.coin.upper()
-    columns = [level] + [
-        _weekly_quote(fx, sym, cfg.resample_rule) for sym in _analysis_symbols(cfg)
-    ]
-    columns = _common_span(columns)
-    columns = [difference(s, mode=cfg.diff_mode).rename(s.name) for s in columns]
-    return columns, coin, "hpi"
+    return _index_quote_columns(cfg, fx, fit, level), cfg.coin.upper(), "hpi"
 
 
 def _granger_stage(cfg: RunConfig, columns, cause: str, effect: str, out: str):
@@ -916,19 +898,7 @@ def cmd_pipeline(cfg: RunConfig) -> int:
 
         # causality table ---------------------------------------------------
         stage = "granger"
-        if cfg.freq == "weekly" and fit.gap_periods and cfg.fill == "none":
-            gaps = ", ".join(d.isoformat() for d in fit.gap_periods)
-            raise ValidationError(
-                f"index has gap periods ({gaps}); differencing across gaps "
-                f"is not meaningful. Set fill=interpolate to bridge them."
-            )
-        columns = [level] + [
-            _weekly_quote(fx, sym, cfg.resample_rule)
-            for sym in _analysis_symbols(cfg)
-        ]
-        columns = _common_span(columns)
-        columns = [difference(s, mode=cfg.diff_mode).rename(s.name)
-                   for s in columns]
+        columns = _index_quote_columns(cfg, fx, fit, level)
         granger_report, granger_files = _granger_stage(
             cfg, columns, cfg.coin.upper(), "hpi", out)
         report["stages"]["granger"] = granger_report

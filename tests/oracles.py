@@ -123,6 +123,52 @@ def bsadf_oracle(y, r2, r0, k):
     return best, best_s1
 
 
+def bic_lag_oracle(window, kmax):
+    """BIC lag count in [0, kmax], or None when every candidate is singular.
+
+    Every candidate is fitted on the common sample of the kmax regression
+    (rows from window index kmax + 1).  Candidates are tried in ascending
+    k; a later one wins only with a BIC below the best by more than
+    1e-12, and the first with a zero residual sum of squares wins outright.
+    """
+    best_k, best_bic = None, math.inf
+    for k in range(kmax + 1):
+        rows, resp = adf_design(window, k)
+        rows, resp = rows[kmax - k:], resp[kmax - k:]
+        try:
+            _, _, rss, _ = ols_normal_equations(rows, resp)
+        except ZeroDivisionError:
+            continue
+        n = len(resp)
+        if rss <= 0.0:
+            return k
+        bic = n * math.log(rss / n) + (k + 2) * math.log(n)
+        if bic < best_bic - 1e-12:
+            best_k, best_bic = k, bic
+    return best_k
+
+
+def bsadf_bic_oracle(y, r2, r0, kmax):
+    """Exhaustive max over windows ending at r2, each at its BIC lag.
+
+    Windows shorter than max(2*kmax + 4, kmax + 5) are skipped, and the
+    statistic is the chosen lag's t-ratio on that lag's own full sample.
+    """
+    best = None
+    best_s1 = None
+    for s1 in range(0, r2 - r0 + 1):
+        window = y[s1:r2 + 1]
+        if len(window) < max(2 * kmax + 4, kmax + 5):
+            continue
+        k = bic_lag_oracle(window, kmax)
+        stat = None if k is None else adf_stat_oracle(window, k)
+        if stat is None:
+            continue
+        if best is None or stat > best:
+            best, best_s1 = stat, s1
+    return best, best_s1
+
+
 # ---------------------------------------------------------------------------
 # F and Student-t tail probabilities by adaptive numerical integration
 # ---------------------------------------------------------------------------

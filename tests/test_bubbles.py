@@ -24,7 +24,8 @@ from landmetrics.errors import (
     ValidationError,
 )
 
-from oracles import adf_design, adf_stat_oracle, bsadf_oracle, ols_t_ratio
+from oracles import adf_design, adf_stat_oracle, bsadf_bic_oracle, bsadf_oracle, \
+    ols_t_ratio
 
 
 def ar1(rho, n, seed, sigma=1.0, y0=0.0):
@@ -194,20 +195,14 @@ def test_bsadf_series_single_point_when_length_is_r0_plus_one():
 
 def test_bsadf_prefix_property():
     # the point at r2 uses only observations [0, r2], so truncating the
-    # series preserves every earlier point: bit for bit on the naive
-    # engine, and up to roundoff on the fast engine (whose internal
-    # centering constant depends on the full sample)
+    # series preserves every earlier point up to roundoff (the sweep's
+    # internal centering constant depends on the full sample)
     y = walk(60, 31)
     spec = AdfSpec(n_lags=1)
-    full_naive = bsadf_series(y, r0=12, spec=spec, engine="naive")
-    short_naive = bsadf_series(y[:40], r0=12, spec=spec, engine="naive")
-    assert len(short_naive) == 28
-    for a, b in zip(short_naive, full_naive[:28]):
-        assert a == b
-
-    full_fast = bsadf_series(y, r0=12, spec=spec)
-    short_fast = bsadf_series(y[:40], r0=12, spec=spec)
-    for a, b in zip(short_fast, full_fast[:28]):
+    full = bsadf_series(y, r0=12, spec=spec)
+    short = bsadf_series(y[:40], r0=12, spec=spec)
+    assert len(short) == 28
+    for a, b in zip(short, full[:28]):
         assert a.stat == pytest.approx(b.stat, abs=1e-10)
         assert a.argmax_start == b.argmax_start
 
@@ -222,24 +217,40 @@ def test_bsadf_affine_invariance():
         assert b.argmax_start == a.argmax_start
 
 
-def test_fast_and_naive_engines_agree():
+def test_bsadf_series_matches_oracle_at_each_lag():
     spec0 = AdfSpec(n_lags=0)
     spec2 = AdfSpec(n_lags=2)
     for seed, spec in [(1, spec0), (2, spec2), (3, AdfSpec(n_lags=1))]:
         y = walk(60, seed)
-        fast = bsadf_series(y, r0=12, spec=spec, engine="fast")
-        naive = bsadf_series(y, r0=12, spec=spec, engine="naive")
-        for a, b in zip(fast, naive):
-            assert a.stat == pytest.approx(b.stat, abs=1e-12)
-            assert a.argmax_start == b.argmax_start
+        points = bsadf_series(y, r0=12, spec=spec)
+        for p in points:
+            stat, s1 = bsadf_oracle(y.tolist(), p.t_index, 12, spec.n_lags)
+            assert p.stat == pytest.approx(stat, abs=1e-12), (seed, p.t_index)
+            assert p.argmax_start == s1
 
 
-def test_bic_spec_routes_to_naive_engine():
-    y = walk(50, 4)
-    spec = AdfSpec(n_lags=2, lag_selection="bic")
-    fast_req = bsadf_series(y, r0=10, spec=spec, engine="fast")
-    naive_req = bsadf_series(y, r0=10, spec=spec, engine="naive")
-    assert fast_req == naive_req
+def test_bic_sweep_matches_bic_oracle():
+    # r0 = kmax + 5 is the smallest r0 allowed; for kmax = 3 it admits
+    # windows shorter than the 2*kmax + 4 a BIC fit needs, which are
+    # dropped, so the lone window ending at r0 leaves no valid window
+    for kmax in (1, 2, 3):
+        y = walk(36, 40 + kmax)
+        spec = AdfSpec(n_lags=kmax, lag_selection="bic")
+        for r0 in (kmax + 5, 12):
+            expected = {r2: bsadf_bic_oracle(y.tolist(), r2, r0, kmax)
+                        for r2 in range(r0, 36)}
+            valid = {r2: e for r2, e in expected.items() if e[0] is not None}
+            if len(valid) == len(expected):
+                points = bsadf_series(y, r0=r0, spec=spec)
+            else:
+                with pytest.raises(NoValidWindowError):
+                    bsadf_series(y, r0=r0, spec=spec)
+                points = [bsadf_at(y, r2=r2, r0=r0, spec=spec) for r2 in valid]
+            assert [p.t_index for p in points] == list(valid)
+            for p in points:
+                stat, s1 = valid[p.t_index]
+                assert p.stat == pytest.approx(stat, abs=1e-12), (kmax, r0, p.t_index)
+                assert p.argmax_start == s1
 
 
 def test_bsadf_validation_errors():
@@ -252,8 +263,6 @@ def test_bsadf_validation_errors():
         bsadf_at(y, r2=99, r0=10)
     with pytest.raises(InsufficientDataError):
         bsadf_series(y, r0=30)
-    with pytest.raises(ValidationError):
-        bsadf_series(y, r0=10, engine="turbo")
 
 
 def test_bsadf_constant_series_has_no_valid_window():

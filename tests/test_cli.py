@@ -202,6 +202,28 @@ def test_bubble_series_file_outputs_and_rerun_identical(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bubble_bic_lag_selection_outputs_and_rerun_identical(tmp_path, capsys):
+    inputs = tmp_path / "in"
+    assert main(["simulate", "--kind", "explosive", "--length", "80",
+                 "--seed", "5", "--out-dir", str(inputs)]) == 0
+    argv = ["bubble", "--series-file", str(inputs / "explosive.csv"),
+            "--lag-selection", "bic", "--adf-lags", "2", "--n-rep", "200",
+            "--seed", "5"]
+    out1, out2 = tmp_path / "out1", tmp_path / "out2"
+    assert main(argv + ["--out-dir", str(out1)]) == 0
+    assert main(argv + ["--out-dir", str(out2)]) == 0
+    names = {"bubble_explosive.csv", "bubble_explosive_episodes.csv",
+             "cv_explosive.csv", "bubble_summary.csv"}
+    assert {p.name for p in out1.iterdir()} == names
+    assert read_tree(out1) == read_tree(out2)
+    rows = read_csv(out1 / "bubble_explosive.csv")
+    assert len(rows) == 1 + 80 - 17
+    assert len(read_csv(out1 / "bubble_explosive_episodes.csv")) > 1
+    meta = (out1 / "cv_explosive.csv").read_text().splitlines()[0]
+    assert meta == "# T=80 r0=17 n_rep=200 seed=5 n_lags=2"
+    capsys.readouterr()
+
+
 def test_bubble_constant_series_exits_3(tmp_path, capsys):
     src = tmp_path / "flat.csv"
     weekly([5.0] * 60).to_csv(src)
@@ -364,6 +386,33 @@ def test_pipeline_failure_writes_partial_report(tmp_path, capsys):
     assert report["status"] == "failed"
     assert report["failed_stage"] == "ingest"
     assert report["error"]
+    capsys.readouterr()
+
+
+def test_index_gap_stops_granger_and_pipeline_alike(tmp_path, capsys):
+    fix = tmp_path / "fix"
+    _make_market_fixture(fix, weeks=20, seed=3)
+    # keep one sale of the week of 2021-02-08, under min_per_period = 3,
+    # so that week becomes a gap period of the index
+    tx = fix / "transactions.csv"
+    gap_week = {f"2021-02-{day:02d}" for day in range(8, 15)}
+    lines = tx.read_text().splitlines(keepends=True)
+    in_gap = [i for i, line in enumerate(lines) if line[:10] in gap_week]
+    tx.write_text("".join(line for i, line in enumerate(lines) if i not in in_gap[1:]))
+    message = ("index has gap periods (2021-02-08); differencing across gaps "
+               "is not meaningful. Set fill=interpolate to bridge them.")
+    cfg = str(fix / "run.cfg")
+
+    assert main(["granger", "--config", cfg, "--out-dir", str(tmp_path / "g")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+    out = tmp_path / "p"
+    assert main(["pipeline", "--config", cfg, "--out-dir", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "failed"
+    assert report["failed_stage"] == "granger"
+    assert report["error"] == message
+    assert "bubble_VOX.csv" in report["files"]
     capsys.readouterr()
 
 
