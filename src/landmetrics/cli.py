@@ -15,6 +15,11 @@ granger     stationarity pre-check, correlations, and the causality table
 simulate    synthetic fixtures with a truth sidecar
 pipeline    everything above in sequence, with a single JSON report
 
+Each analysis subcommand runs one stage of ``pipeline`` (``summarize`` runs
+ingest) and writes that stage's files; reading transactions also writes
+``rejections.csv``.  Only ``pipeline`` writes ``report.json``, and a failed
+report lists every file the run wrote.
+
 Configuration is a flat ``key = value`` text file; every key is also a
 command-line flag (flags win).  Exit codes: 0 success, 1 usage error,
 2 data validation error, 3 numerical failure.
@@ -31,11 +36,12 @@ import math
 import os
 import sys
 from dataclasses import make_dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .bubbles import AdfSpec, CvTable, DatestampResult, bsadf_series, datestamp, \
-    default_min_window, mc_critical_values
+from .bubbles import AdfSpec, bsadf_series, datestamp, default_min_window, \
+    mc_critical_values
 from .errors import DomainError, InsufficientDataError, LandmetricsError, \
     NumericalError, ValidationError
 from .hedonic import build_hpi, hedonic_fit_to_json, hpi_points_to_csv, \
@@ -287,11 +293,6 @@ def _log(message: str) -> None:
     print(message)
 
 
-def _ensure_out(cfg: RunConfig) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return cfg.out_dir
-
-
 def _require_file(path: str, what: str) -> str:
     if not path:
         raise _UsageError(f"{what} input is required (set the {what} key or flag)")
@@ -300,43 +301,11 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
-def _load_fx(cfg: RunConfig) -> FxTable:
-    return load_daily_prices(_require_file(cfg.prices, "prices"))
-
-
-def _load_dataset(cfg: RunConfig) -> tuple[Dataset, FxTable]:
-    tx_path = _require_file(cfg.transactions, "transactions")
-    fx = _load_fx(cfg)
-    schema = SchemaConfig(currencies=frozenset(cfg.currencies) or None)
-    rows, rejected = load_transactions(tx_path, schema)
-    converted, fx_rejected = to_usd(rows, fx, schema.stable_currencies)
-    dataset = prepare_dataset(
-        converted,
-        winsor_lo=cfg.winsor_lo,
-        winsor_hi=cfg.winsor_hi,
-        metaverse=cfg.metaverse,
-        rejected=tuple(rejected) + tuple(fx_rejected),
-    )
-    return dataset, fx
-
-
-def _build_index(cfg: RunConfig, dataset: Dataset):
-    """Estimate the index and apply the gap policy to its level series.
-
-    Returns (points, fit, level series after policy, fill_applied).
-    """
-    points, fit = build_hpi(dataset.transactions, freq=cfg.freq,
-                            min_per_period=cfg.min_per_period)
-    level = hpi_to_series(points, name="hpi", freq=cfg.freq)
-    fill_applied = False
-    if cfg.freq == "weekly" and fit.gap_periods and cfg.fill == "interpolate":
-        level = fill_gaps_loglinear(level)
-        fill_applied = True
-    return points, fit, level, fill_applied
-
-
-def _weekly_quote(fx: FxTable, symbol: str, rule: str) -> TimeSeries:
-    return resample_weekly(fx.series(symbol), rule=rule)
+def _read_series(path: str, what: str, freq: str, name: str | None = None) -> TimeSeries:
+    """A ``date,value`` CSV, named after its file unless ``name`` is given."""
+    path = _require_file(path, what)
+    name = name or os.path.splitext(os.path.basename(path))[0]
+    return TimeSeries.from_csv(path, name=name, freq=freq)
 
 
 def _common_span(series_list) -> list[TimeSeries]:
@@ -371,8 +340,7 @@ def _stat_cells(stats: SummaryStats) -> list[str]:
     return cells
 
 
-def _write_tx_summary(dataset: Dataset, path: str) -> None:
-    info = dataset.summary()
+def _write_tx_summary(info: dict, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["key", "value"])
@@ -406,26 +374,122 @@ def _log_series(series: TimeSeries) -> TimeSeries:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# the run: config, override flags, shared inputs, files written
 # ---------------------------------------------------------------------------
 
 
-def cmd_summarize(cfg: RunConfig) -> int:
-    if not cfg.transactions and not cfg.prices:
-        raise _UsageError("summarize needs a transactions and/or prices input")
-    out = _ensure_out(cfg)
-    if cfg.transactions:
-        dataset, fx = _load_dataset(cfg)
-        path = os.path.join(out, "summary_transactions.csv")
-        _write_tx_summary(dataset, path)
-        _log(f"[summarize] {dataset.metaverse}: {len(dataset.transactions)} accepted, "
+class _Run:
+    """State shared by the stages of one analysis command.
+
+    Prices, transactions and the index are loaded at most once, on first
+    use.  Every output goes through :meth:`path`, which records the file
+    before it is written, so ``files`` lists everything the run has left
+    on disk even when a stage fails halfway.
+    """
+
+    def __init__(self, cfg: RunConfig, args: argparse.Namespace):
+        self.cfg = cfg
+        self.args = args    # the command and its override flags
+        self.files: set[str] = set()
+
+    def path(self, name: str) -> str:
+        self.files.add(name)
+        return os.path.join(self.cfg.out_dir, name)
+
+    @cached_property
+    def fx(self) -> FxTable:
+        return load_daily_prices(_require_file(self.cfg.prices, "prices"))
+
+    @cached_property
+    def dataset(self) -> Dataset:
+        """Validated transactions in USD; loading them writes rejections.csv."""
+        cfg = self.cfg
+        tx_path = _require_file(cfg.transactions, "transactions")
+        fx = self.fx
+        schema = SchemaConfig(currencies=frozenset(cfg.currencies) or None)
+        rows, rejected = load_transactions(tx_path, schema)
+        converted, fx_rejected = to_usd(rows, fx, schema.stable_currencies)
+        dataset = prepare_dataset(
+            converted,
+            winsor_lo=cfg.winsor_lo,
+            winsor_hi=cfg.winsor_hi,
+            metaverse=cfg.metaverse,
+            rejected=tuple(rejected) + tuple(fx_rejected),
+        )
+        rejections_to_csv(dataset.rejected, self.path("rejections.csv"))
+        return dataset
+
+    @cached_property
+    def index(self):
+        """(points, fit, level series after the gap policy, fill_applied)."""
+        cfg = self.cfg
+        points, fit = build_hpi(self.dataset.transactions, freq=cfg.freq,
+                                min_per_period=cfg.min_per_period)
+        level = hpi_to_series(points, name="hpi", freq=cfg.freq)
+        fill_applied = (cfg.freq == "weekly" and bool(fit.gap_periods)
+                        and cfg.fill == "interpolate")
+        if fill_applied:
+            level = fill_gaps_loglinear(level)
+        return points, fit, level, fill_applied
+
+    def coin_and_index(self, stage: str, overrides: str):
+        """The quote symbol and the index, for a stage without overrides."""
+        self.dataset  # an input error outranks a missing coin
+        if not self.cfg.coin:
+            raise _UsageError(f"{stage} needs the coin key (or {overrides})")
+        return self.cfg.coin.upper(), self.index
+
+
+# ---------------------------------------------------------------------------
+# stages: each writes its files and returns its report fragment
+# ---------------------------------------------------------------------------
+
+
+def _ingest(run: _Run) -> dict:
+    fragment: dict = {}
+    # summarize may go without transactions; pipeline reports on them
+    if run.cfg.transactions or run.args.command == "pipeline":
+        dataset = run.dataset
+        info = dataset.summary()
+        path = run.path("summary_transactions.csv")
+        _write_tx_summary(info, path)
+        _log(f"[ingest] {dataset.metaverse}: {info['n']} accepted, "
              f"{len(dataset.rejected)} rejected -> {path}")
-    else:
-        fx = _load_fx(cfg)
-    path = os.path.join(out, "summary_returns.csv")
+        fragment = {
+            "n_accepted": int(info["n"]),
+            "n_rejected": len(dataset.rejected),
+            "pct_weth": float(info["pct_weth"]),
+            "coverage": [dataset.coverage[0].isoformat(),
+                         dataset.coverage[1].isoformat()],
+        }
+    fx = run.fx
+    path = run.path("summary_returns.csv")
     _write_return_summary(fx, path)
-    _log(f"[summarize] daily log returns for {', '.join(fx.symbols)} -> {path}")
-    return 0
+    _log(f"[ingest] daily log returns for {', '.join(fx.symbols)} -> {path}")
+    return fragment
+
+
+def _hpi(run: _Run) -> dict:
+    points, fit, level, fill_applied = run.index
+    hpi_points_to_csv(points, run.path("hpi.csv"))
+    hedonic_fit_to_json(fit, run.path("hpi_fit.json"))
+    level.to_csv(run.path("hpi_series.csv"))
+    _log(f"[hpi] {len(points)} periods, base {fit.base_period.isoformat()}, "
+         f"n_obs {fit.n_obs}, fill_applied={fill_applied}")
+    if fit.gap_periods:
+        gaps = ", ".join(d.isoformat() for d in fit.gap_periods)
+        _log(f"[hpi] gap periods (under {run.cfg.min_per_period} transactions): {gaps}")
+    return {
+        "n_periods": len(points),
+        "base_period": fit.base_period.isoformat(),
+        "gap_periods": [d.isoformat() for d in fit.gap_periods],
+        "fill_applied": fill_applied,
+        "beta_log_plots": fit.beta_log_plots,
+        "se_log_plots": fit.se_log_plots,
+        "beta_weth": fit.beta_weth,
+        "se_weth": fit.se_weth,
+        "n_obs": fit.n_obs,
+    }
 
 
 def _stamp_one(cfg: RunConfig, series: TimeSeries, cv_cache: dict):
@@ -450,32 +514,31 @@ def _stamp_one(cfg: RunConfig, series: TimeSeries, cv_cache: dict):
     return result, table, r0
 
 
-def _write_bubble_files(out: str, name: str, result: DatestampResult,
-                        table: CvTable) -> list[str]:
-    base = f"bubble_{name}"
-    files = [f"{base}.csv", f"{base}_episodes.csv", f"cv_{name}.csv"]
-    result.to_csv(os.path.join(out, files[0]))
-    result.episodes_to_csv(os.path.join(out, files[1]))
-    table.to_csv(os.path.join(out, files[2]))
-    return files
-
-
-def _bubble_stage(cfg: RunConfig, targets, out: str):
-    """Stamp every target series; returns (report dict, written files)."""
+def _bubble(run: _Run) -> dict:
+    """Stamp the --series-file series, or else every analysis symbol's quotes."""
+    cfg = run.cfg
+    if run.args.series_file:
+        targets = [_read_series(run.args.series_file, "series", "daily",
+                                run.args.series_name)]
+    else:
+        fx = run.fx
+        targets = [fx.series(sym) for sym in _analysis_symbols(cfg)]
     cv_cache: dict = {}
-    report: dict = {}
-    files: list[str] = []
+    fragment: dict = {}
     rows = []
     for series in targets:
+        name = series.name
         result, table, r0 = _stamp_one(cfg, series, cv_cache)
-        files += _write_bubble_files(out, series.name, result, table)
+        result.to_csv(run.path(f"bubble_{name}.csv"))
+        result.episodes_to_csv(run.path(f"bubble_{name}_episodes.csv"))
+        table.to_csv(run.path(f"cv_{name}.csv"))
         pct = 100.0 * result.pct_flagged
         episodes = [
             {"start": e.start.isoformat(), "end": e.end.isoformat(),
              "peak_stat": float(e.peak_stat)}
             for e in result.episodes
         ]
-        report[series.name] = {
+        fragment[name] = {
             "n_points": int(len(result.dates)),
             "r0": int(r0),
             "level": float(cfg.level),
@@ -483,77 +546,38 @@ def _bubble_stage(cfg: RunConfig, targets, out: str):
             "n_episodes": len(result.episodes),
             "episodes": episodes,
         }
-        rows.append((series.name, pct, len(result.episodes)))
-        _log(f"[bubble] {series.name}: {pct:.2f}% of dates flagged, "
+        rows.append((name, pct, len(result.episodes)))
+        _log(f"[bubble] {name}: {pct:.2f}% of dates flagged, "
              f"{len(result.episodes)} episode(s)")
-    summary_name = "bubble_summary.csv"
-    with open(os.path.join(out, summary_name), "w", newline="") as fh:
+    with open(run.path("bubble_summary.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["symbol", "pct_flagged", "n_episodes"])
         for name, pct, n_ep in rows:
             writer.writerow([name, _fmt(pct), n_ep])
-    files.append(summary_name)
-    return report, files
+    return fragment
 
 
-def cmd_bubble(cfg: RunConfig, series_file: str | None = None,
-               series_name: str | None = None) -> int:
-    out = _ensure_out(cfg)
-    if series_file:
-        path = _require_file(series_file, "series")
-        name = series_name or os.path.splitext(os.path.basename(path))[0]
-        targets = [TimeSeries.from_csv(path, name=name, freq="daily")]
-    else:
-        fx = _load_fx(cfg)
-        targets = [fx.series(sym) for sym in _analysis_symbols(cfg)]
-    _bubble_stage(cfg, targets, out)
-    return 0
-
-
-def cmd_hpi(cfg: RunConfig) -> int:
-    out = _ensure_out(cfg)
-    dataset, _ = _load_dataset(cfg)
-    points, fit, _, _ = _build_index(cfg, dataset)
-    hpi_points_to_csv(points, os.path.join(out, "hpi.csv"))
-    hedonic_fit_to_json(fit, os.path.join(out, "hpi_fit.json"))
-    rejections_to_csv(dataset.rejected, os.path.join(out, "rejections.csv"))
-    _log(f"[hpi] {len(points)} periods, base {fit.base_period.isoformat()}, "
-         f"n_obs {fit.n_obs}")
-    if fit.gap_periods:
-        gaps = ", ".join(d.isoformat() for d in fit.gap_periods)
-        _log(f"[hpi] gap periods (under {cfg.min_per_period} transactions): {gaps}")
-    return 0
-
-
-def _leadlag_pair(cfg: RunConfig, series_x: str | None, series_y: str | None):
+def _leadlag(run: _Run) -> dict:
+    """Correlogram of --series-x/--series-y, or else of the index against the coin."""
+    cfg = run.cfg
+    series_x, series_y = run.args.series_x, run.args.series_y
     if bool(series_x) != bool(series_y):
         raise _UsageError("--series-x and --series-y must be given together")
-    if series_x and series_y:
-        x_path = _require_file(series_x, "series-x")
-        y_path = _require_file(series_y, "series-y")
-        x = TimeSeries.from_csv(
-            x_path, name=os.path.splitext(os.path.basename(x_path))[0], freq=cfg.freq)
-        y = TimeSeries.from_csv(
-            y_path, name=os.path.splitext(os.path.basename(y_path))[0], freq=cfg.freq)
-        return x, y
-    dataset, fx = _load_dataset(cfg)
-    if not cfg.coin:
-        raise _UsageError("leadlag needs the coin key (or --series-x/--series-y)")
-    _, _, level, _ = _build_index(cfg, dataset)
-    quote = _weekly_quote(fx, cfg.coin.upper(), cfg.resample_rule)
-    return level, quote
-
-
-def _leadlag_stage(cfg: RunConfig, x: TimeSeries, y: TimeSeries, out: str):
+    if series_x:
+        x = _read_series(series_x, "series-x", cfg.freq)
+        y = _read_series(series_y, "series-y", cfg.freq)
+    else:
+        coin, (_, _, x, _) = run.coin_and_index("leadlag", "--series-x/--series-y")
+        y = resample_weekly(run.fx.series(coin), rule=cfg.resample_rule)
     x, y = _common_span([x, y])
     gram = lead_lag_correlation(x, y, max_lag=cfg.max_offset)
     best = gram.argmax_offset()
     best_corr = gram.entry(best).corr
     zero = gram.entry(0).corr
-    gram.to_csv(os.path.join(out, "leadlag.csv"))
+    gram.to_csv(run.path("leadlag.csv"))
     _log(f"[leadlag] corr({x.name}_t, {y.name}_t-k): peak {best_corr:.4f} "
          f"at offset {best:+d}")
-    report = {
+    return {
         "x": x.name,
         "y": y.name,
         "max_offset": int(cfg.max_offset),
@@ -561,15 +585,6 @@ def _leadlag_stage(cfg: RunConfig, x: TimeSeries, y: TimeSeries, out: str):
         "corr_at_argmax": float(best_corr),
         "corr_at_zero": None if zero is None else float(zero),
     }
-    return report, ["leadlag.csv"]
-
-
-def cmd_leadlag(cfg: RunConfig, series_x: str | None = None,
-                series_y: str | None = None) -> int:
-    out = _ensure_out(cfg)
-    x, y = _leadlag_pair(cfg, series_x, series_y)
-    _leadlag_stage(cfg, x, y, out)
-    return 0
 
 
 def _write_panel_a(path: str, columns, checks) -> None:
@@ -598,65 +613,60 @@ def _write_panel_b(path: str, columns) -> None:
             writer.writerow([name] + cells)
 
 
-def _index_quote_columns(cfg: RunConfig, fx: FxTable, fit, level: TimeSeries):
-    """Differenced index level and weekly quotes over their common span."""
+def _granger_columns(run: _Run) -> tuple[list[TimeSeries], str, str]:
+    """The aligned columns to test plus the (cause, effect) pair.
+
+    Explicit ``name=path`` series are used as-is; otherwise the columns are
+    the differenced weekly index and quote series, testing coin -> index.
+    """
+    cfg = run.cfg
+    if run.args.series:
+        if len(run.args.series) < 2:
+            raise _UsageError("--series must be given at least twice (name=path)")
+        columns = []
+        for item in run.args.series:
+            name, sep, path = item.partition("=")
+            if not sep or not name.strip() or not path.strip():
+                raise _UsageError(f"--series expects name=path, got {item!r}")
+            columns.append(_read_series(path.strip(), f"series {name.strip()}",
+                                        cfg.freq, name.strip()))
+        columns = _common_span(columns)
+        return columns, columns[0].name, columns[1].name
+    coin, (_, fit, level, _) = run.coin_and_index("granger", "--series overrides")
     if cfg.freq == "weekly" and fit.gap_periods and cfg.fill == "none":
         gaps = ", ".join(d.isoformat() for d in fit.gap_periods)
         raise ValidationError(
             f"index has gap periods ({gaps}); differencing across gaps is "
             f"not meaningful. Set fill=interpolate to bridge them."
         )
-    columns = [level] + [
-        _weekly_quote(fx, sym, cfg.resample_rule) for sym in _analysis_symbols(cfg)
-    ]
+    columns = [level] + [resample_weekly(run.fx.series(sym), rule=cfg.resample_rule)
+                         for sym in _analysis_symbols(cfg)]
     columns = _common_span(columns)
-    return [difference(s, mode=cfg.diff_mode).rename(s.name) for s in columns]
+    columns = [difference(s, mode=cfg.diff_mode).rename(s.name) for s in columns]
+    return columns, coin, "hpi"
 
 
-def _granger_columns(cfg: RunConfig, series_kv) -> tuple[list[TimeSeries], str, str]:
-    """The aligned columns to test plus the (cause, effect) pair.
-
-    Explicit ``name=path`` series are used as-is; otherwise the columns are
-    the differenced weekly index and quote series, testing coin -> index.
-    """
-    if series_kv:
-        if len(series_kv) < 2:
-            raise _UsageError("--series must be given at least twice (name=path)")
-        columns = []
-        for item in series_kv:
-            name, sep, path = item.partition("=")
-            if not sep or not name.strip() or not path.strip():
-                raise _UsageError(f"--series expects name=path, got {item!r}")
-            path = _require_file(path.strip(), f"series {name.strip()}")
-            columns.append(TimeSeries.from_csv(path, name=name.strip(), freq=cfg.freq))
-        columns = _common_span(columns)
-        return columns, columns[0].name, columns[1].name
-    dataset, fx = _load_dataset(cfg)
-    if not cfg.coin:
-        raise _UsageError("granger needs the coin key (or --series overrides)")
-    _, fit, level, _ = _build_index(cfg, dataset)
-    return _index_quote_columns(cfg, fx, fit, level), cfg.coin.upper(), "hpi"
-
-
-def _granger_stage(cfg: RunConfig, columns, cause: str, effect: str, out: str):
+def _granger(run: _Run) -> dict:
+    cfg = run.cfg
+    columns, cause, effect = _granger_columns(run)
     panel = build_panel(columns)
     spec = AdfSpec(n_lags=cfg.adf_lags)
     checks = stationarity_precheck(panel, spec=spec, alpha=cfg.adf_alpha,
                                    n_rep=cfg.n_rep, seed=cfg.seed)
-    _write_panel_a(os.path.join(out, "granger_panel_a.csv"), columns, checks)
-    _write_panel_b(os.path.join(out, "granger_panel_b.csv"), columns)
+    _write_panel_a(run.path("granger_panel_a.csv"), columns, checks)
+    _write_panel_b(run.path("granger_panel_b.csv"), columns)
     for check in checks:
         verdict = "stationary" if check.passes else "NOT stationary"
         detail = f" ({check.error})" if check.error else ""
         _log(f"[granger] pre-check {check.name}: {verdict}{detail}")
     results = granger_table(panel, cause=cause, effect=effect,
                             p_max=cfg.p_max, both_specs=panel.n_vars > 2)
-    granger_table_to_csv(results, os.path.join(out, "granger.csv"))
+    granger_table_to_csv(results, run.path("granger.csv"))
     for res in results:
         spec_label = "extended" if res.controls_included else "baseline"
         _log(f"[granger] {res.cause}->{res.effect} p={res.p} {spec_label}: "
              f"F={res.f_stat:.4f}, p-value={res.p_value:.4g}")
-    report = {
+    return {
         "variables": [s.name for s in columns],
         "cause": cause,
         "effect": effect,
@@ -685,15 +695,95 @@ def _granger_stage(cfg: RunConfig, columns, cause: str, effect: str, out: str):
             for c in checks
         ],
     }
-    files = ["granger_panel_a.csv", "granger_panel_b.csv", "granger.csv"]
-    return report, files
 
 
-def cmd_granger(cfg: RunConfig, series_kv=None) -> int:
-    out = _ensure_out(cfg)
-    columns, cause, effect = _granger_columns(cfg, series_kv)
-    _granger_stage(cfg, columns, cause, effect, out)
+# ---------------------------------------------------------------------------
+# the runner
+# ---------------------------------------------------------------------------
+
+
+# stage name (also its key under report["stages"]) -> stage function
+_STAGES = {"ingest": _ingest, "hpi": _hpi, "bubble": _bubble,
+           "leadlag": _leadlag, "granger": _granger}
+
+# analysis command -> the stages it runs, in order
+_COMMANDS = {"summarize": ("ingest",), "hpi": ("hpi",), "bubble": ("bubble",),
+             "leadlag": ("leadlag",), "granger": ("granger",),
+             "pipeline": tuple(_STAGES)}
+
+
+def run_command(args: argparse.Namespace) -> int:
+    """Run an analysis command's stages; ``pipeline`` also writes report.json."""
+    cfg = resolve_config(args)
+    if args.command == "summarize" and not (cfg.transactions or cfg.prices):
+        raise _UsageError("summarize needs a transactions and/or prices input")
+    if args.command == "pipeline" and not cfg.coin:
+        raise _UsageError("pipeline needs the coin key (the quote series "
+                          "paired with the land market)")
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    run = _Run(cfg, args)
+    fragments: dict = {}
+    for stage in _COMMANDS[args.command]:
+        try:
+            fragments[stage] = _STAGES[stage](run)
+        except LandmetricsError as exc:
+            if args.command == "pipeline":
+                _write_pipeline_report(run, fragments, failed_stage=stage, error=exc)
+            raise
+    if args.command == "pipeline":
+        _write_pipeline_report(run, fragments)
     return 0
+
+
+def _write_pipeline_report(run: _Run, fragments: dict, failed_stage: str | None = None,
+                           error: LandmetricsError | None = None) -> None:
+    cfg = run.cfg
+    files = run.files if failed_stage else run.files | {"report.json"}
+    report = {
+        "command": "pipeline",
+        "config": canonical_config(cfg),
+        "config_sha256": config_hash(cfg),
+        "seed": cfg.seed,
+        "status": "failed" if failed_stage else "ok",
+        "failed_stage": failed_stage,
+        "error": None if error is None else str(error),
+        "stages": fragments,
+        "files": sorted(files),
+    }
+    _write_report(cfg.out_dir, report)
+    if failed_stage:
+        _log(f"[pipeline] FAILED at stage {failed_stage}: partial outputs in {cfg.out_dir}")
+    else:
+        _log(f"[pipeline] ok: {len(report['files'])} files in {cfg.out_dir} "
+             f"(config {report['config_sha256'][:12]})")
+
+
+REPORT_DIGITS = 10
+
+
+def _report_floats(obj):
+    """Round every float in ``obj`` to ``REPORT_DIGITS`` significant digits.
+
+    The report is meant to be byte-identical across numpy/scipy/BLAS
+    versions, and their last few ULPs differ (scipy's ``betainc`` behind
+    the Granger p-values, for one).  Ten digits sit inside
+    ``f_tail_prob``'s documented 1e-10 accuracy.  A value lying on a
+    rounding boundary can still flip its last digit; no finite rounding
+    avoids that.  Non-finite floats and all other types pass through.
+    """
+    if isinstance(obj, float):
+        return float(f"{obj:.{REPORT_DIGITS}g}")
+    if isinstance(obj, dict):
+        return {k: _report_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_report_floats(v) for v in obj]
+    return obj
+
+
+def _write_report(out: str, report: dict) -> None:
+    with open(os.path.join(out, "report.json"), "w") as fh:
+        json.dump(_report_floats(report), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # -- simulate ---------------------------------------------------------------
@@ -822,131 +912,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- pipeline ---------------------------------------------------------------
-
-
-def cmd_pipeline(cfg: RunConfig) -> int:
-    if not cfg.coin:
-        raise _UsageError("pipeline needs the coin key (the quote series "
-                          "paired with the land market)")
-    out = _ensure_out(cfg)
-    report: dict = {
-        "command": "pipeline",
-        "config": canonical_config(cfg),
-        "config_sha256": config_hash(cfg),
-        "seed": cfg.seed,
-        "status": "ok",
-        "failed_stage": None,
-        "error": None,
-        "stages": {},
-        "files": [],
-    }
-    files: list[str] = []
-    stage = "ingest"
-    try:
-        # ingest ----------------------------------------------------------
-        dataset, fx = _load_dataset(cfg)
-        rejections_to_csv(dataset.rejected, os.path.join(out, "rejections.csv"))
-        _write_tx_summary(dataset, os.path.join(out, "summary_transactions.csv"))
-        _write_return_summary(fx, os.path.join(out, "summary_returns.csv"))
-        files += ["rejections.csv", "summary_transactions.csv", "summary_returns.csv"]
-        info = dataset.summary()
-        report["stages"]["ingest"] = {
-            "n_accepted": int(info["n"]),
-            "n_rejected": len(dataset.rejected),
-            "pct_weth": float(info["pct_weth"]),
-            "coverage": [dataset.coverage[0].isoformat(),
-                         dataset.coverage[1].isoformat()],
-        }
-        _log(f"[pipeline] ingest: {info['n']} accepted, "
-             f"{len(dataset.rejected)} rejected")
-
-        # hedonic index ----------------------------------------------------
-        stage = "hpi"
-        points, fit, level, fill_applied = _build_index(cfg, dataset)
-        hpi_points_to_csv(points, os.path.join(out, "hpi.csv"))
-        hedonic_fit_to_json(fit, os.path.join(out, "hpi_fit.json"))
-        level.to_csv(os.path.join(out, "hpi_series.csv"))
-        files += ["hpi.csv", "hpi_fit.json", "hpi_series.csv"]
-        report["stages"]["hpi"] = {
-            "n_periods": len(points),
-            "base_period": fit.base_period.isoformat(),
-            "gap_periods": [d.isoformat() for d in fit.gap_periods],
-            "fill_applied": fill_applied,
-            "beta_log_plots": fit.beta_log_plots,
-            "se_log_plots": fit.se_log_plots,
-            "beta_weth": fit.beta_weth,
-            "se_weth": fit.se_weth,
-            "n_obs": fit.n_obs,
-        }
-        _log(f"[pipeline] hpi: {len(points)} periods, "
-             f"{len(fit.gap_periods)} gap(s), fill_applied={fill_applied}")
-
-        # explosive stamping on the quote series ---------------------------
-        stage = "bubble"
-        targets = [fx.series(sym) for sym in _analysis_symbols(cfg)]
-        bubble_report, bubble_files = _bubble_stage(cfg, targets, out)
-        report["stages"]["bubble"] = bubble_report
-        files += bubble_files
-
-        # lead-lag between index level and quote level ---------------------
-        stage = "leadlag"
-        quote = _weekly_quote(fx, cfg.coin.upper(), cfg.resample_rule)
-        leadlag_report, leadlag_files = _leadlag_stage(cfg, level, quote, out)
-        report["stages"]["leadlag"] = leadlag_report
-        files += leadlag_files
-
-        # causality table ---------------------------------------------------
-        stage = "granger"
-        columns = _index_quote_columns(cfg, fx, fit, level)
-        granger_report, granger_files = _granger_stage(
-            cfg, columns, cfg.coin.upper(), "hpi", out)
-        report["stages"]["granger"] = granger_report
-        files += granger_files
-    except LandmetricsError as exc:
-        report["status"] = "failed"
-        report["failed_stage"] = stage
-        report["error"] = str(exc)
-        report["files"] = sorted(set(files))
-        _write_report(out, report)
-        _log(f"[pipeline] FAILED at stage {stage}: partial outputs in {out}")
-        raise
-
-    report["files"] = sorted(set(files) | {"report.json"})
-    _write_report(out, report)
-    _log(f"[pipeline] ok: {len(report['files'])} files in {out} "
-         f"(config {report['config_sha256'][:12]})")
-    return 0
-
-
-REPORT_DIGITS = 10
-
-
-def _report_floats(obj):
-    """Round every float in ``obj`` to ``REPORT_DIGITS`` significant digits.
-
-    The report is meant to be byte-identical across numpy/scipy/BLAS
-    versions, and their last few ULPs differ (scipy's ``betainc`` behind
-    the Granger p-values, for one).  Ten digits sit inside
-    ``f_tail_prob``'s documented 1e-10 accuracy.  A value lying on a
-    rounding boundary can still flip its last digit; no finite rounding
-    avoids that.  Non-finite floats and all other types pass through.
-    """
-    if isinstance(obj, float):
-        return float(f"{obj:.{REPORT_DIGITS}g}")
-    if isinstance(obj, dict):
-        return {k: _report_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_report_floats(v) for v in obj]
-    return obj
-
-
-def _write_report(out: str, report: dict) -> None:
-    with open(os.path.join(out, "report.json"), "w") as fh:
-        json.dump(_report_floats(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -987,6 +952,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("pipeline", "full run with a single JSON report"),
     ):
         sub = subs.add_parser(name, help=help_text)
+        # every stage can read every override flag; unset unless added below
+        sub.set_defaults(series_file=None, series_name=None, series_x=None,
+                         series_y=None, series=None)
         _add_config_flags(sub)
         if name == "bubble":
             sub.add_argument("--series-file", metavar="FILE",
@@ -1036,30 +1004,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "simulate":
-        return cmd_simulate(args)
-    cfg = resolve_config(args)
-    if args.command == "summarize":
-        return cmd_summarize(cfg)
-    if args.command == "bubble":
-        return cmd_bubble(cfg, series_file=args.series_file,
-                          series_name=args.series_name)
-    if args.command == "hpi":
-        return cmd_hpi(cfg)
-    if args.command == "leadlag":
-        return cmd_leadlag(cfg, series_x=args.series_x, series_y=args.series_y)
-    if args.command == "granger":
-        return cmd_granger(cfg, series_kv=args.series)
-    if args.command == "pipeline":
-        return cmd_pipeline(cfg)
-    raise _UsageError(f"unknown command {args.command!r}")  # pragma: no cover
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _dispatch(args)
+        if args.command == "simulate":
+            return cmd_simulate(args)
+        return run_command(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .linreg import DesignMatrix, FTestResult, nested_f_test, ols_fit
-from .series import TimeSeries, _fmt
+from .series import _fmt
 
 
 @dataclass(frozen=True)

@@ -465,3 +465,110 @@ def test_summarize_writes_both_tables(tmp_path, capsys):
     ret_rows = read_csv(out / "summary_returns.csv")
     assert {r[0] for r in ret_rows[1:]} == {"VOX", "BTC", "ETH"}
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# subcommands as pipeline stages
+# ---------------------------------------------------------------------------
+
+
+def test_each_subcommand_writes_its_pipeline_stage_files(tmp_path, capsys):
+    fix = tmp_path / "fix"
+    _make_market_fixture(fix)
+    cfg = str(fix / "run.cfg")
+    written = {}
+    for command in ("summarize", "hpi", "bubble", "leadlag", "granger"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out-dir", str(out)]) == 0
+        written[command] = read_tree(out)
+    out = tmp_path / "pipeline"
+    assert main(["pipeline", "--config", cfg, "--out-dir", str(out)]) == 0
+    pipeline = read_tree(out)
+
+    for command, tree in written.items():
+        for name, data in tree.items():
+            assert data == pipeline[name], f"{command} wrote a different {name}"
+    union = set().union(*written.values())
+    assert union == set(pipeline) - {"report.json"}
+    assert "hpi_series.csv" in written["hpi"]
+    assert "rejections.csv" in written["summarize"]
+    capsys.readouterr()
+
+
+def test_failed_report_lists_every_file_on_disk(tmp_path, capsys):
+    fix = tmp_path / "fix"
+    _make_market_fixture(fix)
+    prices = fix / "prices.csv"
+    lines = prices.read_text().splitlines(keepends=True)
+    prices.write_text("".join(
+        line.rsplit(",", 1)[0] + ",100\n" if ",BTC," in line else line
+        for line in lines))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(fix / "run.cfg"),
+                 "--out-dir", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "failed"
+    assert report["failed_stage"] == "bubble"
+    on_disk = {p.name for p in out.iterdir()}
+    assert set(report["files"]) == on_disk - {"report.json"}
+    assert {"bubble_VOX.csv", "bubble_VOX_episodes.csv", "cv_VOX.csv"} <= on_disk
+    capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# input paths of the ingest and granger stages
+# ---------------------------------------------------------------------------
+
+
+def test_summarize_prices_alone_writes_only_return_summary(tmp_path, capsys):
+    fix = tmp_path / "fix"
+    _make_market_fixture(fix, weeks=20, seed=9)
+    out = tmp_path / "out"
+    assert main(["summarize", "--prices", str(fix / "prices.csv"),
+                 "--out-dir", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == {"summary_returns.csv"}
+    capsys.readouterr()
+
+
+def test_summarize_without_inputs_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["summarize", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: summarize needs a transactions and/or prices input\n"
+    assert not out.exists()
+
+
+def test_pipeline_without_coin_writes_nothing(tmp_path, capsys):
+    fix = tmp_path / "fix"
+    _make_market_fixture(fix, weeks=20, seed=9)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(fix / "run.cfg"), "--coin", "",
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: pipeline needs the coin key (the quote series paired with "
+        "the land market)\n")
+    assert not out.exists()
+
+
+def test_fill_interpolate_bridges_index_gap_in_granger_and_pipeline(tmp_path, capsys):
+    fix = tmp_path / "fix"
+    _make_market_fixture(fix, weeks=30, seed=3)
+    # one sale in the week of 2021-02-08 leaves it under min_per_period = 3
+    tx = fix / "transactions.csv"
+    gap_week = {f"2021-02-{day:02d}" for day in range(8, 15)}
+    lines = tx.read_text().splitlines(keepends=True)
+    in_gap = [i for i, line in enumerate(lines) if line[:10] in gap_week]
+    tx.write_text("".join(line for i, line in enumerate(lines) if i not in in_gap[1:]))
+    argv = ["--config", str(fix / "run.cfg"), "--fill", "interpolate"]
+
+    out = tmp_path / "g"
+    assert main(["granger"] + argv + ["--out-dir", str(out)]) == 0
+    assert (out / "granger.csv").exists()
+
+    out = tmp_path / "p"
+    assert main(["pipeline"] + argv + ["--out-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "ok"
+    assert report["stages"]["hpi"]["fill_applied"] is True
+    assert report["stages"]["hpi"]["gap_periods"] == ["2021-02-08"]
+    capsys.readouterr()
