@@ -13,13 +13,15 @@ The ADF regression is the constant-included specification
 and the statistic is the t-ratio b_hat / se(b_hat).  Right-tail
 exceedance indicates explosive behaviour.
 
-Every window of a sweep is evaluated at once from prefix sums of
-globally centered cross-products, with the intercept partialled out and
-the slopes solved per window in closed form (one or two regressors) or
-by a batched solve.  With ``lag_selection="bic"`` each candidate lag
-count is swept the same way and the lag is chosen per window.  The
-definitional reference, one OLS per window written out by hand, lives
-in the test suite (``tests/oracles.py``), not here.
+Every ADF statistic here comes from one engine, the window sweep: every
+window of a sweep is evaluated at once from prefix sums of globally
+centered cross-products, with the intercept partialled out and the
+slopes solved per window in closed form (one or two regressors) or by a
+batched solve.  With ``lag_selection="bic"`` each candidate lag count is
+swept the same way and the lag is chosen per window.  A single-window
+ADF (:func:`adf_stat`) is a sweep whose only window is the whole sample.
+The definitional reference, one OLS per window written out by hand,
+lives in the test suite (``tests/oracles.py``), not here.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .errors import (
     SingularDesignError,
     ValidationError,
 )
-from .linreg import DesignMatrix, ols_fit
 from .series import TimeSeries, _fmt
 
 #: windows whose residual sum of squares falls below this relative floor
@@ -220,33 +221,10 @@ def _as_values(window) -> np.ndarray:
     return np.asarray(window, dtype=np.float64)
 
 
-def _adf_design(y: np.ndarray, k: int, rows_from: int):
-    """Design and response for the ADF regression with k diff lags.
-
-    Rows are t = rows_from .. len(y)-1 in window coordinates; the caller
-    guarantees rows_from >= k + 1.
-    """
-    dy = np.diff(y)
-    n = y.shape[0] - rows_from
-    cols = [np.ones(n), y[rows_from - 1:-1]]
-    labels = ["const", "y_lag1"]
-    for i in range(1, k + 1):
-        cols.append(dy[rows_from - 1 - i:y.shape[0] - 1 - i])
-        labels.append(f"dy_lag{i}")
-    return DesignMatrix(tuple(labels), np.column_stack(cols)), dy[rows_from - 1:]
-
-
-def _adf_fit_stat(y: np.ndarray, k: int) -> tuple[float, int]:
-    design, resp = _adf_design(y, k, k + 1)
-    fit = ols_fit(design, resp)
-    scale = float(resp @ resp)
-    if fit.rss <= _RSS_RTOL * max(scale, 1.0):
-        raise SingularDesignError("residual variance is zero in ADF window")
-    return float(fit.coefficient("y_lag1") / fit.std_error("y_lag1")), resp.shape[0]
-
-
 def adf_stat(window, spec: AdfSpec = AdfSpec()) -> AdfResult:
     """ADF t-ratio on one window (a TimeSeries or a 1-d array of values).
+
+    The window is swept as the single window [0, len-1].
 
     :param window: the observations; length must be at least
         ``2 * n_lags + 4`` so the regression has a residual degree of
@@ -254,6 +232,8 @@ def adf_stat(window, spec: AdfSpec = AdfSpec()) -> AdfResult:
     :param spec: regression settings; see :class:`AdfSpec`.
     :returns: :class:`AdfResult` with window indices in window coordinates
         (0 .. len-1).
+    :raises SingularDesignError: when the regression is degenerate (a
+        singular design or an exact fit).
     """
     y = _as_values(window)
     if y.ndim != 1:
@@ -267,39 +247,18 @@ def adf_stat(window, spec: AdfSpec = AdfSpec()) -> AdfResult:
         raise InsufficientDataError(
             f"window length {L} < {min_len} required for n_lags={kmax}"
         )
-    if spec.lag_selection == "fixed":
-        stat, n_used = _adf_fit_stat(y, kmax)
-        k_used = kmax
-    else:
-        k_used = _bic_select(y, kmax)
-        stat, n_used = _adf_fit_stat(y, k_used)
+    stat, lag = _window_stats(y, _WindowPlan(L, L - 1, kmax), spec)
+    if not np.isfinite(stat[0]):
+        raise SingularDesignError(
+            "singular design or zero residual variance in ADF window")
+    k_used = int(lag[0]) if spec.lag_selection == "bic" else kmax
     return AdfResult(
-        stat=stat,
+        stat=float(stat[0]),
         window_start=0,
         window_end=L - 1,
-        n_obs_used=n_used,
+        n_obs_used=L - k_used - 1,
         n_lags_used=k_used,
     )
-
-
-def _bic_select(y: np.ndarray, kmax: int) -> int:
-    """Smallest-BIC lag count in [0, kmax], compared on the common sample."""
-    best_k, best_bic = 0, np.inf
-    for k in range(kmax + 1):
-        design, resp = _adf_design(y, k, kmax + 1)
-        try:
-            fit = ols_fit(design, resp)
-        except SingularDesignError:
-            continue
-        n = resp.shape[0]
-        if fit.rss <= 0.0:
-            return k
-        bic = n * math.log(fit.rss / n) + (k + 2) * math.log(n)
-        if bic < best_bic - 1e-12:
-            best_k, best_bic = k, bic
-    if best_bic is np.inf:
-        raise SingularDesignError("no lag candidate produced a nonsingular ADF design")
-    return best_k
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +276,6 @@ class _WindowPlan:
     """
 
     def __init__(self, T: int, r0: int, k: int):
-        if r0 < k + 5:
-            raise ValidationError(f"r0={r0} must be >= n_lags + 5 = {k + 5}")
         if T <= r0:
             raise InsufficientDataError(f"series length {T} must exceed r0={r0}")
         self.T, self.r0, self.k = T, r0, k
@@ -438,24 +395,24 @@ def _fixed_stats(P, lo, hi, n) -> np.ndarray:
     return np.where(bad | ~np.isfinite(stat), -np.inf, stat)
 
 
-def _bic_stats(y: np.ndarray, plan: _WindowPlan) -> np.ndarray:
-    """Per-window t-ratios with the lag count chosen per window by BIC.
+def _bic_stats(y: np.ndarray, plan: _WindowPlan):
+    """Per-window t-ratios and lag counts, the lag chosen per window by BIC.
 
-    Applies :func:`_bic_select`'s rule to every window at once.  Candidate
-    k in [0, kmax] is fitted on the common sample of the kmax regression,
-    which drops the first kmax - k rows of its own sample, from the same
-    prefix sums as its fixed-k sweep.  Candidates are tried in ascending
-    k; a later one wins only with a BIC below the best by more than 1e-12,
-    the first with rss <= 0 wins outright, and singular ones are skipped.
-    The winner's statistic is its fixed-k sweep's.  Windows shorter than
-    :func:`adf_stat` accepts, or with no usable candidate, give -inf.
-    Candidates are swept one at a time so memory stays at one k = kmax
-    sweep plus a few per-window vectors.
+    Candidate k in [0, kmax] is fitted on the common sample of the kmax
+    regression, which drops the first kmax - k rows of its own sample,
+    from the same prefix sums as its fixed-k sweep.  Candidates are tried
+    in ascending k; a later one wins only with a BIC below the best by
+    more than 1e-12, the first with rss <= 0 wins outright, and singular
+    ones are skipped.  The winner's statistic is its fixed-k sweep's.
+    Windows shorter than :func:`adf_stat` accepts, or with no usable
+    candidate, give -inf and lag -1.  Candidates are swept one at a time
+    so memory stays at one k = kmax sweep plus a few per-window vectors.
     """
     kmax = plan.k
     selecting = plan.R2 - plan.S1 + 1 >= max(2 * kmax + 4, kmax + 5)
     best_bic = np.full(plan.S1.shape, np.inf)
     stat = np.full(plan.S1.shape, -np.inf)
+    lag = np.full(plan.S1.shape, -1)
     for k in range(kmax + 1):
         P = _prefix_sums(y, k)
         own = _fixed_stats(P, *plan.slots(k))
@@ -468,15 +425,25 @@ def _bic_stats(y: np.ndarray, plan: _WindowPlan) -> np.ndarray:
         take = exact | (usable & (bic < best_bic - 1e-12))
         best_bic = np.where(take, bic, best_bic)
         stat = np.where(take, own, stat)
+        lag[take] = k
         selecting &= ~exact
-    return stat
+    return stat, lag
 
 
-def _window_stats(y: np.ndarray, plan: _WindowPlan, spec: AdfSpec) -> np.ndarray:
-    """ADF t-ratio of every window in ``plan``; -inf where none is usable."""
+def _window_stats(y: np.ndarray, plan: _WindowPlan, spec: AdfSpec):
+    """ADF t-ratio of every window in ``plan`` (-inf where none is usable)
+    and the lag count behind it: per window under BIC, else ``plan.k``."""
     if spec.lag_selection == "bic":
         return _bic_stats(y, plan)
-    return _fixed_stats(_prefix_sums(y, plan.k), plan.lo, plan.hi, plan.n)
+    return _fixed_stats(_prefix_sums(y, plan.k), plan.lo, plan.hi, plan.n), plan.k
+
+
+def _sweep_plan(T: int, r0: int, k: int) -> _WindowPlan:
+    """The plan of a public sweep, whose minimum window r0 must be at
+    least n_lags + 5."""
+    if r0 < k + 5:
+        raise ValidationError(f"r0={r0} must be >= n_lags + 5 = {k + 5}")
+    return _WindowPlan(T, r0, k)
 
 
 def _sup_argmax(stat: np.ndarray, plan: _WindowPlan):
@@ -511,8 +478,8 @@ def bsadf_at(series, r2: int, r0: int, spec: AdfSpec = AdfSpec()) -> BsadfPoint:
     y = y[: r2 + 1]
     if not np.all(np.isfinite(y)):
         raise ValidationError("bsadf_at requires finite values")
-    plan = _WindowPlan(r2 + 1, r0, spec.n_lags)
-    sup, argmax = _sup_argmax(_window_stats(y, plan, spec), plan)
+    plan = _sweep_plan(r2 + 1, r0, spec.n_lags)
+    sup, argmax = _sup_argmax(_window_stats(y, plan, spec)[0], plan)
     if not np.isfinite(sup[-1]):
         raise NoValidWindowError(f"all windows ending at {r2} failed")
     return BsadfPoint(t_index=r2, stat=float(sup[-1]), argmax_start=int(argmax[-1]))
@@ -534,8 +501,8 @@ def bsadf_series(series, r0: int | None = None, spec: AdfSpec = AdfSpec()) -> li
         r0 = default_min_window(T)
     if T <= r0:
         raise InsufficientDataError(f"series length {T} must exceed r0={r0}")
-    plan = _WindowPlan(T, r0, spec.n_lags)
-    sup, argmax = _sup_argmax(_window_stats(y, plan, spec), plan)
+    plan = _sweep_plan(T, r0, spec.n_lags)
+    sup, argmax = _sup_argmax(_window_stats(y, plan, spec)[0], plan)
     out = []
     for i, r2 in enumerate(plan.r2s):
         if not np.isfinite(sup[i]):
@@ -573,13 +540,13 @@ def mc_critical_values(
     T = series_length
     if min_window is None:
         min_window = default_min_window(T)
-    plan = _WindowPlan(T, min_window, spec.n_lags)
+    plan = _sweep_plan(T, min_window, spec.n_lags)
     n_pts = T - min_window
     stats = np.empty((n_rep, n_pts))
     for rep in range(n_rep):
         rng = Generator(Philox(key=[seed, rep]))
         y = np.concatenate([[0.0], np.cumsum(rng.standard_normal(T - 1))])
-        stats[rep] = np.maximum.reduceat(_window_stats(y, plan, spec), plan.seg_starts)
+        stats[rep] = np.maximum.reduceat(_window_stats(y, plan, spec)[0], plan.seg_starts)
     if not np.all(np.isfinite(stats)):
         raise NoValidWindowError("a null replication produced no valid window")
     cv = np.quantile(stats, alphas, axis=0).T.copy()

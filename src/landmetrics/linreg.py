@@ -1,11 +1,11 @@
 """Ordinary least squares and nested-model F tests.
 
-All regressions in this package (ADF windows, hedonic dummies, VAR
-equations) run through :func:`ols_fit`.  The solver factors the design
-matrix with an SVD rather than forming normal equations, detects rank
-deficiency against a relative singular-value floor, and reports classical
-(homoskedasticity-based) standard errors.  Robust or HAC covariance is
-out of scope.
+The hedonic index and the VAR equations run through :func:`ols_fit`;
+ADF regressions use the prefix-sum window sweep in ``bubbles`` instead.
+The solver factors the design matrix with an SVD rather than forming
+normal equations, detects rank deficiency against a relative
+singular-value floor, and reports classical (homoskedasticity-based)
+standard errors.  Robust or HAC covariance is out of scope.
 
 The F machinery is split in two: :func:`nested_f_test` turns a pair of
 nested fits into an F statistic, and :func:`f_tail_prob` maps a statistic

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -50,24 +50,6 @@ def _dates(n: int, freq: str, start: dt.date) -> tuple[dt.date, ...]:
 def _check_length(n: int) -> None:
     if n < 10:
         raise ValidationError(f"generated series need length >= 10, got {n}")
-
-
-@dataclass(frozen=True)
-class GenSpec:
-    """Bundled generator request, as parsed from the CLI.
-
-    ``params`` holds the generator-specific knobs (drift, sigma, rho,
-    windows, beta, lag, deltas, ...).  The seed fully determines the
-    output of whichever generator the spec is handed to.
-    """
-
-    kind: str
-    length: int
-    seed: int
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        _check_length(self.length)
 
 
 def gen_random_walk(

@@ -21,9 +21,8 @@ import datetime as dt
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import Generator, Philox
 
-from .bubbles import AdfSpec, AdfResult, adf_stat, _adf_fit_stat
+from .bubbles import AdfSpec, AdfResult, adf_stat, mc_critical_values
 from .errors import (
     InsufficientDataError,
     SingularDesignError,
@@ -304,17 +303,6 @@ class StationarityCheck:
     error: str | None = None
 
 
-def _adf_null_quantile(
-    n: int, spec: AdfSpec, alpha: float, n_rep: int, seed: int
-) -> float:
-    stats = np.empty(n_rep)
-    for rep in range(n_rep):
-        rng = Generator(Philox(key=[seed, rep]))
-        y = np.concatenate([[0.0], np.cumsum(rng.standard_normal(n - 1))])
-        stats[rep], _ = _adf_fit_stat(y, spec.n_lags)
-    return float(np.quantile(stats, alpha))
-
-
 def stationarity_precheck(
     panel: Panel,
     spec: AdfSpec = AdfSpec(),
@@ -326,22 +314,25 @@ def stationarity_precheck(
 
     The critical value is the ``alpha`` quantile of the full-sample ADF
     statistic over ``n_rep`` simulated driftless unit-root paths of the
-    same length (left tail: more negative means stronger rejection).
+    same length (left tail: more negative means stronger rejection): the
+    table of :func:`mc_critical_values` whose only window is the whole
+    sample at the fixed lag ``spec.n_lags``, so ``n_rep`` must be >= 200.
+    A panel shorter than 20 rows or than :func:`adf_stat` accepts raises
+    :class:`InsufficientDataError` before any path is simulated.
     """
     if panel.n_rows < 20:
         raise InsufficientDataError(f"precheck needs >= 20 rows, got {panel.n_rows}")
     if not (0.0 < alpha < 1.0):
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    cv = _adf_null_quantile(panel.n_rows, spec, alpha, n_rep, seed)
-    out = []
+    cols = []
     for name in panel.variable_names:
         try:
-            res = adf_stat(panel.column(name), spec)
-        except (SingularDesignError, InsufficientDataError) as exc:
-            out.append(StationarityCheck(name=name, result=None,
-                                         critical_value=cv, passes=False,
-                                         error=str(exc)))
-            continue
-        out.append(StationarityCheck(name=name, result=res, critical_value=cv,
-                                     passes=bool(res.stat < cv)))
-    return out
+            cols.append((name, adf_stat(panel.column(name), spec), None))
+        except SingularDesignError as exc:
+            cols.append((name, None, str(exc)))
+    n = panel.n_rows
+    cv = float(mc_critical_values(n, min_window=n - 1, spec=AdfSpec(n_lags=spec.n_lags),
+                                  alphas=(alpha,), n_rep=n_rep, seed=seed).cv_by_t[0, 0])
+    return [StationarityCheck(name=name, result=res, critical_value=cv,
+                              passes=res is not None and bool(res.stat < cv), error=err)
+            for name, res, err in cols]

@@ -24,8 +24,8 @@ from landmetrics.errors import (
     ValidationError,
 )
 
-from oracles import adf_design, adf_stat_oracle, bsadf_bic_oracle, bsadf_oracle, \
-    ols_t_ratio
+from oracles import adf_design, adf_stat_oracle, bic_lag_oracle, bsadf_bic_oracle, \
+    bsadf_oracle, ols_t_ratio
 
 
 def ar1(rho, n, seed, sigma=1.0, y0=0.0):
@@ -126,6 +126,39 @@ def test_adf_bic_selection_stays_in_range_and_is_deterministic():
     res2 = adf_stat(y, AdfSpec(n_lags=4, lag_selection="bic"))
     assert 0 <= res1.n_lags_used <= 4
     assert res1 == res2
+
+
+def test_adf_at_minimum_length_matches_oracle():
+    # max(2k + 4, k + 5) is k + 5 for k <= 1: a one-window sweep shorter
+    # than any public sweep's r0 >= k + 5 rule allows.  Plain walks: with
+    # one residual degree of freedom, a near-exact fit (|t| in the tens or
+    # more) loses ~eps * Sdd / rss relative accuracy on the sweep
+    for k in range(4):
+        L = max(2 * k + 4, k + 5)
+        for seed in range(5):
+            y = walk(L, seed)
+            res = adf_stat(y, AdfSpec(n_lags=k))
+            assert res.stat == pytest.approx(adf_stat_oracle(y.tolist(), k), abs=1e-10)
+            assert (res.n_lags_used, res.n_obs_used) == (k, L - k - 1)
+
+
+def test_adf_bic_matches_bic_oracle():
+    chosen = []
+    for seed, (L, kmax) in enumerate([(30, 2), (60, 3), (80, 4), (120, 3)]):
+        # differences follow an AR(2), so BIC has lags worth keeping
+        rng = np.random.default_rng(40 + seed)
+        dy = np.zeros(L - 1)
+        eps = rng.standard_normal(L - 1)
+        for t in range(L - 1):
+            dy[t] = eps[t] + (0.6 * dy[t - 1] - 0.3 * dy[t - 2] if t >= 2 else 0.0)
+        y = np.concatenate([[0.0], np.cumsum(dy)])
+        res = adf_stat(y, AdfSpec(n_lags=kmax, lag_selection="bic"))
+        k = bic_lag_oracle(y.tolist(), kmax)
+        assert res.n_lags_used == k
+        assert res.stat == pytest.approx(adf_stat_oracle(y.tolist(), k), abs=1e-10)
+        assert res.n_obs_used == L - k - 1
+        chosen.append(k)
+    assert max(chosen) > 0
 
 
 def test_adf_spec_validation():

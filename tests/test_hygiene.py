@@ -1,4 +1,5 @@
-"""Source hygiene: no module under ``src/landmetrics`` keeps a dead import.
+"""Source hygiene: no module under ``src/landmetrics`` keeps a dead import
+or a dead public function or class.
 
 No linter ships with the package's test dependencies, so this check
 parses each module with ``ast`` instead.
@@ -6,10 +7,12 @@ parses each module with ``ast`` instead.
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "landmetrics"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "landmetrics"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -48,3 +51,54 @@ def test_detector_flags_unused_and_spares_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_public_names(sources: dict[str, str], package) -> list[str]:
+    """Public top-level functions and classes of the ``package`` paths
+    whose name appears in no text of ``sources`` (path -> source) outside
+    their own definition, decorators and body included."""
+    dead = []
+    for path in sorted(package):
+        for node in ast.parse(sources[path]).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            for other, text in sources.items():
+                if other == path:
+                    lines = text.splitlines()
+                    text = "\n".join(lines[:first - 1] + lines[node.end_lineno:])
+                if word.search(text):
+                    break
+            else:
+                dead.append(f"{path}: {node.name}")
+    return dead
+
+
+def test_dead_name_detector_flags_names_used_only_at_their_definition():
+    module = ("import functools\n"
+              "@functools.cache\n"
+              "def helper():\n"
+              "    return 1\n"
+              "def entry():\n"
+              "    return helper()\n"
+              "def lonely(n):\n"
+              "    \"\"\"lonely recurses into lonely.\"\"\"\n"
+              "    return lonely(n - 1) if n else 0\n"
+              "class Orphan:\n"
+              "    pass\n"
+              "def _private():\n"
+              "    pass\n")
+    sources = {"pkg/mod.py": module, "tests/test_mod.py": "from pkg.mod import entry\n"}
+    assert dead_public_names(sources, {"pkg/mod.py"}) == [
+        "pkg/mod.py: lonely", "pkg/mod.py: Orphan"]
+
+
+def test_package_has_no_dead_public_names():
+    sources = {p.relative_to(ROOT).as_posix(): p.read_text()
+               for top in ("src", "tests", "scripts")
+               for p in sorted((ROOT / top).rglob("*.py"))}
+    package = {p.relative_to(ROOT).as_posix() for p in MODULES}
+    assert dead_public_names(sources, package) == []

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from landmetrics.bubbles import AdfSpec
 from landmetrics.errors import (
@@ -23,7 +24,7 @@ from landmetrics.var_granger import (
     stationarity_precheck,
 )
 
-from oracles import ols_normal_equations
+from oracles import adf_stat_oracle, ols_normal_equations, quantile_type7
 
 D0 = dt.date(2021, 1, 4)
 
@@ -344,3 +345,36 @@ def test_precheck_is_deterministic():
     assert [(c.name, c.passes, c.critical_value) for c in c1] == [
         (c.name, c.passes, c.critical_value) for c in c2
     ]
+
+
+def test_precheck_critical_value_matches_oracle_quantile():
+    n, n_rep, seed, alpha = 30, 200, 11, 0.05
+    stats = []
+    for rep in range(n_rep):
+        rng = Generator(Philox(key=[seed, rep]))
+        y = np.concatenate([[0.0], np.cumsum(rng.standard_normal(n - 1))])
+        stats.append(adf_stat_oracle(y.tolist(), 1))
+    expected = quantile_type7(sorted(stats), alpha)
+    panel = white_panel(n, ("a", "b"), seed=4)
+    checks = stationarity_precheck(panel, spec=AdfSpec(n_lags=1), alpha=alpha,
+                                   n_rep=n_rep, seed=seed)
+    for c in checks:
+        assert c.critical_value == pytest.approx(expected, abs=1e-10)
+
+
+def test_precheck_needs_200_replications():
+    with pytest.raises(ValidationError):
+        stationarity_precheck(white_panel(40, ("a", "b"), seed=0), n_rep=199)
+
+
+@pytest.mark.parametrize("rows", [20, 21])
+def test_precheck_short_panel_fails_before_simulating(rows, monkeypatch):
+    # n_lags=9 needs 22 rows; at 21 the null simulation used to hit an
+    # exact fit and report a singular design instead
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("the null was simulated")
+
+    monkeypatch.setattr("landmetrics.var_granger.mc_critical_values", no_simulation)
+    panel = white_panel(rows, ("a", "b"), seed=2)
+    with pytest.raises(InsufficientDataError):
+        stationarity_precheck(panel, spec=AdfSpec(n_lags=9), n_rep=200)
