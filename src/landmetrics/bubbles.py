@@ -13,13 +13,17 @@ The ADF regression is the constant-included specification
 and the statistic is the t-ratio b_hat / se(b_hat).  Right-tail
 exceedance indicates explosive behaviour.
 
-Every ADF statistic here comes from one engine, the window sweep: every
-window of a sweep is evaluated at once from prefix sums of globally
-centered cross-products, with the intercept partialled out and the
-slopes solved per window in closed form (one or two regressors) or by a
-batched solve.  With ``lag_selection="bic"`` each candidate lag count is
-swept the same way and the lag is chosen per window.  A single-window
-ADF (:func:`adf_stat`) is a sweep whose only window is the whole sample.
+Every ADF statistic here comes from one engine, the window sweep.  Its
+windows are fitted in blocks of whole end-date segments from one set of
+prefix sums of globally centered cross-products (the upper triangle
+only), and each block is reduced to its per-date supremum before the
+next is built.  Per window, the intercept is partialled out and one
+pivot loop eliminates the regressors in turn, the lagged level last, so
+its t-ratio falls out of the last pivot.  With ``lag_selection="bic"``
+one elimination pass with the level first gives every candidate lag's
+residual sum of squares, and the lag is chosen per window.  A
+single-window ADF (:func:`adf_stat`) is a sweep whose only window is the
+whole sample.
 The definitional reference, one OLS per window written out by hand,
 lives in the test suite (``tests/oracles.py``), not here.
 """
@@ -247,11 +251,11 @@ def adf_stat(window, spec: AdfSpec = AdfSpec()) -> AdfResult:
         raise InsufficientDataError(
             f"window length {L} < {min_len} required for n_lags={kmax}"
         )
-    stat, lag = _window_stats(y, _WindowPlan(L, L - 1, kmax), spec)
+    stat, _, lag = _sweep(y, L - 1, spec, L - 1)
     if not np.isfinite(stat[0]):
         raise SingularDesignError(
             "singular design or zero residual variance in ADF window")
-    k_used = int(lag[0]) if spec.lag_selection == "bic" else kmax
+    k_used = int(lag[0])
     return AdfResult(
         stat=float(stat[0]),
         window_start=0,
@@ -265,196 +269,181 @@ def adf_stat(window, spec: AdfSpec = AdfSpec()) -> AdfResult:
 # window sweep: every window from prefix sums
 # ---------------------------------------------------------------------------
 
-
-class _WindowPlan:
-    """Precomputed window enumeration for a (T, r0, k) sweep.
-
-    Shared across Monte-Carlo replications so the index arithmetic is done
-    once.  For each r2 in [r0, T-1] the admissible starts are
-    s1 in {0, ..., r2 - r0}; a window [s1, r2] uses regression rows
-    t in [s1 + k + 1, r2], i.e. prefix-slot range (s1, r2 - k].
-    """
-
-    def __init__(self, T: int, r0: int, k: int):
-        if T <= r0:
-            raise InsufficientDataError(f"series length {T} must exceed r0={r0}")
-        self.T, self.r0, self.k = T, r0, k
-        r2s = np.arange(r0, T)
-        counts = r2s - r0 + 1
-        self.r2s = r2s
-        self.counts = counts
-        self.R2 = np.repeat(r2s, counts)
-        self.S1 = np.concatenate([np.arange(c) for c in counts])
-        self.lo, self.hi, self.n = self.slots(k)
-        self.seg_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-
-    def slots(self, k: int, skip: int = 0):
-        """Prefix-slot bounds (lo, hi] and row count of every window's
-        k-lag regression with its first ``skip`` rows left out."""
-        lo = self.S1 + skip
-        hi = self.R2 - k
-        return lo, hi, (hi - lo).astype(np.float64)
+#: windows swept at once; a block holds whole r2 segments (at least one)
+_BLOCK_WINDOWS = 1 << 15
 
 
-def _prefix_sums(y: np.ndarray, k: int):
-    """Prefix sums of the centered k-lag ADF regressors Z and response d.
+def _prefix_sums(y: np.ndarray, k: int, level_first: bool = False):
+    """Prefix sums of the centered k-lag ADF variables and their products.
 
-    Row j is regression time t = j + k + 1: Z = [y[t-1], dy[t-1], ...,
-    dy[t-k]] and d = dy[t].  Centering by the full-sample means keeps the
-    windowed cross-products well conditioned.
+    W has one row per variable and one column per regression time: column
+    j is t = j + k + 1.  Its rows are the regressors Z, the lagged
+    differences dy[t-1], ..., dy[t-k] followed by the lagged level y[t-1]
+    (the level first when ``level_first``), and then the response
+    d = dy[t].  Centering by the full-sample means keeps the windowed
+    cross-products well conditioned.  Returns (P_w, P_ww): the prefix sums
+    of W's rows and of the products W[r] * W[c] for r <= c, the upper
+    triangle in row-major order, (m+1)(m+2)/2 rows for m regressors.
+    Column s of each holds the sum over the first s regression times.
     """
     T = y.shape[0]
     dy = np.diff(y)
-    Z = np.empty((T - 1 - k, k + 1))
-    Z[:, 0] = y[k:-1]
-    for i in range(1, k + 1):
-        Z[:, i] = dy[k - i:T - 1 - i]
-    d = dy[k:]
-    Z = Z - Z.mean(axis=0)
-    d = d - d.mean()
+    lags = [dy[k - i:T - 1 - i] for i in range(1, k + 1)]
+    level = [y[k:-1]]
+    W = np.array((level + lags if level_first else lags + level) + [dy[k:]])
+    W -= W.mean(axis=1, keepdims=True)
+    i, j = np.triu_indices(W.shape[0])
 
     def prefix(a):
-        out = np.zeros((a.shape[0] + 1,) + a.shape[1:])
-        np.cumsum(a, axis=0, out=out[1:])
+        out = np.zeros((a.shape[0], a.shape[1] + 1))
+        np.cumsum(a, axis=1, out=out[:, 1:])
         return out
 
-    return (prefix(Z), prefix(d), prefix(Z[:, :, None] * Z[:, None, :]),
-            prefix(Z * d[:, None]), prefix(d * d))
+    return prefix(W), prefix(W[i] * W[j])
 
 
-def _window_fits(P, lo, hi, n):
+def _window_fits(P, lo, hi):
     """OLS of d on [1, Z] over prefix slots (lo, hi] of every window.
 
-    Returns (stat, rss, singular, Sdd): the t-ratio on the lagged level,
-    the residual sum of squares, a flag for a near-singular normal matrix,
-    and the window's response sum of squares.  The intercept is
-    partialled out in closed form; the slopes are solved in closed form
-    for one or two regressors and by a batched solve otherwise.
+    One pivot loop serves every regressor count m.  The intercept is
+    partialled out of the windowed sums in closed form, giving the upper
+    triangle A of [Z, d]'s centered cross-products.  The regressors are
+    then eliminated one at a time, in row order (Frisch-Waugh-Lovell): the
+    pivot D_j of regressor j is its cross-product left after the earlier
+    ones are partialled out, and eliminating it lowers rss by c_j**2 / D_j,
+    with c_j its partialled cross-product with d.  A pivot is degenerate
+    unless D_j > 1e-14 * A_jj, the regressor's diagonal before elimination.
+
+    Returns (stat, rss, bad, Sdd): the t-ratio b/sqrt(sigma2/D) of the last
+    regressor, with b = c/D; the rss after each pivot and whether any pivot
+    so far was degenerate (both of shape (m, windows)); and the window's
+    response sum of squares.
     """
-    P_z, P_d, P_zz, P_zd, P_dd = P
-    m = P_z.shape[1]
-    Sz = P_z[hi] - P_z[lo]
-    Sd = P_d[hi] - P_d[lo]
-    Szz = P_zz[hi] - P_zz[lo]
-    Szd = P_zd[hi] - P_zd[lo]
-    Sdd = P_dd[hi] - P_dd[lo]
-
-    A = Szz - Sz[:, :, None] * Sz[:, None, :] / n[:, None, None]
-    b = Szd - Sz * (Sd / n)[:, None]
-    cdd = Sdd - Sd * Sd / n
-
+    P_w, P_ww = P
+    q = P_w.shape[0]
+    m = q - 1
+    n = (hi - lo).astype(np.float64)
+    S = np.take(P_w, hi, axis=1)
+    S -= np.take(P_w, lo, axis=1)
+    A = np.take(P_ww, hi, axis=1)
+    A -= np.take(P_ww, lo, axis=1)
+    Sdd = A[-1].copy()
+    mean = S / n
+    a = {}  # (r, c) -> row of A, in the row-major order _prefix_sums stores
+    for x, (r, c) in enumerate((r, c) for r in range(q) for c in range(r, q)):
+        A[x] -= S[r] * mean[c]
+        a[r, c] = A[x]
+    floor = [1e-14 * a[p, p] for p in range(m)]
+    rss = np.empty((m, n.shape[0]))
+    bad = np.empty((m, n.shape[0]), dtype=bool)
+    degenerate = np.zeros(n.shape[0], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if m == 1:
-            a00 = A[:, 0, 0]
-            bad = ~(a00 > 0.0)
-            safe = np.where(bad, 1.0, a00)
-            g0 = b[:, 0] / safe
-            rss = cdd - g0 * b[:, 0]
-            inv00 = 1.0 / safe
-        elif m == 2:
-            a00, a01, a11 = A[:, 0, 0], A[:, 0, 1], A[:, 1, 1]
-            det = a00 * a11 - a01 * a01
-            scale = a00 * a11
-            bad = ~(det > 1e-14 * np.maximum(scale, 1e-300))
-            det = np.where(bad, 1.0, det)
-            g0 = (a11 * b[:, 0] - a01 * b[:, 1]) / det
-            g1 = (-a01 * b[:, 0] + a00 * b[:, 1]) / det
-            rss = cdd - (g0 * b[:, 0] + g1 * b[:, 1])
-            inv00 = a11 / det
-        else:
-            diag = np.einsum("wii->wi", A)
-            bad = np.zeros(A.shape[0], dtype=bool)
-            rhs = np.concatenate([b[:, :, None], np.zeros((len(n), m, 1))], axis=2)
-            rhs[:, 0, 1] = 1.0
-            try:
-                sol = np.linalg.solve(A, rhs)
-            except np.linalg.LinAlgError:
-                sol = np.full_like(rhs, np.nan)
-                for w in range(A.shape[0]):
-                    try:
-                        sol[w] = np.linalg.solve(A[w], rhs[w])
-                    except np.linalg.LinAlgError:
-                        bad[w] = True
-            g = sol[:, :, 0]
-            g0 = g[:, 0]
-            inv00 = sol[:, 0, 1]
-            rss = cdd - np.einsum("wj,wj->w", g, b)
-            bad |= ~np.isfinite(g0) | ~(inv00 > 0.0) | ~(np.min(diag, axis=1) > 0.0)
-
-        df = n - (m + 1)
-        sigma2 = rss / df
-        stat = g0 / np.sqrt(sigma2 * inv00)
+        for p in range(m):
+            D, c = a[p, p], a[p, m]
+            degenerate |= ~(D > floor[p])
+            bad[p] = degenerate
+            for r in range(p + 1, q):
+                f = a[p, r] / D
+                for s in range(r, q):
+                    a[r, s] -= a[p, s] * f
+            rss[p] = a[m, m]
+        stat = c / D / np.sqrt(rss[-1] / (n - (m + 1)) / D)
     return stat, rss, bad, Sdd
 
 
-def _fixed_stats(P, lo, hi, n) -> np.ndarray:
+def _fixed_stats(P, lo, hi) -> np.ndarray:
     """Per-window t-ratios; -inf where the window is degenerate
-    (near-singular normal matrix or an exact fit)."""
-    stat, rss, singular, Sdd = _window_fits(P, lo, hi, n)
-    bad = singular | ~(rss > _RSS_RTOL * np.maximum(Sdd, 1.0))
+    (a degenerate pivot or an exact fit)."""
+    stat, rss, bad, Sdd = _window_fits(P, lo, hi)
+    bad = bad[-1] | ~(rss[-1] > _RSS_RTOL * np.maximum(Sdd, 1.0))
     return np.where(bad | ~np.isfinite(stat), -np.inf, stat)
 
 
-def _bic_stats(y: np.ndarray, plan: _WindowPlan):
+def _bic_stats(own, nested, s1, r2, kmax):
     """Per-window t-ratios and lag counts, the lag chosen per window by BIC.
 
-    Candidate k in [0, kmax] is fitted on the common sample of the kmax
-    regression, which drops the first kmax - k rows of its own sample,
-    from the same prefix sums as its fixed-k sweep.  Candidates are tried
-    in ascending k; a later one wins only with a BIC below the best by
-    more than 1e-12, the first with rss <= 0 wins outright, and singular
-    ones are skipped.  The winner's statistic is its fixed-k sweep's.
-    Windows shorter than :func:`adf_stat` accepts, or with no usable
-    candidate, give -inf and lag -1.  Candidates are swept one at a time
-    so memory stays at one k = kmax sweep plus a few per-window vectors.
+    Every candidate k in [0, kmax] is fitted on the common sample of the
+    kmax regression.  The candidates are nested, so one elimination pass
+    over ``nested`` (the kmax columns with the level first, then dy[t-1],
+    dy[t-2], ...) leaves candidate k's rss after pivot k.  Candidates are
+    tried in ascending k; a later one wins only with a BIC below the best
+    by more than 1e-12, the first with rss <= 0 wins outright, and
+    degenerate ones are skipped.  The winner's statistic is its own fixed-k
+    fit, from ``own[k]``.  Windows shorter than :func:`adf_stat` accepts,
+    or with no usable candidate, give -inf and lag -1.
     """
-    kmax = plan.k
-    selecting = plan.R2 - plan.S1 + 1 >= max(2 * kmax + 4, kmax + 5)
-    best_bic = np.full(plan.S1.shape, np.inf)
-    stat = np.full(plan.S1.shape, -np.inf)
-    lag = np.full(plan.S1.shape, -1)
+    selecting = r2 - s1 + 1 >= max(2 * kmax + 4, kmax + 5)
+    _, rss, singular, _ = _window_fits(nested, s1, r2 - kmax)
+    n = (r2 - kmax - s1).astype(np.float64)
+    best_bic = np.full(s1.shape, np.inf)
+    lag = np.full(s1.shape, -1)
     for k in range(kmax + 1):
-        P = _prefix_sums(y, k)
-        own = _fixed_stats(P, *plan.slots(k))
-        lo, hi, n = plan.slots(k, skip=kmax - k)
-        _, rss, singular, _ = _window_fits(P, lo, hi, n)
-        usable = selecting & ~singular
-        exact = usable & (rss <= 0.0)
+        usable = selecting & ~singular[k]
+        exact = usable & (rss[k] <= 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            bic = n * np.log(rss / n) + (k + 2) * np.log(n)
+            bic = n * np.log(rss[k] / n) + (k + 2) * np.log(n)
         take = exact | (usable & (bic < best_bic - 1e-12))
         best_bic = np.where(take, bic, best_bic)
-        stat = np.where(take, own, stat)
         lag[take] = k
         selecting &= ~exact
+    stat = np.full(s1.shape, -np.inf)
+    for k in range(kmax + 1):
+        at = lag == k
+        stat[at] = _fixed_stats(own[k], s1[at], r2[at] - k)
     return stat, lag
 
 
-def _window_stats(y: np.ndarray, plan: _WindowPlan, spec: AdfSpec):
-    """ADF t-ratio of every window in ``plan`` (-inf where none is usable)
-    and the lag count behind it: per window under BIC, else ``plan.k``."""
+def _sweep(y: np.ndarray, r0: int, spec: AdfSpec, first_r2: int):
+    """Backward sup of the ADF t-ratio at each r2 in [first_r2, T-1].
+
+    The windows [s1, r2] with s1 in [0, r2 - r0] are fitted from one set
+    of prefix sums, in blocks of whole r2 segments of about
+    ``_BLOCK_WINDOWS`` windows; each block is reduced before the next is
+    built, so memory is bounded by the block, not by the O(T**2) sweep.
+    Returns per r2 the supremum (-inf where every window degenerates, for
+    the caller to resolve), the first start attaining it (the one
+    ``np.argmax`` would pick) and the lag count of that window.
+    """
+    k = spec.n_lags
     if spec.lag_selection == "bic":
-        return _bic_stats(y, plan)
-    return _fixed_stats(_prefix_sums(y, plan.k), plan.lo, plan.hi, plan.n), plan.k
+        own = [_prefix_sums(y, j) for j in range(k + 1)]
+        nested = _prefix_sums(y, k, level_first=True)
+
+        def fit(s1, r2):
+            return _bic_stats(own, nested, s1, r2, k)
+    else:
+        P = _prefix_sums(y, k)
+
+        def fit(s1, r2):
+            return _fixed_stats(P, s1, r2 - k), np.full(s1.shape, k)
+    r2s = np.arange(first_r2, y.shape[0])
+    counts = r2s - r0 + 1
+    ends = np.cumsum(counts)
+    sup = np.empty(r2s.shape)
+    first = np.empty(r2s.shape, dtype=np.int64)
+    lag = np.empty(r2s.shape, dtype=np.int64)
+    a = 0
+    while a < r2s.shape[0]:
+        done = ends[a] - counts[a]
+        b = max(a + 1, int(np.searchsorted(ends, done + _BLOCK_WINDOWS, side="right")))
+        c = counts[a:b]
+        starts = ends[a:b] - c - done
+        s1 = np.arange(ends[b - 1] - done) - np.repeat(starts, c)
+        stat, lags = fit(s1, np.repeat(r2s[a:b], c))
+        sup[a:b] = np.maximum.reduceat(stat, starts)
+        at_sup = stat == np.repeat(sup[a:b], c)
+        first[a:b] = np.minimum.reduceat(np.where(at_sup, s1, s1.shape[0]), starts)
+        lag[a:b] = lags[starts + first[a:b]]
+        a = b
+    return sup, first, lag
 
 
-def _sweep_plan(T: int, r0: int, k: int) -> _WindowPlan:
-    """The plan of a public sweep, whose minimum window r0 must be at
-    least n_lags + 5."""
+def _check_sweep(T: int, r0: int, k: int) -> None:
+    """A public sweep needs r0 >= n_lags + 5 and T > r0."""
     if r0 < k + 5:
         raise ValidationError(f"r0={r0} must be >= n_lags + 5 = {k + 5}")
-    return _WindowPlan(T, r0, k)
-
-
-def _sup_argmax(stat: np.ndarray, plan: _WindowPlan):
-    """Per-r2 supremum of the window statistics and the first start
-    attaining it (the start ``np.argmax`` would pick); an r2 whose windows
-    all degenerate has supremum -inf and is resolved by the caller."""
-    sup = np.maximum.reduceat(stat, plan.seg_starts)
-    at_sup = stat == np.repeat(sup, plan.counts)
-    first = np.minimum.reduceat(np.where(at_sup, plan.S1, plan.S1.shape[0]),
-                                plan.seg_starts)
-    return sup, first
+    if T <= r0:
+        raise InsufficientDataError(f"series length {T} must exceed r0={r0}")
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +467,11 @@ def bsadf_at(series, r2: int, r0: int, spec: AdfSpec = AdfSpec()) -> BsadfPoint:
     y = y[: r2 + 1]
     if not np.all(np.isfinite(y)):
         raise ValidationError("bsadf_at requires finite values")
-    plan = _sweep_plan(r2 + 1, r0, spec.n_lags)
-    sup, argmax = _sup_argmax(_window_stats(y, plan, spec)[0], plan)
-    if not np.isfinite(sup[-1]):
+    _check_sweep(r2 + 1, r0, spec.n_lags)
+    sup, argmax, _ = _sweep(y, r0, spec, r2)
+    if not np.isfinite(sup[0]):
         raise NoValidWindowError(f"all windows ending at {r2} failed")
-    return BsadfPoint(t_index=r2, stat=float(sup[-1]), argmax_start=int(argmax[-1]))
+    return BsadfPoint(t_index=r2, stat=float(sup[0]), argmax_start=int(argmax[0]))
 
 
 def bsadf_series(series, r0: int | None = None, spec: AdfSpec = AdfSpec()) -> list[BsadfPoint]:
@@ -501,13 +490,13 @@ def bsadf_series(series, r0: int | None = None, spec: AdfSpec = AdfSpec()) -> li
         r0 = default_min_window(T)
     if T <= r0:
         raise InsufficientDataError(f"series length {T} must exceed r0={r0}")
-    plan = _sweep_plan(T, r0, spec.n_lags)
-    sup, argmax = _sup_argmax(_window_stats(y, plan, spec)[0], plan)
+    _check_sweep(T, r0, spec.n_lags)
+    sup, argmax, _ = _sweep(y, r0, spec, r0)
     out = []
-    for i, r2 in enumerate(plan.r2s):
-        if not np.isfinite(sup[i]):
-            raise NoValidWindowError(f"all windows ending at {int(r2)} failed")
-        out.append(BsadfPoint(t_index=int(r2), stat=float(sup[i]), argmax_start=int(argmax[i])))
+    for r2, stat, start in zip(range(r0, T), sup.tolist(), argmax.tolist()):
+        if not math.isfinite(stat):
+            raise NoValidWindowError(f"all windows ending at {r2} failed")
+        out.append(BsadfPoint(t_index=r2, stat=stat, argmax_start=start))
     return out
 
 
@@ -540,13 +529,13 @@ def mc_critical_values(
     T = series_length
     if min_window is None:
         min_window = default_min_window(T)
-    plan = _sweep_plan(T, min_window, spec.n_lags)
+    _check_sweep(T, min_window, spec.n_lags)
     n_pts = T - min_window
     stats = np.empty((n_rep, n_pts))
     for rep in range(n_rep):
         rng = Generator(Philox(key=[seed, rep]))
         y = np.concatenate([[0.0], np.cumsum(rng.standard_normal(T - 1))])
-        stats[rep] = np.maximum.reduceat(_window_stats(y, plan, spec)[0], plan.seg_starts)
+        stats[rep] = _sweep(y, min_window, spec, min_window)[0]
     if not np.all(np.isfinite(stats)):
         raise NoValidWindowError("a null replication produced no valid window")
     cv = np.quantile(stats, alphas, axis=0).T.copy()

@@ -2,10 +2,12 @@
 
 import datetime as dt
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from landmetrics import bubbles
 from landmetrics.bubbles import (
     AdfSpec,
     BsadfPoint,
@@ -301,6 +303,50 @@ def test_bsadf_validation_errors():
 def test_bsadf_constant_series_has_no_valid_window():
     with pytest.raises(NoValidWindowError):
         bsadf_series(np.full(30, 7.0), r0=10, spec=AdfSpec(n_lags=1))
+
+
+def test_block_boundaries_change_nothing(monkeypatch):
+    """The sweep's blocks hold whole r2 segments; one segment per block
+    must give bitwise the same points and critical values as the default
+    blocks, which put the whole T=240 sweeps in one block and split the
+    T=300 Monte Carlo in two."""
+    y = walk(240, 23)
+    specs = (AdfSpec(n_lags=1), AdfSpec(n_lags=3), AdfSpec(n_lags=3, lag_selection="bic"))
+
+    def run():
+        points = [bsadf_series(y, spec=spec) for spec in specs]
+        table = mc_critical_values(300, spec=AdfSpec(n_lags=1), n_rep=200, seed=4)
+        return points, table.cv_by_t
+
+    assert (300 - 35) * (300 - 35 + 1) // 2 > bubbles._BLOCK_WINDOWS
+    default_points, default_cv = run()
+    monkeypatch.setattr(bubbles, "_BLOCK_WINDOWS", 1)
+    points, cv = run()
+    assert points == default_points
+    assert np.array_equal(cv, default_cv)
+
+
+def test_bsadf_at_equals_the_last_point_of_the_truncated_series():
+    # bsadf_at sweeps only the windows ending at r2, from the same prefix
+    # sums as a full sweep of y[:r2 + 1]
+    y = walk(90, 31)
+    for spec in (AdfSpec(n_lags=1), AdfSpec(n_lags=2, lag_selection="bic")):
+        for r2 in (20, 57, 89):
+            assert bsadf_at(y, r2=r2, r0=20, spec=spec) == \
+                bsadf_series(y[:r2 + 1], r0=20, spec=spec)[-1]
+
+
+def test_bsadf_series_memory_is_bounded_by_the_block():
+    """T=2000 sweeps 1.87 million windows; only one block's arrays may be
+    alive at a time."""
+    y = walk(2000, 8)
+    tracemalloc.start()
+    try:
+        bsadf_series(y, spec=AdfSpec(n_lags=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
 
 
 # ---------------------------------------------------------------------------
