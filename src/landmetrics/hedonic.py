@@ -1,20 +1,36 @@
 """Hedonic price index from USD-denominated land transactions.
 
 The index is the exponentiated period fixed effect from one pooled
-regression of log price on period dummies plus two attribute controls:
+regression of log price on period effects plus two attribute controls:
 
-    ln(usd_price) = a + delta_period + b1 * ln(num_plots) + b2 * weth + e
+    ln(usd_price) = a_period + b1 * ln(num_plots) + b2 * weth + e
 
 The first estimable period is the base: its delta is identically 0 and
 its index exactly 1.  Periods with fewer than ``min_per_period``
 transactions are not estimated; they are reported as gaps and the
 index series simply omits those dates.
 
+The period effects are absorbed rather than estimated as dummy columns
+(Frisch-Waugh-Lovell).  Log price and the K <= 2 controls are demeaned
+within each period, the controls' coefficients b come from least squares
+of demeaned price on the demeaned controls X~, and each period's effect
+is a_p = ybar_p - xbar_p . b, reported as delta_p = a_p - a_base.  The
+residuals are the demeaned ones, rss = e . e, and with
+sigma2 = rss / (n - P - K) over P periods and V = (X~' X~)^-1:
+
+    se(delta_p) = sqrt(sigma2 * (1/n_p + 1/n_base + d_p' V d_p)),
+    d_p = xbar_p - xbar_base,
+    se(b_j) = sqrt(sigma2 * V_jj).
+
+These are the dummy regression's own estimates and classical standard
+errors; no n x P design is ever built.
+
 A control column that does not vary in the estimation sample (all
 single-plot sales, or no wETH sales at all) carries no information and
-is dropped from the design; its coefficient is reported as ``None``.
-Genuine collinearity between a period dummy and a control still raises
-a singular-design error naming the columns involved.
+is dropped; its coefficient is reported as ``None``.  A kept control
+that is collinear with the period effects (constant inside every
+period), or with the other control once the period effects are removed,
+raises a singular-design error naming the controls involved.
 """
 
 from __future__ import annotations
@@ -27,9 +43,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, ValidationError
-from .linreg import DesignMatrix, ols_fit
+from .errors import InsufficientDataError, SingularDesignError, ValidationError
 from .series import TimeSeries, _fmt
+
+#: a kept control whose pivot falls below COLLINEAR_RTOL times its centered
+#: sum of squares is collinear with the rest of the design
+COLLINEAR_RTOL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -122,15 +141,26 @@ def bucket_periods(transactions, freq: str = "weekly") -> dict[dt.date, list[Tra
     """Group transactions into sorted calendar periods.
 
     Weekly periods are ISO weeks, Monday through Sunday, labeled by their
-    Monday.  Every transaction lands in exactly one bucket.
+    Monday.  Every transaction lands in exactly one bucket.  Each distinct
+    date is labeled once.
     """
     txs = list(transactions)
     if not txs:
         raise ValidationError("bucket_periods needs at least one transaction")
+    label_of: dict[dt.date, dt.date] = {}
     buckets: dict[dt.date, list[Transaction]] = {}
     for tx in txs:
-        buckets.setdefault(period_of(tx.date, freq), []).append(tx)
+        d = tx.date
+        if d not in label_of:
+            label_of[d] = period_of(d, freq)
+        buckets.setdefault(label_of[d], []).append(tx)
     return {p: buckets[p] for p in sorted(buckets)}
+
+
+def _within(values, code, counts):
+    """Per-period means of ``values`` and the values less their period mean."""
+    means = np.bincount(code, weights=values, minlength=counts.size) / counts
+    return means, values - means[code]
 
 
 def build_hpi(
@@ -156,62 +186,93 @@ def build_hpi(
             f"need at least 2 periods with >= {min_per_period} transactions, "
             f"found {len(periods)}"
         )
-    base = periods[0]
-    sample = [(p, tx) for p in periods for tx in buckets[p]]
+    sample = [tx for p in periods for tx in buckets[p]]
+    n_per = np.array([len(buckets[p]) for p in periods])
+    code = np.repeat(np.arange(len(periods)), n_per)
     n = len(sample)
 
-    log_price = np.array([math.log(tx.usd_price) for _, tx in sample])
-    log_plots = np.array([math.log(tx.num_plots) for _, tx in sample])
-    weth = np.array([1.0 if tx.paid_in_weth else 0.0 for _, tx in sample])
+    log_price = np.array([math.log(tx.usd_price) for tx in sample])
+    controls = {
+        "log_num_plots": np.array([math.log(tx.num_plots) for tx in sample]),
+        "weth_flag": np.array([1.0 if tx.paid_in_weth else 0.0 for tx in sample]),
+    }
+    kept = [name for name, x in controls.items() if np.ptp(x) > 0.0]
+    k = len(kept)
+    if n < len(periods) + k:
+        raise InsufficientDataError(f"{n} rows < {len(periods) + k} columns")
 
-    labels = ["const"]
-    cols = [np.ones(n)]
-    for p in periods[1:]:
-        labels.append(f"period_{p.isoformat()}")
-        cols.append(np.array([1.0 if q == p else 0.0 for q, _ in sample]))
-    has_plots = bool(np.ptp(log_plots) > 0.0)
-    has_weth = bool(np.ptp(weth) > 0.0)
-    if has_plots:
-        labels.append("log_num_plots")
-        cols.append(log_plots)
-    if has_weth:
-        labels.append("weth_flag")
-        cols.append(weth)
+    y_mean, y_w = _within(log_price, code, n_per)
+    x_mean = np.zeros((len(periods), k))
+    x_w = np.zeros((n, k))
+    for j, name in enumerate(kept):
+        x_mean[:, j], x_w[:, j] = _within(controls[name], code, n_per)
+    q, r = np.linalg.qr(x_w)
+    _check_pivots(kept, controls, x_w, r)
 
-    design = DesignMatrix(tuple(labels), np.column_stack(cols))
-    fit = ols_fit(design, log_price)
+    b = np.linalg.solve(r, q.T @ y_w)
+    resid = y_w - x_w @ b
+    rss = float(resid @ resid)
+    df_resid = n - len(periods) - k
+    alpha = y_mean - x_mean @ b
+    delta = alpha - alpha[0]
+    if df_resid > 0:
+        sigma2 = rss / df_resid
+        r_inv = np.linalg.inv(r)
+        v = r_inv @ r_inv.T
+        d = x_mean - x_mean[0]
+        quad = np.einsum("pi,ij,pj->p", d, v, d)
+        delta_se = np.sqrt(sigma2 * (1.0 / n_per + 1.0 / n_per[0] + quad))
+        beta_se = np.sqrt(sigma2 * np.diag(v))
+    else:
+        delta_se = beta_se = None
 
     points = [
-        HpiPoint(period=base, index=1.0, delta=0.0, delta_se=None,
-                 n_transactions=len(buckets[base]))
-    ]
-    for p in periods[1:]:
-        lbl = f"period_{p.isoformat()}"
-        delta = fit.coefficient(lbl)
-        se = fit.std_error(lbl) if fit.std_errors is not None else None
-        points.append(
-            HpiPoint(
-                period=p,
-                index=math.exp(delta),
-                delta=delta,
-                delta_se=se,
-                n_transactions=len(buckets[p]),
-            )
+        HpiPoint(
+            period=p,
+            index=math.exp(delta[i]),
+            delta=float(delta[i]),
+            delta_se=float(delta_se[i]) if i and delta_se is not None else None,
+            n_transactions=int(n_per[i]),
         )
+        for i, p in enumerate(periods)
+    ]
+    beta = {name: float(v) for name, v in zip(kept, b)}
+    se = {name: float(v) for name, v in zip(kept, beta_se)} if beta_se is not None else {}
     meta = HedonicFit(
-        beta_log_plots=fit.coefficient("log_num_plots") if has_plots else None,
-        se_log_plots=(fit.std_error("log_num_plots")
-                      if has_plots and fit.std_errors is not None else None),
-        beta_weth=fit.coefficient("weth_flag") if has_weth else None,
-        se_weth=(fit.std_error("weth_flag")
-                 if has_weth and fit.std_errors is not None else None),
+        beta_log_plots=beta.get("log_num_plots"),
+        se_log_plots=se.get("log_num_plots"),
+        beta_weth=beta.get("weth_flag"),
+        se_weth=se.get("weth_flag"),
         n_obs=n,
-        rss=fit.rss,
-        df_resid=fit.df_resid,
-        base_period=base,
+        rss=rss,
+        df_resid=df_resid,
+        base_period=periods[0],
         gap_periods=gaps,
     )
     return points, meta
+
+
+def _check_pivots(kept, controls, x_w, r) -> None:
+    """Raise if a kept control is collinear with the period effects or the other control.
+
+    Both tests compare a pivot with the control's own centered sum of
+    squares.  A control's within-period sum of squares (its pivot when it
+    comes first) is (near) zero when it is constant inside every period.
+    The second pivot, ``r[1, 1]**2``, is what is left of the second
+    control once the period effects and the first control are removed.
+    """
+    for j, name in enumerate(kept):
+        x = controls[name]
+        scale = COLLINEAR_RTOL * float(np.sum((x - x.mean()) ** 2))
+        if float(x_w[:, j] @ x_w[:, j]) <= scale:
+            raise SingularDesignError(
+                f"{name} is collinear with the period effects", columns=(name,)
+            )
+        if j == 1 and float(r[1, 1]) ** 2 <= scale:
+            raise SingularDesignError(
+                f"{', '.join(kept)} are collinear once the period effects are removed",
+                columns=tuple(kept),
+            )
 
 
 def hpi_to_series(points, name: str = "hpi", freq: str = "weekly") -> TimeSeries:

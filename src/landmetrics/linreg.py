@@ -1,7 +1,8 @@
 """Ordinary least squares and nested-model F tests.
 
-The hedonic index and the VAR equations run through :func:`ols_fit`;
-ADF regressions use the prefix-sum window sweep in ``bubbles`` instead.
+The VAR equations run through :func:`ols_fit`; the hedonic index absorbs
+its period effects in ``hedonic`` and ADF regressions use the prefix-sum
+window sweep in ``bubbles`` instead.
 The solver factors the design matrix with an SVD rather than forming
 normal equations, detects rank deficiency against a relative
 singular-value floor, and reports classical (homoskedasticity-based)

@@ -3,6 +3,7 @@
 import datetime as dt
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from landmetrics.hedonic import (
     hpi_points_to_csv,
     hpi_to_series,
 )
+from landmetrics.synthkit import gen_hedonic_panel
 
 from oracles import hedonic_refit_oracle, monday_of
 
@@ -263,6 +265,96 @@ def test_collinear_control_raises_singular():
     with pytest.raises(SingularDesignError) as exc:
         build_hpi(txs)
     assert "weth_flag" in str(exc.value)
+
+
+def test_control_constant_within_each_week_raises_singular():
+    # the plot count differs across weeks (1, 3, 2) but not inside any of
+    # them, so it is a combination of the period dummies
+    rng = np.random.default_rng(5)
+    txs = []
+    for w, plots in enumerate((1, 3, 2)):
+        for j in range(5):
+            usd = float(rng.lognormal(5.0, 0.3))
+            txs.append(tx(week(w), usd, plots=plots, weth=j % 2 == 0))
+    with pytest.raises(SingularDesignError) as exc:
+        build_hpi(txs)
+    assert "log_num_plots" in str(exc.value)
+    assert "log_num_plots" in exc.value.columns
+
+
+def test_controls_collinear_within_periods_raise_singular():
+    # both controls vary inside every week, but wETH settles exactly the
+    # two-plot sales, so log(plots) = log(2) * weth
+    rng = np.random.default_rng(6)
+    txs = []
+    for w in range(3):
+        for j in range(6):
+            plots = 1 + (j + w) % 2
+            usd = float(rng.lognormal(5.0, 0.3))
+            txs.append(tx(week(w), usd, plots=plots, weth=plots == 2))
+    with pytest.raises(SingularDesignError) as exc:
+        build_hpi(txs)
+    assert "log_num_plots" in str(exc.value)
+    assert "weth_flag" in str(exc.value)
+    assert set(exc.value.columns) == {"log_num_plots", "weth_flag"}
+
+
+def _assert_matches_oracle(txs, freq):
+    points, fit = build_hpi(txs, freq=freq)
+    periods, beta, se, rss = _oracle_refit(txs, freq=freq)
+    assert [p.period for p in points] == periods
+    P = len(periods)
+    for i, p in enumerate(points[1:], start=1):
+        assert p.delta == pytest.approx(beta[i], abs=1e-9)
+        assert p.delta_se == pytest.approx(se[i], abs=1e-9)
+    controls = [(fit.beta_log_plots, fit.se_log_plots), (fit.beta_weth, fit.se_weth)]
+    kept = [c for c in controls if c[0] is not None]
+    assert len(kept) == len(beta) - P
+    for (b, s), j in zip(kept, range(P, len(beta))):
+        assert b == pytest.approx(beta[j], abs=1e-9)
+        assert s == pytest.approx(se[j], abs=1e-9)
+    assert fit.rss == pytest.approx(rss, abs=1e-9)
+    assert fit.df_resid == fit.n_obs - len(beta)
+    return points, fit
+
+
+def test_daily_panel_with_gap_matches_oracle():
+    deltas = [0.0, 0.1, -0.05, 0.2, 0.15, -0.1]
+    txs, _ = gen_hedonic_panel(deltas, n_per_period=8, beta_plots=0.7,
+                               beta_weth=-0.2, noise=0.1, seed=4, freq="daily")
+    gap_day = txs[16].date
+    txs = [t for t in txs if t.date != gap_day] + [t for t in txs if t.date == gap_day][:2]
+    points, fit = _assert_matches_oracle(txs, "daily")
+    assert fit.gap_periods == (gap_day,)
+    assert len(points) == len(deltas) - 1
+    assert fit.beta_log_plots is not None and fit.beta_weth is not None
+
+
+def test_weth_only_panel_matches_oracle():
+    rng = np.random.default_rng(17)
+    txs = []
+    for w, d in enumerate((0.0, 0.4, -0.3, 0.1)):
+        for _ in range(7):
+            weth = bool(rng.integers(0, 2))
+            usd = math.exp(6.0 + d - 0.15 * weth + 0.05 * rng.normal())
+            txs.append(tx(week(w), usd, plots=1, weth=weth))
+    _, fit = _assert_matches_oracle(txs, "weekly")
+    assert fit.beta_log_plots is None and fit.se_log_plots is None
+    assert fit.beta_weth is not None
+
+
+def test_build_hpi_memory_is_bounded():
+    # 104 weeks x 1,000 sales: a dense dummy design alone would be 88 MB
+    deltas = [0.0] + [0.002 * k for k in range(1, 104)]
+    txs, _ = gen_hedonic_panel(deltas, n_per_period=1000, beta_plots=0.9,
+                               beta_weth=-0.05, noise=0.3, seed=1)
+    tracemalloc.start()
+    try:
+        build_hpi(txs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_build_hpi_validation():
