@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import datetime as dt
 import hashlib
 import json
 import math
@@ -409,13 +408,8 @@ class _Run:
         schema = SchemaConfig(currencies=frozenset(cfg.currencies) or None)
         rows, rejected = load_transactions(tx_path, schema)
         converted, fx_rejected = to_usd(rows, fx, schema.stable_currencies)
-        dataset = prepare_dataset(
-            converted,
-            winsor_lo=cfg.winsor_lo,
-            winsor_hi=cfg.winsor_hi,
-            metaverse=cfg.metaverse,
-            rejected=tuple(rejected) + tuple(fx_rejected),
-        )
+        dataset = prepare_dataset(converted, winsor_lo=cfg.winsor_lo, winsor_hi=cfg.winsor_hi,
+                                  metaverse=cfg.metaverse, rejected=rejected + fx_rejected)
         rejections_to_csv(dataset.rejected, self.path("rejections.csv"))
         return dataset
 
@@ -789,20 +783,16 @@ def _write_report(out: str, report: dict) -> None:
 # -- simulate ---------------------------------------------------------------
 
 
-def _write_transactions_csv(path: str, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(TRANSACTION_COLUMNS))
-        for row in rows:
-            writer.writerow(list(row))
-
-
-def _write_prices_csv(path: str, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(PRICE_COLUMNS))
-        for date_iso, symbol, price in rows:
-            writer.writerow([date_iso, symbol, _fmt(float(price))])
+def _write_sales(out: str, tx_rows, price_rows) -> list[str]:
+    """Write transactions.csv and, from (date, symbol, float) rows, prices.csv."""
+    price_rows = [(date, symbol, _fmt(price)) for date, symbol, price in price_rows]
+    for name, header, rows in (("transactions.csv", TRANSACTION_COLUMNS, tx_rows),
+                               ("prices.csv", PRICE_COLUMNS, price_rows)):
+        with open(os.path.join(out, name), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    return ["transactions.csv", "prices.csv"]
 
 
 def _parse_windows(tokens, length: int):
@@ -820,28 +810,17 @@ def _parse_windows(tokens, length: int):
     return windows
 
 
-def _transactions_to_rows(transactions):
-    rows = []
-    for i, tx in enumerate(transactions, start=1):
-        rows.append((
-            tx.timestamp.isoformat(),
-            _fmt(tx.native_price),
-            tx.native_currency,
-            str(tx.num_plots),
-            f"h{i:05d}",
-        ))
-    return rows
+def _transactions_to_rows(table):
+    symbols = [table.symbols[c] for c in table.currency.tolist()]
+    columns = zip(table.timestamp.tolist(), table.native_price.tolist(), symbols,
+                  table.num_plots.tolist())
+    return [(ts.isoformat(), _fmt(price), symbol, str(plots), f"h{i:05d}")
+            for i, (ts, price, symbol, plots) in enumerate(columns, start=1)]
 
 
-def _flat_eth_price_rows(transactions, quote: float = 2000.0):
-    days = sorted({tx.date for tx in transactions})
-    first, last = days[0], days[-1]
-    rows = []
-    day = first
-    while day <= last:
-        rows.append((day.isoformat(), "ETH", quote))
-        day += dt.timedelta(days=1)
-    return rows
+def _flat_eth_price_rows(table, quote: float = 2000.0):
+    days = np.arange(table.day.min(), table.day.max() + 1)
+    return [(day.isoformat(), "ETH", quote) for day in days.tolist()]
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -886,19 +865,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 beta_weth=args.beta_weth, noise=noise, seed=seed)
         except ValidationError as exc:
             raise _UsageError(str(exc)) from exc
-        _write_transactions_csv(os.path.join(out, "transactions.csv"),
-                                _transactions_to_rows(transactions))
-        _write_prices_csv(os.path.join(out, "prices.csv"),
-                          _flat_eth_price_rows(transactions))
-        files += ["transactions.csv", "prices.csv"]
+        files += _write_sales(out, _transactions_to_rows(transactions),
+                              _flat_eth_price_rows(transactions))
         truth.update(gen_truth)
         truth["eth_usd_quote"] = 2000.0
     elif kind == "market":
         sim = gen_market_dataset(n_weeks=args.weeks, seed=seed,
                                  metaverse=args.metaverse, coin=args.coin)
-        _write_transactions_csv(os.path.join(out, "transactions.csv"), sim.tx_rows)
-        _write_prices_csv(os.path.join(out, "prices.csv"), sim.price_rows)
-        files += ["transactions.csv", "prices.csv"]
+        files += _write_sales(out, sim.tx_rows, sim.price_rows)
         truth.update(sim.truth)
     else:  # pragma: no cover - argparse choices guard this
         raise _UsageError(f"unknown kind {kind!r}")

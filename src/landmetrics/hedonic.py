@@ -39,7 +39,7 @@ import csv
 import datetime as dt
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,6 +82,95 @@ class Transaction:
     @property
     def date(self) -> dt.date:
         return self.timestamp.date()
+
+
+#: the table's columns and their dtypes
+_COLUMNS = {"timestamp": "datetime64[us]", "native_price": np.float64, "num_plots": np.int64,
+            "currency": np.intp, "line": np.int64, "usd_price": np.float64}
+
+
+@dataclass(frozen=True, eq=False)
+class TransactionTable:
+    """Land sales as numpy columns, one entry per sale, in input order.
+
+    ``timestamp`` is naive UTC (datetime64[us]), ``currency`` indexes
+    ``symbols``, and ``line`` is the sale's 1-based line in the file it
+    was read from (0 for sales built in memory).  ``usd_price`` is
+    ``None`` until the table is converted to USD.  The invariants of
+    :class:`Transaction` are checked once per column.  An integer index
+    gives that sale as a :class:`Transaction`; any other index (a slice,
+    a mask, positions) gives a sub-table.
+    """
+
+    timestamp: np.ndarray
+    native_price: np.ndarray
+    num_plots: np.ndarray
+    currency: np.ndarray
+    symbols: tuple[str, ...]
+    line: np.ndarray
+    usd_price: np.ndarray | None = None
+
+    def __post_init__(self):
+        n = len(self.timestamp)
+        for name, dtype in _COLUMNS.items():
+            if getattr(self, name) is not None:
+                column = np.asarray(getattr(self, name), dtype)
+                if column.shape != (n,):
+                    raise ValidationError("transaction columns must be 1-D and of equal length")
+                object.__setattr__(self, name, column)
+        for name in ("usd_price", "native_price"):
+            x = getattr(self, name)
+            if x is not None and not np.all((x > 0.0) & np.isfinite(x)):
+                raise ValidationError(f"{name} must be > 0")
+        if not np.all(self.num_plots >= 1):
+            raise ValidationError("num_plots must be an integer >= 1")
+        coded = np.all((self.currency >= 0) & (self.currency < len(self.symbols)))
+        if not (coded and all(self.symbols)):
+            raise ValidationError("currency codes must index non-empty symbols")
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    @property
+    def day(self) -> np.ndarray:
+        """Calendar day of each sale (datetime64[D])."""
+        return self.timestamp.astype("datetime64[D]")
+
+    @property
+    def paid_in_weth(self) -> np.ndarray:
+        """Whether each sale settled in wETH."""
+        return np.array([s.upper() == "WETH" for s in self.symbols], bool)[self.currency]
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            (record,) = self[[key]]
+            return record
+        return replace(self, **{name: getattr(self, name)[key] for name in _COLUMNS
+                                if getattr(self, name) is not None})
+
+    def __iter__(self):
+        """The sales as :class:`Transaction` records."""
+        if self.usd_price is None:
+            raise ValidationError("sales without a USD price have no Transaction records")
+        columns = (self.timestamp, self.usd_price, self.num_plots, self.currency,
+                   self.native_price)
+        for ts, usd, plots, code, native in zip(*(c.tolist() for c in columns)):
+            symbol = self.symbols[code]
+            yield Transaction(ts, usd, plots, symbol.upper() == "WETH", symbol, native)
+
+
+def as_table(transactions) -> TransactionTable:
+    """Sales in USD as a table: a table as it is, Transaction records in order."""
+    if isinstance(transactions, TransactionTable):
+        if transactions.usd_price is None:
+            raise ValidationError("transactions have no USD prices yet")
+        return transactions
+    txs = list(transactions)
+    symbols = tuple(dict.fromkeys(t.native_currency for t in txs))
+    return TransactionTable(np.array([t.timestamp for t in txs], "datetime64[us]"),
+                            [t.native_price for t in txs], [t.num_plots for t in txs],
+                            [symbols.index(t.native_currency) for t in txs], symbols,
+                            line=np.zeros(len(txs)), usd_price=[t.usd_price for t in txs])
 
 
 @dataclass(frozen=True)
@@ -127,34 +216,19 @@ class HedonicFit:
         }
 
 
-def period_of(d: dt.date, freq: str) -> dt.date:
-    """Period label of a date: the Monday of its ISO week, or the day itself."""
-    if freq == "weekly":
-        iso = d.isocalendar()
-        return dt.date.fromisocalendar(iso[0], iso[1], 1)
+def _periods(day, freq: str) -> np.ndarray:
+    """Period label of each day: the Monday of its ISO week, or the day itself."""
     if freq == "daily":
-        return d
+        return day
+    if freq == "weekly":
+        ordinal = day.astype(np.int64)       # 1970-01-01, day 0, was a Thursday
+        return (ordinal - (ordinal + 3) % 7).astype("datetime64[D]")
     raise ValidationError(f"freq must be 'weekly' or 'daily', got {freq!r}")
 
 
-def bucket_periods(transactions, freq: str = "weekly") -> dict[dt.date, list[Transaction]]:
-    """Group transactions into sorted calendar periods.
-
-    Weekly periods are ISO weeks, Monday through Sunday, labeled by their
-    Monday.  Every transaction lands in exactly one bucket.  Each distinct
-    date is labeled once.
-    """
-    txs = list(transactions)
-    if not txs:
-        raise ValidationError("bucket_periods needs at least one transaction")
-    label_of: dict[dt.date, dt.date] = {}
-    buckets: dict[dt.date, list[Transaction]] = {}
-    for tx in txs:
-        d = tx.date
-        if d not in label_of:
-            label_of[d] = period_of(d, freq)
-        buckets.setdefault(label_of[d], []).append(tx)
-    return {p: buckets[p] for p in sorted(buckets)}
+def _log(values) -> np.ndarray:
+    """``math.log`` of each value: np.log can differ from it in the last bit."""
+    return np.fromiter(map(math.log, values.tolist()), np.float64, len(values))
 
 
 def _within(values, code, counts):
@@ -178,23 +252,27 @@ def build_hpi(
     """
     if min_per_period < 1:
         raise ValidationError(f"min_per_period must be >= 1, got {min_per_period}")
-    buckets = bucket_periods(transactions, freq)
-    periods = [p for p, txs in buckets.items() if len(txs) >= min_per_period]
-    gaps = tuple(p for p in buckets if p not in set(periods))
+    table = as_table(transactions)
+    period = _periods(table.day, freq)
+    labels, counts = np.unique(period, return_counts=True)
+    estimable = counts >= min_per_period
+    periods = labels[estimable].tolist()
+    gaps = tuple(labels[~estimable].tolist())
     if len(periods) < 2:
         raise InsufficientDataError(
             f"need at least 2 periods with >= {min_per_period} transactions, "
             f"found {len(periods)}"
         )
-    sample = [tx for p in periods for tx in buckets[p]]
-    n_per = np.array([len(buckets[p]) for p in periods])
+    # a stable sort keeps each period's sales in input order
+    sample = np.argsort(period, kind="stable")[np.repeat(estimable, counts)]
+    n_per = counts[estimable]
     code = np.repeat(np.arange(len(periods)), n_per)
     n = len(sample)
 
-    log_price = np.array([math.log(tx.usd_price) for tx in sample])
+    log_price = _log(table.usd_price[sample])
     controls = {
-        "log_num_plots": np.array([math.log(tx.num_plots) for tx in sample]),
-        "weth_flag": np.array([1.0 if tx.paid_in_weth else 0.0 for tx in sample]),
+        "log_num_plots": _log(table.num_plots[sample]),
+        "weth_flag": table.paid_in_weth[sample].astype(np.float64),
     }
     kept = [name for name, x in controls.items() if np.ptp(x) > 0.0]
     k = len(kept)

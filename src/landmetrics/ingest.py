@@ -5,28 +5,43 @@ Inputs are pre-exported CSV files:
 * transactions: ``timestamp,native_price,currency,num_plots,tx_id``
 * daily prices: ``date,symbol,usd_price``
 
-Malformed transaction rows are never dropped silently; they come back as
-(line, reason) pairs, and ``accepted + rejected == input rows`` always
-holds.  wETH settles at the ETH quote (1:1 peg) and is the only currency
-that sets ``paid_in_weth``.
+Transactions are read in one streaming pass into a
+:class:`~landmetrics.hedonic.TransactionTable`, a table of numpy columns
+that carries them on through the USD conversion, the winsorizing and the
+index; no per-row object is built on the way.  Each row runs the checks
+in this order and is rejected with the first one it fails: ``missing
+fields``, ``bad timestamp``, ``bad price``, ``price <= 0``, ``bad plot
+count``, ``plot count < 1``, ``missing currency``, ``unknown currency``,
+and then, in the USD conversion, ``no fx for date``.  Rejected rows are
+never dropped silently; they come back as (line, reason) pairs with
+their 1-based file line, and ``accepted + rejected == input rows``
+always holds (blank lines are not rows).  The ``tx_id`` column is
+required but not kept.  wETH settles at the ETH quote (1:1 peg) and is
+the only currency that sets ``paid_in_weth``.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import InsufficientDataError, SchemaError, ValidationError
-from .hedonic import Transaction
+from .hedonic import TransactionTable, as_table
 from .series import TimeSeries, summary_stats, winsorize
 
 TRANSACTION_COLUMNS = ("timestamp", "native_price", "currency", "num_plots", "tx_id")
 PRICE_COLUMNS = ("date", "symbol", "usd_price")
 
 DEFAULT_STABLES = frozenset({"USDC", "USDT", "DAI"})
+
+_EPOCH = dt.datetime(1970, 1, 1)
+_MICROSECOND = dt.timedelta(microseconds=1)
+_MAX_PLOTS = 2**63 - 1       # the plot count column is int64
 
 
 @dataclass(frozen=True)
@@ -40,16 +55,6 @@ class SchemaConfig:
 
     currencies: frozenset[str] | None = None
     stable_currencies: frozenset[str] = DEFAULT_STABLES
-
-
-@dataclass(frozen=True)
-class RawTransactionRow:
-    timestamp: dt.datetime
-    native_price: float
-    currency: str
-    num_plots: int
-    tx_id: str
-    line: int
 
 
 @dataclass(frozen=True)
@@ -87,95 +92,100 @@ class FxTable:
 @dataclass(frozen=True)
 class Dataset:
     metaverse: str
-    transactions: tuple[Transaction, ...]
+    transactions: TransactionTable
     coverage: tuple[dt.date, dt.date]
     rejected: tuple[RejectedRow, ...]
 
     def summary(self) -> dict:
         """Table-style descriptive stats of the accepted sample."""
-        usd = [t.usd_price for t in self.transactions]
-        plots = [float(t.num_plots) for t in self.transactions]
-        weth = sum(1 for t in self.transactions if t.paid_in_weth)
+        txs = self.transactions
         return {
-            "n": len(self.transactions),
-            "usd_price": summary_stats(usd),
-            "num_plots": summary_stats(plots),
-            "pct_weth": 100.0 * weth / len(self.transactions),
+            "n": len(txs),
+            "usd_price": summary_stats(txs.usd_price),
+            "num_plots": summary_stats(txs.num_plots.astype(np.float64)),
+            "pct_weth": 100.0 * int(np.count_nonzero(txs.paid_in_weth)) / len(txs),
         }
 
 
-def _parse_timestamp(text: str) -> dt.datetime:
-    ts = dt.datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
-    if ts.tzinfo is not None:
-        ts = ts.astimezone(dt.timezone.utc).replace(tzinfo=None)
-    return ts
+def _read_header(reader, path, columns, what: str):
+    """The header's width and the positions of ``columns`` in it."""
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError(f"{path}: empty file, expected {what} header")
+    header = [h.strip() for h in header]
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise SchemaError(f"{path}: missing required columns: {', '.join(missing)}")
+    return len(header), [header.index(c) for c in columns]
+
+
+def _parse_row(row, width, cols, currencies):
+    """A row's (microseconds since 1970, price, plot count, currency), or
+    the reason of the first check it fails."""
+    if len(row) < width:
+        return "missing fields"
+    i_ts, i_price, i_currency, i_plots = cols
+    try:
+        ts = dt.datetime.fromisoformat(row[i_ts].strip().replace("Z", "+00:00"))
+        if ts.tzinfo is not None:
+            ts = ts.astimezone(dt.timezone.utc).replace(tzinfo=None)
+    except (ValueError, OverflowError):     # UTC can fall outside years 1-9999
+        return "bad timestamp"
+    try:
+        price = float(row[i_price])
+    except ValueError:
+        return "bad price"
+    if not price > 0.0 or not math.isfinite(price):
+        return "price <= 0"
+    try:
+        plots = int(row[i_plots].strip())
+    except ValueError:
+        return "bad plot count"
+    if plots < 1:
+        return "plot count < 1"
+    if plots > _MAX_PLOTS:
+        return "bad plot count"
+    currency = row[i_currency].strip().upper()
+    if not currency:
+        return "missing currency"
+    if currencies is not None and currency not in currencies:
+        return "unknown currency"
+    return (ts - _EPOCH) // _MICROSECOND, price, plots, currency
 
 
 def load_transactions(path, schema: SchemaConfig = SchemaConfig()):
-    """Parse a transactions CSV into (rows, rejected).
+    """Parse a transactions CSV into (table, rejected).
 
     The header must contain the five documented columns (extra columns
     are ignored).  Rows failing any field check are returned in
-    ``rejected`` with their 1-based file line number.
+    ``rejected`` with their 1-based file line number; the table holds
+    the others in file order, without USD prices.
     """
-    rows: list[RawTransactionRow] = []
+    lines, stamps, plots, codes = array("q"), array("q"), array("q"), array("q")
+    prices = array("d")
+    symbols: dict[str, int] = {}
     rejected: list[RejectedRow] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty file, expected transactions header")
-        header = [h.strip() for h in header]
-        missing = [c for c in TRANSACTION_COLUMNS if c not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing required columns: {', '.join(missing)}")
-        idx = {c: header.index(c) for c in TRANSACTION_COLUMNS}
+        width, cols = _read_header(reader, path, TRANSACTION_COLUMNS, "transactions")
+        cols = cols[:4]                             # tx_id is required but not kept
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not f.strip() for f in row):
+            parsed = _parse_row(row, width, cols, schema.currencies)
+            if type(parsed) is str:
+                if any(f.strip() for f in row):     # blank lines are not rows
+                    rejected.append(RejectedRow(lineno, parsed))
                 continue
-            if len(row) < len(header):
-                rejected.append(RejectedRow(lineno, "missing fields"))
-                continue
-            try:
-                ts = _parse_timestamp(row[idx["timestamp"]])
-            except ValueError:
-                rejected.append(RejectedRow(lineno, "bad timestamp"))
-                continue
-            try:
-                price = float(row[idx["native_price"]])
-            except ValueError:
-                rejected.append(RejectedRow(lineno, "bad price"))
-                continue
-            if not price > 0.0 or not np.isfinite(price):
-                rejected.append(RejectedRow(lineno, "price <= 0"))
-                continue
-            plots_text = row[idx["num_plots"]].strip()
-            try:
-                plots = int(plots_text)
-            except ValueError:
-                rejected.append(RejectedRow(lineno, "bad plot count"))
-                continue
-            if plots < 1:
-                rejected.append(RejectedRow(lineno, "plot count < 1"))
-                continue
-            currency = row[idx["currency"]].strip().upper()
-            if not currency:
-                rejected.append(RejectedRow(lineno, "missing currency"))
-                continue
-            if schema.currencies is not None and currency not in schema.currencies:
-                rejected.append(RejectedRow(lineno, "unknown currency"))
-                continue
-            rows.append(
-                RawTransactionRow(
-                    timestamp=ts,
-                    native_price=price,
-                    currency=currency,
-                    num_plots=plots,
-                    tx_id=row[idx["tx_id"]].strip(),
-                    line=lineno,
-                )
-            )
-    return rows, rejected
+            stamp, price, n_plots, currency = parsed
+            lines.append(lineno)
+            stamps.append(stamp)
+            prices.append(price)
+            plots.append(n_plots)
+            codes.append(symbols.setdefault(currency, len(symbols)))
+    table = TransactionTable(
+        timestamp=np.asarray(stamps, np.int64).view("datetime64[us]"),
+        native_price=prices, num_plots=plots, currency=codes,
+        symbols=tuple(symbols), line=lines)
+    return table, rejected
 
 
 def load_daily_prices(path) -> FxTable:
@@ -187,23 +197,16 @@ def load_daily_prices(path) -> FxTable:
     quotes: dict = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty file, expected price header")
-        header = [h.strip() for h in header]
-        missing = [c for c in PRICE_COLUMNS if c not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing required columns: {', '.join(missing)}")
-        idx = {c: header.index(c) for c in PRICE_COLUMNS}
+        _, (i_date, i_symbol, i_price) = _read_header(reader, path, PRICE_COLUMNS, "price")
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not f.strip() for f in row):
                 continue
             try:
-                date = dt.date.fromisoformat(row[idx["date"]].strip())
-                price = float(row[idx["usd_price"]])
+                date = dt.date.fromisoformat(row[i_date].strip())
+                price = float(row[i_price])
             except ValueError as exc:
                 raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
-            symbol = row[idx["symbol"]].strip().upper()
+            symbol = row[i_symbol].strip().upper()
             if not symbol:
                 raise ValidationError(f"{path}: line {lineno}: empty symbol")
             if not price > 0.0 or not np.isfinite(price):
@@ -219,36 +222,27 @@ def load_daily_prices(path) -> FxTable:
     return FxTable(quotes=quotes)
 
 
-def to_usd(rows, fx: FxTable, stable_currencies: frozenset[str] = DEFAULT_STABLES):
-    """Convert raw rows to USD Transactions; returns (transactions, rejected).
+def to_usd(rows: TransactionTable, fx: FxTable,
+           stable_currencies: frozenset[str] = DEFAULT_STABLES):
+    """Convert a table to USD; returns (converted table, rejected).
 
     wETH uses the ETH quote.  Stable currencies convert at exactly 1.0.
-    Rows whose (date, currency) has no quote are rejected with reason
+    Quotes are looked up once per distinct (currency, day).  Rows whose
+    (day, currency) has no quote are rejected with reason
     ``"no fx for date"``.
     """
-    out: list[Transaction] = []
-    rejected: list[RejectedRow] = []
-    for row in rows:
-        cur = row.currency
-        if cur in stable_currencies:
-            rate = 1.0
-        else:
-            lookup = "ETH" if cur == "WETH" else cur
-            rate = fx.quote(row.timestamp.date(), lookup)
-            if rate is None:
-                rejected.append(RejectedRow(row.line, "no fx for date"))
-                continue
-        out.append(
-            Transaction(
-                timestamp=row.timestamp,
-                usd_price=row.native_price * rate,
-                num_plots=row.num_plots,
-                paid_in_weth=(cur == "WETH"),
-                native_currency=cur,
-                native_price=row.native_price,
-            )
-        )
-    return out, rejected
+    rate, day = np.ones(len(rows)), rows.day
+    for code, currency in enumerate(rows.symbols):
+        if currency not in stable_currencies:
+            at = np.flatnonzero(rows.currency == code)
+            days, inverse = np.unique(day[at], return_inverse=True)
+            symbol = "ETH" if currency == "WETH" else currency
+            quotes = [fx.quote(d, symbol) for d in days.tolist()]
+            rate[at] = np.array(quotes, dtype=np.float64)[inverse]     # no quote: nan
+    quoted = ~np.isnan(rate)
+    rejected = [RejectedRow(line, "no fx for date") for line in rows.line[~quoted].tolist()]
+    converted = rows if quoted.all() else rows[quoted]     # no copy when all are quoted
+    return replace(converted, usd_price=converted.native_price * rate[quoted]), rejected
 
 
 def prepare_dataset(
@@ -260,23 +254,19 @@ def prepare_dataset(
 ) -> Dataset:
     """Winsorize USD prices over the full sample and assemble a Dataset.
 
-    Count, order, and dates are untouched; only prices outside the
-    [winsor_lo, winsor_hi] sample quantiles are clamped.  Running the
+    ``transactions`` is a table in USD or an iterable of Transaction
+    records.  Count, order, and dates are untouched; only prices outside
+    the [winsor_lo, winsor_hi] sample quantiles are clamped.  Running the
     function on its own output is a fixed point.
     """
-    txs = list(transactions)
+    txs = as_table(transactions)
     if len(txs) < 10:
         raise InsufficientDataError(f"need >= 10 transactions, got {len(txs)}")
-    clamped = winsorize([t.usd_price for t in txs], winsor_lo, winsor_hi)
-    new_txs = tuple(
-        t if t.usd_price == c else replace(t, usd_price=float(c))
-        for t, c in zip(txs, clamped)
-    )
-    dates = [t.date for t in new_txs]
+    day = txs.day
     return Dataset(
         metaverse=metaverse,
-        transactions=new_txs,
-        coverage=(min(dates), max(dates)),
+        transactions=replace(txs, usd_price=winsorize(txs.usd_price, winsor_lo, winsor_hi)),
+        coverage=(day.min().item(), day.max().item()),
         rejected=tuple(rejected),
     )
 

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ValidationError
-from .hedonic import Transaction
+from .hedonic import TransactionTable
 from .series import TimeSeries
 
 #: all generated calendars start here (a Monday, so weekly grids align)
@@ -162,7 +162,7 @@ def gen_hedonic_panel(
     freq: str = "weekly",
     start: dt.date = EPOCH,
     base_log_price: float = math.log(1000.0),
-) -> tuple[list[Transaction], dict]:
+) -> tuple[TransactionTable, dict]:
     """Transactions with planted period deltas and control coefficients.
 
     ``deltas[k]`` is the log fixed effect of period k; the base period's
@@ -172,7 +172,8 @@ def gen_hedonic_panel(
         ln(usd_price) = base_log_price + delta + beta_plots * ln(plots)
                         + beta_weth * weth + noise * eps.
 
-    Returns the transactions plus a truth dict with the planted values.
+    Returns the transactions (in USD, settled in ETH or wETH at 2000 USD)
+    plus a truth dict with the planted values.
     """
     deltas = [float(d) for d in deltas]
     if len(deltas) < 2:
@@ -185,35 +186,30 @@ def gen_hedonic_panel(
         raise ValidationError(f"noise must be >= 0, got {noise}")
     rng = stream(seed, 0)
     step = dt.timedelta(days=7 if freq == "weekly" else 1)
-    txs: list[Transaction] = []
+    stamps, usd, plots, weth = [], [], [], []
     for k, delta in enumerate(deltas):
         period_start = start + k * step
         for _ in range(n_per_period):
-            plots = int(rng.integers(1, 10))
-            weth = bool(rng.random() < 0.4)
+            plots.append(int(rng.integers(1, 10)))
+            weth.append(bool(rng.random() < 0.4))
             eps = float(rng.standard_normal())
             log_price = (
                 base_log_price
                 + delta
-                + beta_plots * math.log(plots)
-                + beta_weth * (1.0 if weth else 0.0)
+                + beta_plots * math.log(plots[-1])
+                + beta_weth * (1.0 if weth[-1] else 0.0)
                 + noise * eps
             )
             day = int(rng.integers(0, 7)) if freq == "weekly" else 0
             hour = int(rng.integers(8, 20))
-            usd = math.exp(log_price)
-            txs.append(
-                Transaction(
-                    timestamp=dt.datetime.combine(
-                        period_start + dt.timedelta(days=day), dt.time(hour=hour)
-                    ),
-                    usd_price=usd,
-                    num_plots=plots,
-                    paid_in_weth=weth,
-                    native_currency="WETH" if weth else "ETH",
-                    native_price=usd / 2000.0,
-                )
-            )
+            usd.append(math.exp(log_price))
+            stamps.append(dt.datetime.combine(period_start + dt.timedelta(days=day),
+                                              dt.time(hour=hour)))
+    usd_price = np.array(usd)
+    txs = TransactionTable(
+        timestamp=np.array(stamps, "datetime64[us]"), native_price=usd_price / 2000.0,
+        num_plots=plots, currency=weth, symbols=("ETH", "WETH"),
+        line=np.zeros(len(usd)), usd_price=usd_price)
     truth = {
         "deltas": deltas,
         "beta_log_plots": beta_plots,

@@ -290,3 +290,90 @@ def hedonic_refit_oracle(transactions, freq="weekly", min_per_period=3):
     df = len(rows) - len(rows[0])
     se = [math.sqrt(rss / df * d) for d in diag] if df > 0 else None
     return periods, beta, se, rss
+
+
+# ---------------------------------------------------------------------------
+# ingest: the row-by-row parse and USD conversion
+# ---------------------------------------------------------------------------
+
+
+def load_transactions_oracle(path, currencies=None):
+    """Parse a transactions CSV one row record at a time.
+
+    Returns (rows, rejected): ``rows`` are (line, timestamp, native price,
+    currency, plot count) tuples of the accepted rows in file order, and
+    ``rejected`` the (line, reason) pairs of the first check each other
+    row fails.  Blank lines are neither.
+    """
+    import csv
+    import datetime as dt
+
+    def parse_timestamp(text):
+        ts = dt.datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
+        if ts.tzinfo is not None:
+            ts = ts.astimezone(dt.timezone.utc).replace(tzinfo=None)
+        return ts
+
+    rows, rejected = [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        idx = {c: header.index(c)
+               for c in ("timestamp", "native_price", "currency", "num_plots")}
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not f.strip() for f in row):
+                continue
+            if len(row) < len(header):
+                rejected.append((lineno, "missing fields"))
+                continue
+            try:
+                ts = parse_timestamp(row[idx["timestamp"]])
+            except ValueError:
+                rejected.append((lineno, "bad timestamp"))
+                continue
+            try:
+                price = float(row[idx["native_price"]])
+            except ValueError:
+                rejected.append((lineno, "bad price"))
+                continue
+            if not price > 0.0 or not math.isfinite(price):
+                rejected.append((lineno, "price <= 0"))
+                continue
+            try:
+                plots = int(row[idx["num_plots"]].strip())
+            except ValueError:
+                rejected.append((lineno, "bad plot count"))
+                continue
+            if plots < 1:
+                rejected.append((lineno, "plot count < 1"))
+                continue
+            currency = row[idx["currency"]].strip().upper()
+            if not currency:
+                rejected.append((lineno, "missing currency"))
+                continue
+            if currencies is not None and currency not in currencies:
+                rejected.append((lineno, "unknown currency"))
+                continue
+            rows.append((lineno, ts, price, currency, plots))
+    return rows, rejected
+
+
+def to_usd_oracle(rows, quotes, stable_currencies):
+    """Convert oracle rows with a {(date, SYMBOL): usd} quote dict.
+
+    Returns (converted, rejected): ``converted`` are (line, usd price,
+    paid in wETH) tuples, wETH priced at the ETH quote and stable
+    currencies at exactly 1.0; rows without a quote for their day are
+    rejected as "no fx for date".
+    """
+    converted, rejected = [], []
+    for line, ts, price, currency, _ in rows:
+        if currency in stable_currencies:
+            rate = 1.0
+        else:
+            rate = quotes.get((ts.date(), "ETH" if currency == "WETH" else currency))
+            if rate is None:
+                rejected.append((line, "no fx for date"))
+                continue
+        converted.append((line, price * rate, currency == "WETH"))
+    return converted, rejected

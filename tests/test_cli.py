@@ -2,6 +2,7 @@
 
 import csv
 import datetime as dt
+import hashlib
 import json
 import math
 import pathlib
@@ -135,6 +136,32 @@ def test_simulate_coupled_and_market_artifacts(tmp_path):
     assert len(px_rows) == 1 + 20 * 7 * 3
     truth = json.loads((out / "truth.json").read_text())
     assert truth["coin"] == "VOX" and truth["lag_weeks"] == 1
+
+
+# sha256 of the files written by these seeds, pinned so that generator
+# changes cannot move the benchmark's inputs unnoticed
+SIMULATED_SHA256 = {
+    ("hedonic", "prices.csv"): "a42ecc512eff62d89045c1652bf619b68375b7751ef58ee9e509c6312de1b291",
+    ("hedonic", "transactions.csv"):
+        "2dc14994559b184eb4717edcb34c05c9b067faf7827f9b1966f324187e9d003a",
+    ("hedonic", "truth.json"): "31167027b9c8753ce65ce57ba33b42824f43a5d586a51ea6e0666d99f7df6e13",
+    ("market", "prices.csv"): "7cdf434a3d39238bc079d81f44f57cefe3d5d99ac6df6fd6830e44c11d1de6fc",
+    ("market", "transactions.csv"):
+        "4cc0e84cc0e075f5f13b3eb45df85cfcd59a65413a14275a603359d49379c804",
+    ("market", "truth.json"): "07d15a5bb420baa564d7ba8c14a08e837b544e4dd80b5cb6b5d18ddc1a7bbb27",
+}
+
+
+@pytest.mark.parametrize("kind, flags", [
+    ("hedonic", ["--seed", "3", "--deltas", "0,0.1,-0.2,0.05", "--n-per-period", "25",
+                 "--beta-plots", "0.9", "--beta-weth", "-0.05", "--noise", "0.3"]),
+    ("market", ["--weeks", "20", "--seed", "5"]),
+])
+def test_simulate_writes_pinned_bytes(tmp_path, kind, flags):
+    assert main(["simulate", "--kind", kind, *flags, "--out-dir", str(tmp_path)]) == 0
+    got = {(kind, p.name): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.iterdir())}
+    assert got == {key: v for key, v in SIMULATED_SHA256.items() if key[0] == kind}
 
 
 def test_simulate_hedonic_rejects_nonzero_base_delta(tmp_path, capsys):

@@ -4,6 +4,7 @@ import datetime as dt
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from landmetrics.errors import (
 )
 from landmetrics.hedonic import (
     Transaction,
-    bucket_periods,
+    as_table,
     build_hpi,
     hedonic_fit_to_json,
     hpi_points_to_csv,
@@ -70,22 +71,45 @@ def test_transaction_validation():
     assert t.date == D0
 
 
+def test_transaction_table_checks_columns_and_gives_records():
+    txs = [tx(D0, 10.0, plots=2), tx(week(1), 20.0, weth=True)]
+    table = as_table(txs)
+    assert len(table) == 2 and list(table) == txs
+    assert table[-1] == txs[-1]
+    assert table[table.paid_in_weth][0] == txs[1]
+    assert table.day.tolist() == [D0, week(1)]
+    with pytest.raises(ValidationError, match="usd_price"):
+        replace(table, usd_price=[10.0, -1.0])
+    with pytest.raises(ValidationError, match="num_plots"):
+        replace(table, num_plots=[1, 0])
+    with pytest.raises(ValidationError, match="equal length"):
+        replace(table, native_price=[1.0])
+    with pytest.raises(ValidationError, match="USD"):
+        build_hpi(replace(table, usd_price=None))
+
+
 # ---------------------------------------------------------------------------
 # period bucketing
 # ---------------------------------------------------------------------------
 
 
 def test_same_day_transactions_share_a_bucket():
-    txs = [tx(D0, 10.0 + i) for i in range(3)]
-    buckets = bucket_periods(txs, freq="weekly")
-    assert list(buckets) == [D0]
-    assert len(buckets[D0]) == 3
+    txs = [tx(D0, 10.0 + i) for i in range(3)] + [tx(week(1), 11.0)]
+    points, _ = build_hpi(txs, min_per_period=1)
+    assert [p.period for p in points] == [D0, week(1)]
+    assert points[0].n_transactions == 3
 
 
 def test_consecutive_mondays_get_distinct_buckets():
     txs = [tx(week(0), 10.0), tx(week(1), 11.0)]
-    buckets = bucket_periods(txs, freq="weekly")
-    assert list(buckets) == [week(0), week(1)]
+    points, _ = build_hpi(txs, min_per_period=1)
+    assert [p.period for p in points] == [week(0), week(1)]
+    # the ISO week of Monday 1969-12-29 straddles the Unix epoch
+    days = [dt.date(1969, 12, 29), dt.date(1970, 1, 1), dt.date(1970, 1, 4),
+            dt.date(1970, 1, 5)]
+    points, _ = build_hpi([tx(d, 10.0 + i) for i, d in enumerate(days)], min_per_period=1)
+    assert [(p.period, p.n_transactions) for p in points] == [
+        (dt.date(1969, 12, 29), 3), (dt.date(1970, 1, 5), 1)]
 
 
 def test_weekly_buckets_match_calendar_oracle():
@@ -94,21 +118,22 @@ def test_weekly_buckets_match_calendar_oracle():
         tx(D0 + dt.timedelta(days=int(d)), 10.0 + i)
         for i, d in enumerate(rng.integers(0, 120, size=100))
     ]
-    buckets = bucket_periods(txs, freq="weekly")
-    for p, members in buckets.items():
-        assert p.weekday() == 0
-        for m in members:
-            assert monday_of(m.date) == p
-    assert sum(len(v) for v in buckets.values()) == 100
-    assert list(buckets) == sorted(buckets)
+    points, fit = build_hpi(txs, freq="weekly", min_per_period=1)
+    counts = {}
+    for t in txs:
+        counts[monday_of(t.date)] = counts.get(monday_of(t.date), 0) + 1
+    assert {p.period: p.n_transactions for p in points} == counts
+    assert all(p.period.weekday() == 0 for p in points)
+    assert fit.n_obs == 100
+    assert [p.period for p in points] == sorted(counts)
 
 
 def test_daily_buckets_are_dates():
     txs = [tx(D0, 10.0), tx(D0 + dt.timedelta(days=1), 11.0)]
-    buckets = bucket_periods(txs, freq="daily")
-    assert list(buckets) == [D0, D0 + dt.timedelta(days=1)]
+    points, _ = build_hpi(txs, freq="daily", min_per_period=1)
+    assert [p.period for p in points] == [D0, D0 + dt.timedelta(days=1)]
     with pytest.raises(ValidationError):
-        bucket_periods(txs, freq="monthly")
+        build_hpi(txs, freq="monthly", min_per_period=1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """CSV ingestion, USD conversion, and dataset preparation tests."""
 
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from landmetrics.cli import main
 from landmetrics.errors import (
     InsufficientDataError,
     SchemaError,
@@ -19,9 +21,10 @@ from landmetrics.ingest import (
     rejections_to_csv,
     to_usd,
 )
+from landmetrics.hedonic import TransactionTable
 from landmetrics.series import summary_stats
 
-from oracles import winsorize_oracle
+from oracles import load_transactions_oracle, to_usd_oracle, winsorize_oracle
 
 TX_HEADER = "timestamp,native_price,currency,num_plots,tx_id"
 
@@ -65,15 +68,13 @@ def fx():
 
 def test_accepted_rows_match_field_splitting_oracle(tx_file):
     rows, rejected = load_transactions(tx_file)
-    text = tx_file.read_text().splitlines()[1:]
-    good = {line.split(",")[4]: line.split(",") for line in text
-            if len(line.split(",")) == 5}
-    assert [r.tx_id for r in rows] == ["t1", "t2", "t3"]
-    for r in rows:
-        fields = good[r.tx_id]
-        assert r.native_price == float(fields[1])
-        assert r.currency == fields[2].upper()
-        assert r.num_plots == int(fields[3])
+    text = tx_file.read_text().splitlines()
+    assert rows.line.tolist() == [2, 3, 4]
+    for i, line in enumerate(rows.line.tolist()):
+        fields = text[line - 1].split(",")
+        assert rows.native_price[i] == float(fields[1])
+        assert rows.symbols[rows.currency[i]] == fields[2].upper()
+        assert rows.num_plots[i] == int(fields[3])
 
 
 def test_rejection_reasons_and_line_numbers(tx_file):
@@ -99,15 +100,15 @@ def test_count_conservation(tx_file):
 
 def test_timestamps_normalized_to_utc(tx_file):
     rows, _ = load_transactions(tx_file)
-    t2 = next(r for r in rows if r.tx_id == "t2")
-    assert t2.timestamp == dt.datetime(2021, 1, 5, 9, 30)
-    assert t2.timestamp.tzinfo is None
+    t2 = rows.timestamp[rows.line == 3].item()
+    assert t2 == dt.datetime(2021, 1, 5, 9, 30)
+    assert t2.tzinfo is None
 
 
 def test_currency_whitelist(tx_file):
     schema = SchemaConfig(currencies=frozenset({"ETH"}))
     rows, rejected = load_transactions(tx_file, schema)
-    assert [r.tx_id for r in rows] == ["t1"]
+    assert rows.line.tolist() == [2]
     assert sum(1 for r in rejected if r.reason == "unknown currency") == 2
 
 
@@ -120,8 +121,8 @@ def test_header_permutation_and_extras_tolerated(tmp_path):
     )
     rows, rejected = load_transactions(p)
     assert len(rows) == 1 and not rejected
-    assert rows[0].num_plots == 3
-    assert rows[0].native_price == 1.5
+    assert rows.num_plots.tolist() == [3]
+    assert rows.native_price.tolist() == [1.5]
 
 
 def test_missing_column_is_schema_error(tmp_path):
@@ -136,7 +137,7 @@ def test_missing_column_is_schema_error(tmp_path):
 def test_header_only_file_gives_empty_lists(tmp_path):
     p = write(tmp_path, "t.csv", TX_HEADER + "\n")
     rows, rejected = load_transactions(p)
-    assert rows == [] and rejected == []
+    assert len(rows) == 0 and rejected == []
 
 
 def test_blank_lines_skipped(tmp_path):
@@ -215,25 +216,23 @@ def test_usd_conversion_values(tx_file, fx):
 
 
 def test_missing_quote_rejects_row(fx):
-    from landmetrics.ingest import RawTransactionRow
-
-    row = RawTransactionRow(
-        timestamp=dt.datetime(2020, 12, 25, 12),
-        native_price=1.0,
-        currency="ETH",
-        num_plots=1,
-        tx_id="xmas",
-        line=42,
+    row = TransactionTable(
+        timestamp=[np.datetime64("2020-12-25T12:00")],
+        native_price=[1.0],
+        num_plots=[1],
+        currency=[0],
+        symbols=("ETH",),
+        line=[42],
     )
-    txs, rejected = to_usd([row], fx)
-    assert txs == []
+    txs, rejected = to_usd(row, fx)
+    assert len(txs) == 0
     assert rejected[0].line == 42
     assert rejected[0].reason == "no fx for date"
 
 
 def test_usd_conversion_is_linear_in_fx(tx_file, fx):
     rows, _ = load_transactions(tx_file)
-    non_stable = [r for r in rows if r.currency != "USDC"]
+    non_stable = rows[np.array(rows.symbols)[rows.currency] != "USDC"]
     base, _ = to_usd(non_stable, fx)
     scaled_fx = FxTable(quotes={k: 3.0 * v for k, v in fx.quotes.items()})
     scaled, _ = to_usd(non_stable, scaled_fx)
@@ -319,3 +318,102 @@ def test_rejections_csv(tmp_path, tx_file):
     assert lines[0] == "line,reason"
     assert len(lines) == 8
     assert lines[1] == "5,bad timestamp"
+
+
+# ---------------------------------------------------------------------------
+# parity with the row-by-row reference
+# ---------------------------------------------------------------------------
+
+ADVERSARIAL_ROWS = [
+    "timestamp,native_price,currency,num_plots,tx_id,note",
+    "2021-01-04T12:00:00Z,2.0,ETH,1,a,x",
+    "2021-01-05T01:00:00+02:00,1.5,eth,2,b,x",        # 2021-01-04 23:00 UTC
+    "2021-01-05T01:00:00+05:00,1.5,ETH,2,c,x",        # 2021-01-04 20:00 UTC
+    "2021-01-04T01:00:00+05:00,1.5,ETH,2,d,x",        # 2021-01-03: no quote
+    "",
+    "   ",
+    ",,,,,",
+    "2021-01-04T12:00:00,1.0,ETH",                    # short row
+    "2021-01-04T12:00:00,1.0,ETH,1,e",                # short of the note column
+    "2021-01-04T12:00:00,1.0,ETH,1,f,x,y,z",          # extra columns
+    "yesterday,1.0,ETH,1,g,x",
+    "2021-01-04 12:00:00,3.0,ETH,1,h,x",
+    "2021-01-06,3.0,ETH,1,i,x",
+    "2021-01-04T12:00:00.123456,3.0,ETH,1,j,x",
+    "2021-01-04T12:00:00,abc,ETH,1,k,x",
+    "2021-01-04T12:00:00,1_000,ETH,1,l,x",
+    "2021-01-04T12:00:00, 2.5 ,ETH,1,m,x",
+    "2021-01-04T12:00:00,nan,ETH,1,n,x",
+    "2021-01-04T12:00:00,inf,ETH,1,o,x",
+    "2021-01-04T12:00:00,-0,ETH,1,p,x",
+    "2021-01-04T12:00:00,0,ETH,1,q,x",
+    "2021-01-04T12:00:00,1.0,ETH, 3 ,r,x",
+    "2021-01-04T12:00:00,1.0,ETH,x,s,x",
+    "2021-01-04T12:00:00,1.0,ETH,1.5,t,x",
+    "2021-01-04T12:00:00,1.0,ETH,0,u,x",
+    "2021-01-04T12:00:00,1.0,ETH,-2,v,x",
+    "2021-01-04T12:00:00,-1.0,ETH,x,w,x",             # price check comes first
+    "bad,abc,,0,x,x",                                 # timestamp check comes first
+    "2021-01-04T12:00:00,1.0,,1,y,x",
+    "2021-01-04T12:00:00,1.0,  ,1,z,x",
+    "2021-01-04T12:00:00,4.0,weth,2,aa,x",
+    "2021-01-04T12:00:00,250.0,usdc,1,ab,x",
+    "2021-01-04T12:00:00,7.0,DOGE,1,ac,x",
+    "2021-02-01T12:00:00,1.0,ETH,1,ad,x",             # no quote that day
+    "2021-02-01T12:00:00,1.0,WETH,1,ae,x",
+    "2021-02-01T12:00:00,1.0,USDC,1,af,x",            # stable: needs no quote
+    "2021-01-08T23:59:59,1.25,ETH,4,ag,x",
+]
+
+
+@pytest.mark.parametrize("currencies", [None, frozenset({"ETH", "WETH", "USDC"})])
+def test_ingest_matches_row_by_row_oracle(tmp_path, currencies):
+    path = write(tmp_path, "adv.csv", "\n".join(ADVERSARIAL_ROWS) + "\n")
+    quotes = {(dt.date(2021, 1, 4) + dt.timedelta(days=i), "ETH"): 1000.0 + 37.5 * i
+              for i in range(5)}
+    schema = SchemaConfig(currencies=currencies)
+    rows, rejected = load_transactions(path, schema)
+    txs, fx_rejected = to_usd(rows, FxTable(quotes=quotes), schema.stable_currencies)
+
+    want_rows, want_rejected = load_transactions_oracle(path, currencies)
+    want_txs, want_fx_rejected = to_usd_oracle(want_rows, quotes, schema.stable_currencies)
+    assert [(r.line, r.reason) for r in rejected] == want_rejected
+    assert [(r.line, r.reason) for r in fx_rejected] == want_fx_rejected
+    assert list(zip(rows.line.tolist(), rows.timestamp.astype(object),
+                    rows.native_price.tolist(),
+                    [rows.symbols[c] for c in rows.currency.tolist()],
+                    rows.num_plots.tolist())) == want_rows
+    assert list(zip(txs.line.tolist(), txs.usd_price.tolist(),
+                    txs.paid_in_weth.tolist())) == want_txs
+    # every check fires somewhere in the file
+    reasons = {reason for _, reason in want_rejected + want_fx_rejected}
+    assert len(reasons) == (9 if currencies else 8)
+    assert len(rows) + len(rejected) == len(ADVERSARIAL_ROWS) - 4
+
+
+def test_values_out_of_column_range_are_rejected(tmp_path):
+    # a plot count beyond int64, and a time whose UTC falls before year 1
+    p = write(tmp_path, "t.csv", TX_HEADER + f"\n2021-01-04T00:00:00,1.0,ETH,{2**63},t1\n"
+              "0001-01-01T00:00:00+01:00,1.0,ETH,1,t2\n")
+    rows, rejected = load_transactions(p)
+    assert len(rows) == 0
+    assert [(r.line, r.reason) for r in rejected] == [(2, "bad plot count"),
+                                                      (3, "bad timestamp")]
+
+
+def test_ingest_memory_is_bounded(tmp_path):
+    # 104 weeks x 1,000 sales, written the way `simulate --kind hedonic` writes them
+    assert main(["simulate", "--kind", "hedonic", "--seed", "1",
+                 "--deltas", ",".join(["0"] + ["0.01"] * 103), "--n-per-period", "1000",
+                 "--beta-plots", "0.9", "--noise", "0.3", "--out-dir", str(tmp_path)]) == 0
+    fx = load_daily_prices(tmp_path / "prices.csv")
+    tracemalloc.start()
+    try:
+        rows, rejected = load_transactions(tmp_path / "transactions.csv")
+        txs, fx_rejected = to_usd(rows, fx)
+        ds = prepare_dataset(txs, rejected=rejected + fx_rejected)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ds.transactions) == 104_000
+    assert peak < 16e6
