@@ -44,7 +44,7 @@ from .errors import (
     SingularDesignError,
     ValidationError,
 )
-from .series import TimeSeries, _fmt
+from .series import TimeSeries, write_csv
 
 #: windows whose residual sum of squares falls below this relative floor
 #: are treated as degenerate (an exact fit has no usable t-ratio)
@@ -138,15 +138,10 @@ class CvTable:
         raise ValidationError(f"level {level} not among table alphas {self.alphas}")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(
-                f"# T={self.series_length} r0={self.min_window} "
-                f"n_rep={self.n_rep} seed={self.seed} n_lags={self.n_lags}\n"
-            )
-            w = csv.writer(fh)
-            w.writerow(["t"] + [f"cv_{a:g}" for a in self.alphas])
-            for i in range(self.cv_by_t.shape[0]):
-                w.writerow([self.min_window + i] + [_fmt(v) for v in self.cv_by_t[i]])
+        write_csv(path, ["t"] + [f"cv_{a:g}" for a in self.alphas],
+                  ([self.min_window + i, *row] for i, row in enumerate(self.cv_by_t)),
+                  comment=f"T={self.series_length} r0={self.min_window} "
+                          f"n_rep={self.n_rep} seed={self.seed} n_lags={self.n_lags}")
 
     @classmethod
     def from_csv(cls, path) -> "CvTable":
@@ -200,18 +195,12 @@ class DatestampResult:
     pct_flagged: float
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["date", "stat", "cv", "flag"])
-            for d, s, c, f in zip(self.dates, self.stats, self.cvs, self.flags):
-                w.writerow([d.isoformat(), _fmt(s), _fmt(c), int(f)])
+        write_csv(path, ["date", "stat", "cv", "flag"],
+                  zip(self.dates, self.stats, self.cvs, self.flags))
 
     def episodes_to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["start", "end", "peak_stat"])
-            for e in self.episodes:
-                w.writerow([e.start.isoformat(), e.end.isoformat(), _fmt(e.peak_stat)])
+        write_csv(path, ["start", "end", "peak_stat"],
+                  ((e.start, e.end, e.peak_stat) for e in self.episodes))
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,7 @@ command-line flag (flags win).  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import json
 import math
 import os
 import sys
@@ -45,12 +43,11 @@ from .errors import DomainError, InsufficientDataError, LandmetricsError, \
     NumericalError, ValidationError
 from .hedonic import build_hpi, hedonic_fit_to_json, hpi_points_to_csv, \
     hpi_to_series
-from .ingest import Dataset, FxTable, SchemaConfig, load_daily_prices, \
-    load_transactions, prepare_dataset, rejections_to_csv, to_usd, \
-    PRICE_COLUMNS, TRANSACTION_COLUMNS
+from .ingest import Dataset, FxTable, load_daily_prices, load_transactions, \
+    prepare_dataset, rejections_to_csv, to_usd, PRICE_COLUMNS, TRANSACTION_COLUMNS
 from .series import SummaryStats, TimeSeries, _fmt, difference, \
     fill_gaps_loglinear, lead_lag_correlation, pairwise_correlation, \
-    resample_weekly, restrict, summary_stats
+    resample_weekly, restrict, summary_stats, write_csv, write_json
 from .synthkit import gen_coupled_pair, gen_explosive, gen_hedonic_panel, \
     gen_market_dataset, gen_random_walk
 from .var_granger import build_panel, granger_table, granger_table_to_csv, \
@@ -68,6 +65,21 @@ class _UsageError(Exception):
 
 def _parse_str(text: str) -> str:
     return text.strip()
+
+
+def _parse_path(text: str) -> str:
+    """A path; a relative one in a config file resolves against its directory."""
+    return text.strip()
+
+
+def _choice(*allowed: str):
+    """A parser that accepts one of ``allowed``."""
+    def parse(text: str) -> str:
+        value = text.strip()
+        if value not in allowed:
+            raise ValueError(f"must be one of {'/'.join(allowed)}, got {value!r}")
+        return value
+    return parse
 
 
 def _parse_int(text: str) -> int:
@@ -99,24 +111,20 @@ def _parse_bool(text) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_symbols(text) -> tuple:
-    if isinstance(text, tuple):
-        return text
-    parts = [p.strip().upper() for p in text.split(",") if p.strip()]
-    return tuple(parts)
+def _parse_symbols(text: str) -> tuple:
+    return tuple(p.strip().upper() for p in text.split(",") if p.strip())
 
 
-def _parse_floats(text) -> tuple:
-    if isinstance(text, tuple):
-        return tuple(float(v) for v in text)
+def _parse_floats(text: str) -> tuple:
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 
-# key -> (parser, default, help line for --help and the README table)
+# key -> (parser, default, help line for --help and the README table); the parser
+# also marks path keys (_parse_path) and on/off switches (_parse_bool)
 _KEYS = {
-    "transactions": (_parse_str, "", "path to the transactions CSV"),
-    "prices": (_parse_str, "", "path to the daily prices CSV"),
-    "out_dir": (_parse_str, "out", "directory for all output files"),
+    "transactions": (_parse_path, "", "path to the transactions CSV"),
+    "prices": (_parse_path, "", "path to the daily prices CSV"),
+    "out_dir": (_parse_path, "out", "directory for all output files"),
     "metaverse": (_parse_str, "land", "label of the land market being studied"),
     "coin": (_parse_str, "", "crypto symbol paired with the land market"),
     "market_symbols": (_parse_symbols, (), "comma-separated control symbols (e.g. BTC,ETH)"),
@@ -124,14 +132,15 @@ _KEYS = {
     "winsor_lo": (_parse_float, 0.001, "lower winsorization quantile for USD prices"),
     "winsor_hi": (_parse_float, 0.999, "upper winsorization quantile for USD prices"),
     "min_per_period": (_parse_int, 3, "minimum transactions per estimable index period"),
-    "freq": (_parse_str, "weekly", "index/panel frequency: weekly or daily"),
-    "resample_rule": (_parse_str, "last", "weekly aggregation of daily prices: last or mean"),
-    "diff_mode": (_parse_str, "log", "differencing before the VAR: log or simple"),
-    "fill": (_parse_str, "none", "index gap policy: none or interpolate"),
+    "freq": (_choice("weekly", "daily"), "weekly", "index/panel frequency: weekly or daily"),
+    "resample_rule": (_choice("last", "mean"), "last",
+                      "weekly aggregation of daily prices: last or mean"),
+    "diff_mode": (_choice("log", "simple"), "log", "differencing before the VAR: log or simple"),
+    "fill": (_choice("none", "interpolate"), "none", "index gap policy: none or interpolate"),
     "log_prices": (_parse_bool, True, "date-stamp log prices instead of raw levels"),
     "r0": (_parse_opt_int, None, "minimum BSADF window (empty = rule-based default)"),
     "adf_lags": (_parse_int, 1, "differenced lags in the ADF regression"),
-    "lag_selection": (_parse_str, "fixed", "ADF lag choice: fixed or bic"),
+    "lag_selection": (_choice("fixed", "bic"), "fixed", "ADF lag choice: fixed or bic"),
     "alphas": (_parse_floats, (0.90, 0.95, 0.99), "critical-value quantiles, ascending"),
     "level": (_parse_float, 0.95, "flagging level; must be one of the alphas"),
     "n_rep": (_parse_int, 500, "Monte-Carlo replications for critical values"),
@@ -178,17 +187,6 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-_PATH_KEYS = ("transactions", "prices", "out_dir")
-
-_CHOICES = {
-    "freq": ("weekly", "daily"),
-    "resample_rule": ("last", "mean"),
-    "diff_mode": ("log", "simple"),
-    "fill": ("none", "interpolate"),
-    "lag_selection": ("fixed", "bic"),
-}
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then the config file, then explicit flags."""
     values = {key: default for key, (_, default, _) in _KEYS.items()}
@@ -201,7 +199,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 value = parser(raw)
             except ValueError as exc:
                 raise _UsageError(f"config key {key}: {exc}") from exc
-            if key in _PATH_KEYS and value and not os.path.isabs(value):
+            if parser is _parse_path and value and not os.path.isabs(value):
                 value = os.path.join(base, value)
             values[key] = value
     for key, (parser, _, _) in _KEYS.items():
@@ -218,10 +216,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _validate_config(cfg: RunConfig) -> None:
-    for key, allowed in _CHOICES.items():
-        if getattr(cfg, key) not in allowed:
-            raise _UsageError(f"{key} must be one of {'/'.join(allowed)}, "
-                              f"got {getattr(cfg, key)!r}")
     if not (0.0 <= cfg.winsor_lo < cfg.winsor_hi <= 1.0):
         raise _UsageError(f"need 0 <= winsor_lo < winsor_hi <= 1, "
                           f"got ({cfg.winsor_lo}, {cfg.winsor_hi})")
@@ -258,11 +252,11 @@ def canonical_config(cfg: RunConfig) -> dict:
     documenting which files fed the run.
     """
     out: dict[str, str] = {}
-    for key in sorted(_KEYS):
+    for key, (parser, _, _) in sorted(_KEYS.items()):
         if key == "out_dir":
             continue
         value = getattr(cfg, key)
-        if key in _PATH_KEYS:
+        if parser is _parse_path:
             out[key] = os.path.basename(value) if value else ""
         elif isinstance(value, bool):
             out[key] = "true" if value else "false"
@@ -331,34 +325,23 @@ _STAT_FIELDS = ("mean", "std_dev", "skewness", "kurtosis",
                 "min", "p5", "p50", "p95", "max")
 
 
-def _stat_cells(stats: SummaryStats) -> list[str]:
-    cells = []
-    for field in _STAT_FIELDS:
-        value = getattr(stats, field)
-        cells.append("" if value is None else _fmt(value))
-    return cells
+def _stat_cells(stats: SummaryStats) -> list:
+    return [getattr(stats, field) for field in _STAT_FIELDS]
 
 
 def _write_tx_summary(info: dict, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["key", "value"])
-        writer.writerow(["n", info["n"]])
-        writer.writerow(["pct_weth", _fmt(info["pct_weth"])])
-        for label in ("usd_price", "num_plots"):
-            stats = info[label]
-            for field, cell in zip(_STAT_FIELDS, _stat_cells(stats)):
-                writer.writerow([f"{label}_{field}", cell])
+    rows = [("n", info["n"]), ("pct_weth", info["pct_weth"])]
+    for label in ("usd_price", "num_plots"):
+        rows += [(f"{label}_{field}", getattr(info[label], field)) for field in _STAT_FIELDS]
+    write_csv(path, ["key", "value"], rows)
 
 
 def _write_return_summary(fx: FxTable, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["symbol", "n"] + list(_STAT_FIELDS))
-        for symbol in fx.symbols:
-            returns = difference(fx.series(symbol), mode="log")
-            stats = summary_stats(returns.values)
-            writer.writerow([symbol, stats.n] + _stat_cells(stats))
+    rows = []
+    for symbol in fx.symbols:
+        stats = summary_stats(difference(fx.series(symbol), mode="log").values)
+        rows.append([symbol, stats.n] + _stat_cells(stats))
+    write_csv(path, ["symbol", "n"] + list(_STAT_FIELDS), rows)
 
 
 def _log_series(series: TimeSeries) -> TimeSeries:
@@ -405,9 +388,8 @@ class _Run:
         cfg = self.cfg
         tx_path = _require_file(cfg.transactions, "transactions")
         fx = self.fx
-        schema = SchemaConfig(currencies=frozenset(cfg.currencies) or None)
-        rows, rejected = load_transactions(tx_path, schema)
-        converted, fx_rejected = to_usd(rows, fx, schema.stable_currencies)
+        rows, rejected = load_transactions(tx_path, frozenset(cfg.currencies) or None)
+        converted, fx_rejected = to_usd(rows, fx)
         dataset = prepare_dataset(converted, winsor_lo=cfg.winsor_lo, winsor_hi=cfg.winsor_hi,
                                   metaverse=cfg.metaverse, rejected=rejected + fx_rejected)
         rejections_to_csv(dataset.rejected, self.path("rejections.csv"))
@@ -543,11 +525,7 @@ def _bubble(run: _Run) -> dict:
         rows.append((name, pct, len(result.episodes)))
         _log(f"[bubble] {name}: {pct:.2f}% of dates flagged, "
              f"{len(result.episodes)} episode(s)")
-    with open(run.path("bubble_summary.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["symbol", "pct_flagged", "n_episodes"])
-        for name, pct, n_ep in rows:
-            writer.writerow([name, _fmt(pct), n_ep])
+    write_csv(run.path("bubble_summary.csv"), ["symbol", "pct_flagged", "n_episodes"], rows)
     return fragment
 
 
@@ -583,28 +561,21 @@ def _leadlag(run: _Run) -> dict:
 
 def _write_panel_a(path: str, columns, checks) -> None:
     by_name = {c.name: c for c in checks}
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variable", "n"] + list(_STAT_FIELDS)
-                        + ["adf_stat", "adf_cv", "rejects_unit_root"])
-        for series in columns:
-            stats = summary_stats(series.values)
-            check = by_name[series.name]
-            stat_cell = "" if check.result is None else _fmt(check.result.stat)
-            writer.writerow(
-                [series.name, stats.n] + _stat_cells(stats)
-                + [stat_cell, _fmt(check.critical_value), int(check.passes)])
+    rows = []
+    for series in columns:
+        stats = summary_stats(series.values)
+        check = by_name[series.name]
+        stat = None if check.result is None else check.result.stat
+        rows.append([series.name, stats.n] + _stat_cells(stats)
+                    + [stat, check.critical_value, check.passes])
+    write_csv(path, ["variable", "n"] + list(_STAT_FIELDS)
+              + ["adf_stat", "adf_cv", "rejects_unit_root"], rows)
 
 
 def _write_panel_b(path: str, columns) -> None:
     matrix = pairwise_correlation(columns)
     names = [s.name for s in columns]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variable"] + names)
-        for i, name in enumerate(names):
-            cells = ["" if np.isnan(v) else _fmt(float(v)) for v in matrix[i]]
-            writer.writerow([name] + cells)
+    write_csv(path, ["variable"] + names, ([name, *matrix[i]] for i, name in enumerate(names)))
 
 
 def _granger_columns(run: _Run) -> tuple[list[TimeSeries], str, str]:
@@ -775,23 +746,16 @@ def _report_floats(obj):
 
 
 def _write_report(out: str, report: dict) -> None:
-    with open(os.path.join(out, "report.json"), "w") as fh:
-        json.dump(_report_floats(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out, "report.json"), _report_floats(report))
 
 
 # -- simulate ---------------------------------------------------------------
 
 
 def _write_sales(out: str, tx_rows, price_rows) -> list[str]:
-    """Write transactions.csv and, from (date, symbol, float) rows, prices.csv."""
-    price_rows = [(date, symbol, _fmt(price)) for date, symbol, price in price_rows]
-    for name, header, rows in (("transactions.csv", TRANSACTION_COLUMNS, tx_rows),
-                               ("prices.csv", PRICE_COLUMNS, price_rows)):
-        with open(os.path.join(out, name), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+    """Write transactions.csv and prices.csv."""
+    write_csv(os.path.join(out, "transactions.csv"), TRANSACTION_COLUMNS, tx_rows)
+    write_csv(os.path.join(out, "prices.csv"), PRICE_COLUMNS, price_rows)
     return ["transactions.csv", "prices.csv"]
 
 
@@ -812,15 +776,14 @@ def _parse_windows(tokens, length: int):
 
 def _transactions_to_rows(table):
     symbols = [table.symbols[c] for c in table.currency.tolist()]
-    columns = zip(table.timestamp.tolist(), table.native_price.tolist(), symbols,
-                  table.num_plots.tolist())
-    return [(ts.isoformat(), _fmt(price), symbol, str(plots), f"h{i:05d}")
-            for i, (ts, price, symbol, plots) in enumerate(columns, start=1)]
+    tx_ids = [f"h{i:05d}" for i in range(1, len(table) + 1)]
+    return zip(table.timestamp.tolist(), table.native_price.tolist(), symbols,
+               table.num_plots.tolist(), tx_ids)
 
 
 def _flat_eth_price_rows(table, quote: float = 2000.0):
     days = np.arange(table.day.min(), table.day.max() + 1)
-    return [(day.isoformat(), "ETH", quote) for day in days.tolist()]
+    return [(day, "ETH", quote) for day in days.tolist()]
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -877,10 +840,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:  # pragma: no cover - argparse choices guard this
         raise _UsageError(f"unknown kind {kind!r}")
 
-    truth_path = os.path.join(out, "truth.json")
-    with open(truth_path, "w") as fh:
-        json.dump(truth, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out, "truth.json"), truth)
     files.append("truth.json")
     _log(f"[simulate] {kind} -> {', '.join(files)} in {out}")
     return 0
@@ -901,9 +861,9 @@ class _Parser(argparse.ArgumentParser):
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE",
                         help="flat key = value config file")
-    for key, (_, default, help_text) in _KEYS.items():
+    for key, (parse, default, help_text) in _KEYS.items():
         flag = "--" + key.replace("_", "-")
-        if key == "log_prices":
+        if parse is _parse_bool:
             parser.add_argument(flag, dest=key, default=None,
                                 action=argparse.BooleanOptionalAction,
                                 help=f"{help_text} (default: {default})")

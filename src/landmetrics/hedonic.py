@@ -35,16 +35,14 @@ raises a singular-design error naming the controls involved.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InsufficientDataError, SingularDesignError, ValidationError
-from .series import TimeSeries, _fmt
+from .series import TimeSeries, write_csv, write_json
 
 #: a kept control whose pivot falls below COLLINEAR_RTOL times its centered
 #: sum of squares is collinear with the rest of the design
@@ -228,7 +226,7 @@ def _periods(day, freq: str) -> np.ndarray:
 
 def _log(values) -> np.ndarray:
     """``math.log`` of each value: np.log can differ from it in the last bit."""
-    return np.fromiter(map(math.log, values.tolist()), np.float64, len(values))
+    return np.fromiter(map(math.log, values), np.float64, len(values))
 
 
 def _within(values, code, counts):
@@ -365,14 +363,9 @@ def hpi_to_series(points, name: str = "hpi", freq: str = "weekly") -> TimeSeries
 
 def hpi_points_to_csv(points, path) -> None:
     """Write the index in the ``period,index,delta,n_transactions`` schema."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["period", "index", "delta", "n_transactions"])
-        for p in points:
-            w.writerow([p.period.isoformat(), _fmt(p.index), _fmt(p.delta), p.n_transactions])
+    write_csv(path, ["period", "index", "delta", "n_transactions"],
+              ((p.period, p.index, p.delta, p.n_transactions) for p in points))
 
 
 def hedonic_fit_to_json(fitmeta: HedonicFit, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(fitmeta.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, fitmeta.to_json_dict())

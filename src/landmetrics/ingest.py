@@ -32,29 +32,17 @@ import numpy as np
 
 from .errors import InsufficientDataError, SchemaError, ValidationError
 from .hedonic import TransactionTable, as_table
-from .series import TimeSeries, summary_stats, winsorize
+from .series import TimeSeries, summary_stats, winsorize, write_csv
 
 TRANSACTION_COLUMNS = ("timestamp", "native_price", "currency", "num_plots", "tx_id")
 PRICE_COLUMNS = ("date", "symbol", "usd_price")
 
-DEFAULT_STABLES = frozenset({"USDC", "USDT", "DAI"})
+#: stablecoins convert at exactly 1.0, without an fx quote
+STABLE_CURRENCIES = frozenset({"USDC", "USDT", "DAI"})
 
 _EPOCH = dt.datetime(1970, 1, 1)
 _MICROSECOND = dt.timedelta(microseconds=1)
 _MAX_PLOTS = 2**63 - 1       # the plot count column is int64
-
-
-@dataclass(frozen=True)
-class SchemaConfig:
-    """Accepted currency symbols and stable-coin passthrough set.
-
-    ``currencies=None`` accepts any symbol; otherwise a row whose currency
-    is outside the set is rejected.  Stable currencies convert at 1.0
-    without an fx quote.
-    """
-
-    currencies: frozenset[str] | None = None
-    stable_currencies: frozenset[str] = DEFAULT_STABLES
 
 
 @dataclass(frozen=True)
@@ -153,13 +141,15 @@ def _parse_row(row, width, cols, currencies):
     return (ts - _EPOCH) // _MICROSECOND, price, plots, currency
 
 
-def load_transactions(path, schema: SchemaConfig = SchemaConfig()):
+def load_transactions(path, currencies: frozenset[str] | None = None):
     """Parse a transactions CSV into (table, rejected).
 
     The header must contain the five documented columns (extra columns
     are ignored).  Rows failing any field check are returned in
     ``rejected`` with their 1-based file line number; the table holds
-    the others in file order, without USD prices.
+    the others in file order, without USD prices.  ``currencies=None``
+    accepts any currency; otherwise a row whose currency is outside the
+    set is rejected.
     """
     lines, stamps, plots, codes = array("q"), array("q"), array("q"), array("q")
     prices = array("d")
@@ -170,7 +160,7 @@ def load_transactions(path, schema: SchemaConfig = SchemaConfig()):
         width, cols = _read_header(reader, path, TRANSACTION_COLUMNS, "transactions")
         cols = cols[:4]                             # tx_id is required but not kept
         for lineno, row in enumerate(reader, start=2):
-            parsed = _parse_row(row, width, cols, schema.currencies)
+            parsed = _parse_row(row, width, cols, currencies)
             if type(parsed) is str:
                 if any(f.strip() for f in row):     # blank lines are not rows
                     rejected.append(RejectedRow(lineno, parsed))
@@ -222,18 +212,17 @@ def load_daily_prices(path) -> FxTable:
     return FxTable(quotes=quotes)
 
 
-def to_usd(rows: TransactionTable, fx: FxTable,
-           stable_currencies: frozenset[str] = DEFAULT_STABLES):
+def to_usd(rows: TransactionTable, fx: FxTable):
     """Convert a table to USD; returns (converted table, rejected).
 
-    wETH uses the ETH quote.  Stable currencies convert at exactly 1.0.
+    wETH uses the ETH quote.  ``STABLE_CURRENCIES`` convert at exactly 1.0.
     Quotes are looked up once per distinct (currency, day).  Rows whose
     (day, currency) has no quote are rejected with reason
     ``"no fx for date"``.
     """
     rate, day = np.ones(len(rows)), rows.day
     for code, currency in enumerate(rows.symbols):
-        if currency not in stable_currencies:
+        if currency not in STABLE_CURRENCIES:
             at = np.flatnonzero(rows.currency == code)
             days, inverse = np.unique(day[at], return_inverse=True)
             symbol = "ETH" if currency == "WETH" else currency
@@ -272,8 +261,4 @@ def prepare_dataset(
 
 
 def rejections_to_csv(rejected, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["line", "reason"])
-        for r in rejected:
-            w.writerow([r.line, r.reason])
+    write_csv(path, ["line", "reason"], ((r.line, r.reason) for r in rejected))

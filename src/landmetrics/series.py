@@ -15,12 +15,24 @@ Conventions fixed here and relied on elsewhere:
 * ``std_dev`` is the n-1 sample standard deviation;
 * statistics that are undefined for a sample are reported as ``None``,
   never as a silent 0.
+
+Every file the package writes goes through :func:`write_csv` or
+:func:`write_json`.  A CSV cell is written by one rule:
+
+* ``None`` and NaN are empty cells;
+* ``bool`` and ``np.bool_`` are ``1``/``0``;
+* other floats are in shortest round-trip form (``inf`` stays ``inf``);
+* dates and datetimes are ISO 8601;
+* anything else is ``str(value)``.
+
+JSON files are indented by 2 with sorted keys and end in a newline.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -38,6 +50,39 @@ _FREQS = ("daily", "weekly")
 def _fmt(x: float) -> str:
     """Shortest round-trip decimal form of a float (deterministic)."""
     return repr(float(x))
+
+
+def _cell(x) -> str:
+    """One CSV cell by the module's cell rule."""
+    if isinstance(x, float):
+        return "" if math.isnan(x) else _fmt(x)
+    if x is None:
+        return ""
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, dt.date):
+        return x.isoformat()
+    return str(x)
+
+
+def write_csv(path, header, rows, comment: str | None = None) -> None:
+    """Write ``header`` and then ``rows``, each cell by the cell rule.
+
+    A ``comment`` goes first, as one ``# comment`` line.
+    """
+    with open(path, "w", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(x) for x in row] for row in rows)
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as JSON, indented by 2, keys sorted, newline-terminated."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -105,11 +150,7 @@ class TimeSeries:
     # -- serialization: two-column CSV ``date,value`` ---------------------
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["date", "value"])
-            for d, v in zip(self.dates, self.values):
-                w.writerow([d.isoformat(), _fmt(v)])
+        write_csv(path, ["date", "value"], zip(self.dates, self.values))
 
     @classmethod
     def from_csv(cls, path, name: str, freq: str) -> "TimeSeries":
@@ -308,11 +349,8 @@ class Correlogram:
         return best_k
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["offset", "corr", "n_pairs"])
-            for e in self.entries:
-                w.writerow([e.offset, "" if e.corr is None else _fmt(e.corr), e.n_pairs])
+        write_csv(path, ["offset", "corr", "n_pairs"],
+                  ((e.offset, e.corr, e.n_pairs) for e in self.entries))
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float | None:

@@ -16,7 +16,6 @@ variable; there is no exogenous-regressor mode.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from dataclasses import dataclass, field
 
@@ -29,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .linreg import DesignMatrix, FTestResult, nested_f_test, ols_fit
-from .series import _fmt
+from .series import write_csv
 
 
 @dataclass(frozen=True)
@@ -116,10 +115,6 @@ def build_panel(series_list) -> Panel:
                 f"series {s.name!r} is not aligned with {ref.name!r} "
                 f"({len(missing)} differing dates, e.g. {sample})"
             )
-    step = ref.step
-    for a, b in zip(ref.dates, ref.dates[1:]):
-        if b - a != step:
-            raise ValidationError(f"gap between {a} and {b}; fill or trim before the VAR")
     return Panel(
         variable_names=tuple(s.name for s in series_list),
         data=np.column_stack([s.values for s in series_list]),
@@ -270,21 +265,10 @@ def granger_table(
 
 def granger_table_to_csv(results, path) -> None:
     """``lag,controls,direction,f_stat,p_value,df_num,df_den,n_obs`` rows."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["lag", "controls", "direction", "f_stat", "p_value",
-                    "df_num", "df_den", "n_obs"])
-        for r in results:
-            w.writerow([
-                r.p,
-                int(r.controls_included),
-                f"{r.cause}->{r.effect}",
-                _fmt(r.f_stat),
-                _fmt(r.p_value),
-                r.df_num,
-                r.df_den,
-                r.n_obs,
-            ])
+    write_csv(path, ["lag", "controls", "direction", "f_stat", "p_value",
+                     "df_num", "df_den", "n_obs"],
+              ((r.p, r.controls_included, f"{r.cause}->{r.effect}", r.f_stat, r.p_value,
+                r.df_num, r.df_den, r.n_obs) for r in results))
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,13 @@ import shutil
 import numpy as np
 import pytest
 
-from landmetrics.cli import _write_report, build_parser, main, resolve_config
+from landmetrics.cli import _KEYS, _write_report, build_parser, main, resolve_config
 from landmetrics.series import TimeSeries
 from landmetrics.synthkit import EPOCH, gen_coupled_pair, gen_random_walk, stream
 
 D0 = dt.date(2021, 1, 4)
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "pipeline_report.json"
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def weekly(values, start=D0, name="s"):
@@ -60,6 +61,28 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     cfg_file.write_text("bogus = 1\n")
     assert main(["summarize", "--config", str(cfg_file)]) == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, allowed", [
+    ("freq", "weekly/daily"), ("resample_rule", "last/mean"), ("diff_mode", "log/simple"),
+    ("fill", "none/interpolate"), ("lag_selection", "fixed/bic"),
+])
+def test_bad_choice_exits_1_naming_its_key(tmp_path, capsys, key, allowed):
+    flag = "--" + key.replace("_", "-")
+    assert main(["hpi", flag, "monthly"]) == 1
+    assert f"flag {flag}: must be one of {allowed}, got 'monthly'" in capsys.readouterr().err
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = monthly\n")
+    assert main(["hpi", "--config", str(cfg_file)]) == 1
+    assert f"config key {key}: must be one of {allowed}" in capsys.readouterr().err
+
+
+def test_readme_configuration_table_names_every_key():
+    section = README.read_text().split("## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1].strip() for line in section.splitlines()
+            if line.startswith("|")]
+    assert rows[:2] == ["key", "-----"]
+    assert rows[2:] == list(_KEYS)
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):

@@ -16,6 +16,7 @@ from landmetrics.errors import (
 )
 from landmetrics.hedonic import (
     Transaction,
+    _log,
     as_table,
     build_hpi,
     hedonic_fit_to_json,
@@ -380,6 +381,19 @@ def test_build_hpi_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+def test_log_holds_one_value_at_a_time():
+    # a Python list of the column would hold 32 MB of floats at 10**6 values
+    values = np.random.default_rng(0).lognormal(size=10**6)
+    tracemalloc.start()
+    try:
+        out = _log(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+    assert np.array_equal(out, [math.log(v) for v in values.tolist()])
 
 
 def test_build_hpi_validation():

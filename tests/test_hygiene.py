@@ -1,5 +1,5 @@
 """Source hygiene: no module under ``src/landmetrics`` keeps a dead import
-or a dead public function or class.
+or a dead public function or class, and only ``series`` writes files.
 
 No linter ships with the package's test dependencies, so this check
 parses each module with ``ast`` instead.
@@ -102,3 +102,45 @@ def test_package_has_no_dead_public_names():
                for p in sorted((ROOT / top).rglob("*.py"))}
     package = {p.relative_to(ROOT).as_posix() for p in MODULES}
     assert dead_public_names(sources, package) == []
+
+
+def file_writes(source: str) -> list[str]:
+    """Calls that write a file: ``open`` with a mode that is not plainly a
+    read mode, ``csv.writer`` and ``json.dump``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        if name == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if not all(isinstance(m, ast.Constant) and set(m.value) <= set("rbt")
+                       for m in modes):
+                found.append(f"open (line {node.lineno})")
+        elif name in ("csv.writer", "json.dump"):
+            found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_write_detector_flags_writes_and_spares_reads():
+    source = ("import csv, json\n"
+              "open(p)\n"
+              "open(p, 'rb')\n"
+              "open(p, newline='')\n"
+              "open(p, 'w', newline='')\n"
+              "open(p, mode='a')\n"
+              "open(p, 'r+')\n"
+              "open(p, m)\n"
+              "csv.reader(fh)\n"
+              "csv.writer(fh)\n"
+              "json.dumps(x)\n"
+              "json.dump(x, fh)\n")
+    assert file_writes(source) == [
+        "open (line 5)", "open (line 6)", "open (line 7)", "open (line 8)",
+        "csv.writer (line 10)", "json.dump (line 12)"]
+
+
+def test_only_series_writes_files():
+    writes = {p.name: file_writes(p.read_text()) for p in MODULES}
+    assert writes.pop("series.py")
+    assert {name: calls for name, calls in writes.items() if calls} == {}

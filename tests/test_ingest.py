@@ -13,8 +13,8 @@ from landmetrics.errors import (
     ValidationError,
 )
 from landmetrics.ingest import (
+    STABLE_CURRENCIES,
     FxTable,
-    SchemaConfig,
     load_daily_prices,
     load_transactions,
     prepare_dataset,
@@ -106,8 +106,7 @@ def test_timestamps_normalized_to_utc(tx_file):
 
 
 def test_currency_whitelist(tx_file):
-    schema = SchemaConfig(currencies=frozenset({"ETH"}))
-    rows, rejected = load_transactions(tx_file, schema)
+    rows, rejected = load_transactions(tx_file, frozenset({"ETH"}))
     assert rows.line.tolist() == [2]
     assert sum(1 for r in rejected if r.reason == "unknown currency") == 2
 
@@ -371,12 +370,11 @@ def test_ingest_matches_row_by_row_oracle(tmp_path, currencies):
     path = write(tmp_path, "adv.csv", "\n".join(ADVERSARIAL_ROWS) + "\n")
     quotes = {(dt.date(2021, 1, 4) + dt.timedelta(days=i), "ETH"): 1000.0 + 37.5 * i
               for i in range(5)}
-    schema = SchemaConfig(currencies=currencies)
-    rows, rejected = load_transactions(path, schema)
-    txs, fx_rejected = to_usd(rows, FxTable(quotes=quotes), schema.stable_currencies)
+    rows, rejected = load_transactions(path, currencies)
+    txs, fx_rejected = to_usd(rows, FxTable(quotes=quotes))
 
     want_rows, want_rejected = load_transactions_oracle(path, currencies)
-    want_txs, want_fx_rejected = to_usd_oracle(want_rows, quotes, schema.stable_currencies)
+    want_txs, want_fx_rejected = to_usd_oracle(want_rows, quotes, STABLE_CURRENCIES)
     assert [(r.line, r.reason) for r in rejected] == want_rejected
     assert [(r.line, r.reason) for r in fx_rejected] == want_fx_rejected
     assert list(zip(rows.line.tolist(), rows.timestamp.astype(object),

@@ -25,6 +25,7 @@ from landmetrics.series import (
     summary_stats,
     weekly_gaps,
     winsorize,
+    write_csv,
 )
 
 from oracles import monday_of, pearson_oracle, quantile_type7, winsorize_oracle
@@ -106,6 +107,17 @@ def test_csv_roundtrip_bit_exact(tmp_path):
     back = TimeSeries.from_csv(p, name="s", freq="daily")
     assert back.dates == s.dates
     assert np.array_equal(back.values, s.values)
+
+
+def test_write_csv_cell_rule_pins_bytes(tmp_path):
+    p = tmp_path / "cells.csv"
+    row = [None, math.nan, math.inf, -0.0, np.float64(0.1), np.bool_(True), False,
+           np.int64(4), dt.date(2021, 1, 4), dt.datetime(2021, 1, 5, 9, 30), "a,b"]
+    write_csv(p, [f"c{i}" for i in range(len(row))], [row], comment="T=3 r0=1")
+    assert p.read_bytes() == (
+        b"# T=3 r0=1\n"
+        b"c0,c1,c2,c3,c4,c5,c6,c7,c8,c9,c10\r\n"
+        b',,inf,-0.0,0.1,1,0,4,2021-01-04,2021-01-05T09:30:00,"a,b"\r\n')
 
 
 def test_from_csv_rejects_wrong_header(tmp_path):
