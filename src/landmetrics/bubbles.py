@@ -477,8 +477,6 @@ def bsadf_series(series, r0: int | None = None, spec: AdfSpec = AdfSpec()) -> li
         raise ValidationError("bsadf_series requires finite values")
     if r0 is None:
         r0 = default_min_window(T)
-    if T <= r0:
-        raise InsufficientDataError(f"series length {T} must exceed r0={r0}")
     _check_sweep(T, r0, spec.n_lags)
     sup, argmax, _ = _sweep(y, r0, spec, r0)
     out = []

@@ -39,15 +39,15 @@ import numpy as np
 
 from .bubbles import AdfSpec, bsadf_series, datestamp, default_min_window, \
     mc_critical_values
-from .errors import DomainError, InsufficientDataError, LandmetricsError, \
-    NumericalError, ValidationError
+from .errors import InsufficientDataError, LandmetricsError, NumericalError, \
+    ValidationError
 from .hedonic import build_hpi, hedonic_fit_to_json, hpi_points_to_csv, \
     hpi_to_series
 from .ingest import Dataset, FxTable, load_daily_prices, load_transactions, \
     prepare_dataset, rejections_to_csv, to_usd, PRICE_COLUMNS, TRANSACTION_COLUMNS
 from .series import SummaryStats, TimeSeries, _fmt, difference, \
     fill_gaps_loglinear, lead_lag_correlation, pairwise_correlation, \
-    resample_weekly, restrict, summary_stats, write_csv, write_json
+    require_positive, resample_weekly, restrict, summary_stats, write_csv, write_json
 from .synthkit import gen_coupled_pair, gen_explosive, gen_hedonic_panel, \
     gen_market_dataset, gen_random_walk
 from .var_granger import build_panel, granger_table, granger_table_to_csv, \
@@ -345,12 +345,7 @@ def _write_return_summary(fx: FxTable, path: str) -> None:
 
 
 def _log_series(series: TimeSeries) -> TimeSeries:
-    if np.any(series.values <= 0.0):
-        bad = series.dates[int(np.flatnonzero(series.values <= 0.0)[0])]
-        raise DomainError(
-            f"log transform of {series.name!r} needs positive values; "
-            f"value at {bad} is not"
-        )
+    require_positive(series, "log transform")
     return TimeSeries(series.name, series.freq, series.dates,
                       np.log(series.values))
 

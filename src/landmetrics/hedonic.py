@@ -49,39 +49,6 @@ from .series import TimeSeries, write_csv, write_json
 COLLINEAR_RTOL = 1e-16
 
 
-@dataclass(frozen=True)
-class Transaction:
-    """One land sale, in USD terms, with its native-settlement facts."""
-
-    timestamp: dt.datetime
-    usd_price: float
-    num_plots: int
-    paid_in_weth: bool
-    native_currency: str
-    native_price: float
-
-    def __post_init__(self):
-        if not isinstance(self.timestamp, dt.datetime):
-            raise ValidationError("timestamp must be a datetime")
-        if not (self.usd_price > 0.0) or not math.isfinite(self.usd_price):
-            raise ValidationError(f"usd_price must be > 0, got {self.usd_price!r}")
-        if not isinstance(self.num_plots, int) or self.num_plots < 1:
-            raise ValidationError(f"num_plots must be an integer >= 1, got {self.num_plots!r}")
-        if not (self.native_price > 0.0) or not math.isfinite(self.native_price):
-            raise ValidationError(f"native_price must be > 0, got {self.native_price!r}")
-        if not self.native_currency:
-            raise ValidationError("native_currency must be non-empty")
-        if self.paid_in_weth != (self.native_currency.upper() == "WETH"):
-            raise ValidationError(
-                f"paid_in_weth={self.paid_in_weth} inconsistent with currency "
-                f"{self.native_currency!r}"
-            )
-
-    @property
-    def date(self) -> dt.date:
-        return self.timestamp.date()
-
-
 #: the table's columns and their dtypes
 _COLUMNS = {"timestamp": "datetime64[us]", "native_price": np.float64, "num_plots": np.int64,
             "currency": np.intp, "line": np.int64, "usd_price": np.float64}
@@ -94,10 +61,11 @@ class TransactionTable:
     ``timestamp`` is naive UTC (datetime64[us]), ``currency`` indexes
     ``symbols``, and ``line`` is the sale's 1-based line in the file it
     was read from (0 for sales built in memory).  ``usd_price`` is
-    ``None`` until the table is converted to USD.  The invariants of
-    :class:`Transaction` are checked once per column.  An integer index
-    gives that sale as a :class:`Transaction`; any other index (a slice,
-    a mask, positions) gives a sub-table.
+    ``None`` until the table is converted to USD.  Each column is checked
+    once, on construction: prices are positive and finite, plot counts are
+    at least 1, and every currency code names a non-empty symbol.  The
+    table is the only in-memory form of a sale; indexing it gives a
+    sub-table.
     """
 
     timestamp: np.ndarray
@@ -139,36 +107,16 @@ class TransactionTable:
         """Whether each sale settled in wETH."""
         return np.array([s.upper() == "WETH" for s in self.symbols], bool)[self.currency]
 
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            (record,) = self[[key]]
-            return record
+    def __getitem__(self, key) -> "TransactionTable":
+        """The sub-table at ``key``: a slice, a mask or positions."""
         return replace(self, **{name: getattr(self, name)[key] for name in _COLUMNS
                                 if getattr(self, name) is not None})
 
-    def __iter__(self):
-        """The sales as :class:`Transaction` records."""
+    def usd_prices(self) -> np.ndarray:
+        """The USD price column; a table not yet converted has none."""
         if self.usd_price is None:
-            raise ValidationError("sales without a USD price have no Transaction records")
-        columns = (self.timestamp, self.usd_price, self.num_plots, self.currency,
-                   self.native_price)
-        for ts, usd, plots, code, native in zip(*(c.tolist() for c in columns)):
-            symbol = self.symbols[code]
-            yield Transaction(ts, usd, plots, symbol.upper() == "WETH", symbol, native)
-
-
-def as_table(transactions) -> TransactionTable:
-    """Sales in USD as a table: a table as it is, Transaction records in order."""
-    if isinstance(transactions, TransactionTable):
-        if transactions.usd_price is None:
             raise ValidationError("transactions have no USD prices yet")
-        return transactions
-    txs = list(transactions)
-    symbols = tuple(dict.fromkeys(t.native_currency for t in txs))
-    return TransactionTable(np.array([t.timestamp for t in txs], "datetime64[us]"),
-                            [t.native_price for t in txs], [t.num_plots for t in txs],
-                            [symbols.index(t.native_currency) for t in txs], symbols,
-                            line=np.zeros(len(txs)), usd_price=[t.usd_price for t in txs])
+        return self.usd_price
 
 
 @dataclass(frozen=True)
@@ -236,13 +184,14 @@ def _within(values, code, counts):
 
 
 def build_hpi(
-    transactions,
+    transactions: TransactionTable,
     freq: str = "weekly",
     min_per_period: int = 3,
 ) -> tuple[list[HpiPoint], HedonicFit]:
     """Estimate the hedonic index over all estimable periods.
 
-    Returns one :class:`HpiPoint` per estimable period (in order) and the
+    ``transactions`` is a table converted to USD.  Returns one
+    :class:`HpiPoint` per estimable period (in order) and the
     :class:`HedonicFit` with the pooled control coefficients.  Periods
     with fewer than ``min_per_period`` transactions are gaps: their
     transactions do not enter the regression and no point is emitted for
@@ -250,8 +199,8 @@ def build_hpi(
     """
     if min_per_period < 1:
         raise ValidationError(f"min_per_period must be >= 1, got {min_per_period}")
-    table = as_table(transactions)
-    period = _periods(table.day, freq)
+    usd_price = transactions.usd_prices()
+    period = _periods(transactions.day, freq)
     labels, counts = np.unique(period, return_counts=True)
     estimable = counts >= min_per_period
     periods = labels[estimable].tolist()
@@ -267,10 +216,10 @@ def build_hpi(
     code = np.repeat(np.arange(len(periods)), n_per)
     n = len(sample)
 
-    log_price = _log(table.usd_price[sample])
+    log_price = _log(usd_price[sample])
     controls = {
-        "log_num_plots": _log(table.num_plots[sample]),
-        "weth_flag": table.paid_in_weth[sample].astype(np.float64),
+        "log_num_plots": _log(transactions.num_plots[sample]),
+        "weth_flag": transactions.paid_in_weth[sample].astype(np.float64),
     }
     kept = [name for name, x in controls.items() if np.ptp(x) > 0.0]
     k = len(kept)

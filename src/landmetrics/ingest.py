@@ -7,8 +7,8 @@ Inputs are pre-exported CSV files:
 
 Transactions are read in one streaming pass into a
 :class:`~landmetrics.hedonic.TransactionTable`, a table of numpy columns
-that carries them on through the USD conversion, the winsorizing and the
-index; no per-row object is built on the way.  Each row runs the checks
+and the only in-memory form of a sale; it carries them on through the
+USD conversion, the winsorizing and the index.  Each row runs the checks
 in this order and is rejected with the first one it fails: ``missing
 fields``, ``bad timestamp``, ``bad price``, ``price <= 0``, ``bad plot
 count``, ``plot count < 1``, ``missing currency``, ``unknown currency``,
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InsufficientDataError, SchemaError, ValidationError
-from .hedonic import TransactionTable, as_table
+from .hedonic import TransactionTable
 from .series import TimeSeries, summary_stats, winsorize, write_csv
 
 TRANSACTION_COLUMNS = ("timestamp", "native_price", "currency", "num_plots", "tx_id")
@@ -235,7 +235,7 @@ def to_usd(rows: TransactionTable, fx: FxTable):
 
 
 def prepare_dataset(
-    transactions,
+    transactions: TransactionTable,
     winsor_lo: float = 0.001,
     winsor_hi: float = 0.999,
     metaverse: str = "",
@@ -243,18 +243,19 @@ def prepare_dataset(
 ) -> Dataset:
     """Winsorize USD prices over the full sample and assemble a Dataset.
 
-    ``transactions`` is a table in USD or an iterable of Transaction
-    records.  Count, order, and dates are untouched; only prices outside
-    the [winsor_lo, winsor_hi] sample quantiles are clamped.  Running the
+    ``transactions`` is a table converted to USD (see :func:`to_usd`).
+    Count, order, and dates are untouched; only prices outside the
+    [winsor_lo, winsor_hi] sample quantiles are clamped.  Running the
     function on its own output is a fixed point.
     """
-    txs = as_table(transactions)
-    if len(txs) < 10:
-        raise InsufficientDataError(f"need >= 10 transactions, got {len(txs)}")
-    day = txs.day
+    usd_price = transactions.usd_prices()
+    if len(transactions) < 10:
+        raise InsufficientDataError(f"need >= 10 transactions, got {len(transactions)}")
+    day = transactions.day
     return Dataset(
         metaverse=metaverse,
-        transactions=replace(txs, usd_price=winsorize(txs.usd_price, winsor_lo, winsor_hi)),
+        transactions=replace(transactions,
+                             usd_price=winsorize(usd_price, winsor_lo, winsor_hi)),
         coverage=(day.min().item(), day.max().item()),
         rejected=tuple(rejected),
     )

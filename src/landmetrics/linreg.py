@@ -97,9 +97,6 @@ class OlsFit:
     def n_obs(self) -> int:
         return self.residuals.shape[0]
 
-    def coefficient(self, label: str) -> float:
-        return float(self.coefficients[self.column_labels.index(label)])
-
     def std_error(self, label: str) -> float:
         if self.std_errors is None:
             raise ValidationError("saturated fit has no standard errors")

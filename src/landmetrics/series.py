@@ -287,6 +287,15 @@ def resample_weekly(series: TimeSeries, rule: str = "last") -> TimeSeries:
     return TimeSeries(series.name, "weekly", tuple(mondays), np.array(vals))
 
 
+def require_positive(series: TimeSeries, what: str) -> None:
+    """Raise :class:`DomainError` naming the first date whose value is not
+    positive: ``what`` (a log transform) of ``series`` is undefined there."""
+    bad = np.flatnonzero(series.values <= 0.0)
+    if bad.size:
+        raise DomainError(f"{what} of {series.name!r} needs positive values; "
+                          f"value at {series.dates[int(bad[0])]} is not")
+
+
 def difference(series: TimeSeries, mode: str = "log") -> TimeSeries:
     """First difference of a series; ``mode="log"`` gives log returns.
 
@@ -300,11 +309,7 @@ def difference(series: TimeSeries, mode: str = "log") -> TimeSeries:
         raise InsufficientDataError(f"cannot difference series {series.name!r} of length {len(series)}")
     x = series.values
     if mode == "log":
-        if np.any(x <= 0.0):
-            bad = series.dates[int(np.flatnonzero(x <= 0.0)[0])]
-            raise DomainError(
-                f"log difference of {series.name!r} undefined: non-positive value at {bad}"
-            )
+        require_positive(series, "log difference")
         out = np.diff(np.log(x))
         suffix = "_dlog"
     else:
@@ -453,9 +458,7 @@ def fill_gaps_loglinear(series: TimeSeries) -> TimeSeries:
     gaps = weekly_gaps(series)
     if not gaps:
         return series
-    if np.any(series.values <= 0.0):
-        bad = series.dates[int(np.flatnonzero(series.values <= 0.0)[0])]
-        raise DomainError(f"log-linear fill of {series.name!r} needs positive values; {bad} is not")
+    require_positive(series, "log-linear fill")
     logv = {d: math.log(v) for d, v in zip(series.dates, series.values)}
     known = list(series.dates)
     dates, values = [], []

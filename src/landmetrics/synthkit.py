@@ -229,9 +229,12 @@ def gen_hedonic_panel(
 class MarketSim:
     """A synthetic land market in the exact file schemas ingest reads.
 
-    ``tx_rows`` are raw CSV field tuples (a handful of them deliberately
-    malformed so the rejection path stays exercised), ``price_rows`` are
-    daily quote rows, and ``truth`` records everything that was planted.
+    ``tx_rows`` are transaction rows of raw values (a datetime, the native
+    price, the currency, the plot count and the id; a handful of them
+    deliberately malformed so the rejection path stays exercised),
+    ``price_rows`` are ``(date, symbol, usd_price)`` quote rows, and
+    ``truth`` records everything that was planted.  ``series.write_csv``
+    writes both row lists in the schemas ingest reads.
     """
 
     metaverse: str
@@ -273,9 +276,9 @@ def gen_market_dataset(
 
     price_rows = []
     for i, d in enumerate(days):
-        price_rows.append((d.isoformat(), coin, math.exp(ln_vox[i])))
-        price_rows.append((d.isoformat(), "BTC", math.exp(ln_btc[i])))
-        price_rows.append((d.isoformat(), "ETH", math.exp(ln_eth[i])))
+        price_rows.append((d, coin, math.exp(ln_vox[i])))
+        price_rows.append((d, "BTC", math.exp(ln_btc[i])))
+        price_rows.append((d, "ETH", math.exp(ln_eth[i])))
 
     # weekly land deltas follow the previous week's closing log coin price,
     # so a last-observation weekly resample sees the dependence at lag 1
@@ -313,14 +316,12 @@ def gen_market_dataset(
             minute = int(rng.integers(0, 60))
             ts = dt.datetime.combine(days[day_idx], dt.time(hour, minute))
             counter += 1
-            tx_rows.append(
-                (ts.isoformat(), repr(native), currency, str(plots), f"tx{counter:05d}")
-            )
+            tx_rows.append((ts, native, currency, plots, f"tx{counter:05d}"))
     # deliberately broken rows: one per rejection stage
-    tx_rows.append(("not-a-date", "1.0", "ETH", "2", "bad-ts"))
-    tx_rows.append((days[10].isoformat() + "T09:00:00", "-4.0", "ETH", "1", "bad-price"))
-    tx_rows.append((days[11].isoformat() + "T09:00:00", "2.0", "ETH", "0", "bad-plots"))
-    tx_rows.append(("2020-12-15T12:00:00", "1.5", "ETH", "1", "no-quote"))
+    tx_rows.append(("not-a-date", 1.0, "ETH", 2, "bad-ts"))
+    tx_rows.append((dt.datetime.combine(days[10], dt.time(9)), -4.0, "ETH", 1, "bad-price"))
+    tx_rows.append((dt.datetime.combine(days[11], dt.time(9)), 2.0, "ETH", 0, "bad-plots"))
+    tx_rows.append((dt.datetime(2020, 12, 15, 12), 1.5, "ETH", 1, "no-quote"))
 
     truth = {
         "coin": coin,

@@ -265,27 +265,31 @@ def hedonic_refit_oracle(transactions, freq="weekly", min_per_period=3):
     the Monday of each transaction's week (or by calendar day), keeps
     periods meeting the minimum count, and regresses log USD price on an
     intercept, one dummy per non-base period, and whichever of log plot
-    count / wrapped-payment flag actually varies in the kept sample.
+    count / wrapped-payment flag actually varies in the kept sample.  Reads
+    the table's ``day``, ``usd_price``, ``num_plots`` and ``paid_in_weth``
+    columns as plain Python values.
     """
     buckets = {}
-    for t in transactions:
-        key = monday_of(t.date) if freq == "weekly" else t.date
-        buckets.setdefault(key, []).append(t)
+    sales = zip(transactions.day.tolist(), transactions.usd_price.tolist(),
+                transactions.num_plots.tolist(), transactions.paid_in_weth.tolist())
+    for date, usd, num_plots, paid_in_weth in sales:
+        key = monday_of(date) if freq == "weekly" else date
+        buckets.setdefault(key, []).append((usd, num_plots, paid_in_weth))
     periods = [p for p in sorted(buckets) if len(buckets[p]) >= min_per_period]
     sample = [(p, t) for p in periods for t in buckets[p]]
-    plots = [math.log(t.num_plots) for _, t in sample]
-    weth = [1.0 if t.paid_in_weth else 0.0 for _, t in sample]
+    plots = [math.log(num_plots) for _, (_, num_plots, _) in sample]
+    weth = [1.0 if paid_in_weth else 0.0 for _, (_, _, paid_in_weth) in sample]
     has_plots = max(plots) > min(plots)
     has_weth = max(weth) > min(weth)
     rows, y = [], []
-    for (p, t), lp, w in zip(sample, plots, weth):
+    for (p, (usd, _, _)), lp, w in zip(sample, plots, weth):
         row = [1.0] + [1.0 if p == q else 0.0 for q in periods[1:]]
         if has_plots:
             row.append(lp)
         if has_weth:
             row.append(w)
         rows.append(row)
-        y.append(math.log(t.usd_price))
+        y.append(math.log(usd))
     beta, _, rss, diag = ols_normal_equations(rows, y)
     df = len(rows) - len(rows[0])
     se = [math.sqrt(rss / df * d) for d in diag] if df > 0 else None

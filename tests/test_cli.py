@@ -172,6 +172,17 @@ SIMULATED_SHA256 = {
     ("market", "transactions.csv"):
         "4cc0e84cc0e075f5f13b3eb45df85cfcd59a65413a14275a603359d49379c804",
     ("market", "truth.json"): "07d15a5bb420baa564d7ba8c14a08e837b544e4dd80b5cb6b5d18ddc1a7bbb27",
+    ("explosive", "explosive.csv"):
+        "4034b579790e20304cf2152d2735d4031ca4ee668fa8b097f3544d7e3d559f67",
+    ("explosive", "truth.json"):
+        "c9e24e8df57455caf872a144144702c5aa2a686f5f4baf4806ea8b9fef44932f",
+    ("walk", "truth.json"): "36789887c971cc9103ec98e2f609f518a28ef6815a591df06a267356ab7e23ed",
+    ("walk", "walk.csv"): "89f510c9b37121469941a44e68c3f689b7a8966962e70650a69af0db8b8bf351",
+    ("coupled", "coupled_x.csv"):
+        "23733b061413513a86ac91de70340e87b939ff9647905b9f7dbccc8ff18d71e8",
+    ("coupled", "coupled_y.csv"):
+        "6a9949c8bd688d3926515a7702ee33000cc806b62004103dec8ade20dac124bd",
+    ("coupled", "truth.json"): "ce7c061fa4c8e71c19dbf5b9f8e192343204dd70680745dfb1b4b345c29fbbff",
 }
 
 
@@ -179,6 +190,9 @@ SIMULATED_SHA256 = {
     ("hedonic", ["--seed", "3", "--deltas", "0,0.1,-0.2,0.05", "--n-per-period", "25",
                  "--beta-plots", "0.9", "--beta-weth", "-0.05", "--noise", "0.3"]),
     ("market", ["--weeks", "20", "--seed", "5"]),
+    ("explosive", ["--length", "240", "--seed", "1"]),     # the bic_stamp benchmark's input
+    ("walk", ["--length", "120", "--seed", "2", "--drift", "0.1", "--sigma", "2"]),
+    ("coupled", ["--length", "80", "--seed", "4", "--beta", "0.6", "--lag", "2"]),
 ])
 def test_simulate_writes_pinned_bytes(tmp_path, kind, flags):
     assert main(["simulate", "--kind", kind, *flags, "--out-dir", str(tmp_path)]) == 0
@@ -250,6 +264,14 @@ def test_bubble_series_file_outputs_and_rerun_identical(tmp_path, capsys):
     meta = (out1 / "cv_walkdemo.csv").read_text().splitlines()[0]
     assert meta == "# T=140 r0=25 n_rep=200 seed=3 n_lags=1"
     capsys.readouterr()
+
+
+def test_bubble_log_prices_need_positive_values(tmp_path, capsys):
+    src = tmp_path / "walkdemo.csv"
+    gen_random_walk(140, seed=2).to_csv(src)     # starts at 0
+    assert main(["bubble", "--series-file", str(src), "--r0", "25",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert "'walkdemo' needs positive values; value at 2021-01-04" in capsys.readouterr().err
 
 
 def test_bubble_bic_lag_selection_outputs_and_rerun_identical(tmp_path, capsys):

@@ -15,9 +15,8 @@ from landmetrics.errors import (
     ValidationError,
 )
 from landmetrics.hedonic import (
-    Transaction,
+    TransactionTable,
     _log,
-    as_table,
     build_hpi,
     hedonic_fit_to_json,
     hpi_points_to_csv,
@@ -31,15 +30,16 @@ D0 = dt.date(2021, 1, 4)  # a Monday
 
 
 def tx(day, usd, plots=1, weth=False, hour=12):
-    ts = dt.datetime(day.year, day.month, day.day, hour)
-    return Transaction(
-        timestamp=ts,
-        usd_price=float(usd),
-        num_plots=int(plots),
-        paid_in_weth=weth,
-        native_currency="WETH" if weth else "ETH",
-        native_price=float(usd) / 2000.0,
-    )
+    """One sale: (timestamp, USD price, plot count, settled in wETH)."""
+    return dt.datetime(day.year, day.month, day.day, hour), float(usd), int(plots), weth
+
+
+def table(txs):
+    """The sales as a table in USD, settled in ETH or wETH at 2000 USD."""
+    stamps, usd, plots, weth = zip(*txs) if txs else ((),) * 4
+    usd = np.array(usd, np.float64)
+    return TransactionTable(np.array(stamps, "datetime64[us]"), usd / 2000.0, plots, weth,
+                            ("ETH", "WETH"), line=np.zeros(len(usd)), usd_price=usd)
 
 
 def week(i):
@@ -50,43 +50,30 @@ _oracle_refit = hedonic_refit_oracle
 
 
 # ---------------------------------------------------------------------------
-# Transaction validation
+# the transaction table
 # ---------------------------------------------------------------------------
 
 
-def test_transaction_validation():
+def test_transaction_table_checks_columns():
+    sales = table([tx(D0, 10.0, plots=2), tx(week(1), 20.0, weth=True)])
+    assert len(sales) == 2
+    assert sales.day.tolist() == [D0, week(1)]
+    assert sales.paid_in_weth.tolist() == [False, True]
+    last = sales[sales.paid_in_weth]
+    assert len(last) == 1 and last.usd_price.tolist() == [20.0]
+    assert sales[1:].num_plots.tolist() == [1] and sales[[1, 0]].num_plots.tolist() == [1, 2]
     with pytest.raises(ValidationError, match="usd_price"):
-        tx(D0, -5.0)
+        replace(sales, usd_price=[10.0, -1.0])
+    with pytest.raises(ValidationError, match="native_price"):
+        replace(sales, native_price=[1.0, math.inf])
     with pytest.raises(ValidationError, match="num_plots"):
-        tx(D0, 10.0, plots=0)
-    with pytest.raises(ValidationError, match="inconsistent"):
-        Transaction(
-            timestamp=dt.datetime(2021, 1, 4, 9),
-            usd_price=10.0,
-            num_plots=1,
-            paid_in_weth=True,
-            native_currency="ETH",
-            native_price=0.005,
-        )
-    t = tx(D0, 10.0)
-    assert t.date == D0
-
-
-def test_transaction_table_checks_columns_and_gives_records():
-    txs = [tx(D0, 10.0, plots=2), tx(week(1), 20.0, weth=True)]
-    table = as_table(txs)
-    assert len(table) == 2 and list(table) == txs
-    assert table[-1] == txs[-1]
-    assert table[table.paid_in_weth][0] == txs[1]
-    assert table.day.tolist() == [D0, week(1)]
-    with pytest.raises(ValidationError, match="usd_price"):
-        replace(table, usd_price=[10.0, -1.0])
-    with pytest.raises(ValidationError, match="num_plots"):
-        replace(table, num_plots=[1, 0])
+        replace(sales, num_plots=[1, 0])
     with pytest.raises(ValidationError, match="equal length"):
-        replace(table, native_price=[1.0])
+        replace(sales, native_price=[1.0])
+    with pytest.raises(ValidationError, match="symbols"):
+        replace(sales, symbols=("ETH",))
     with pytest.raises(ValidationError, match="USD"):
-        build_hpi(replace(table, usd_price=None))
+        build_hpi(replace(sales, usd_price=None))
 
 
 # ---------------------------------------------------------------------------
@@ -96,19 +83,20 @@ def test_transaction_table_checks_columns_and_gives_records():
 
 def test_same_day_transactions_share_a_bucket():
     txs = [tx(D0, 10.0 + i) for i in range(3)] + [tx(week(1), 11.0)]
-    points, _ = build_hpi(txs, min_per_period=1)
+    points, _ = build_hpi(table(txs), min_per_period=1)
     assert [p.period for p in points] == [D0, week(1)]
     assert points[0].n_transactions == 3
 
 
 def test_consecutive_mondays_get_distinct_buckets():
     txs = [tx(week(0), 10.0), tx(week(1), 11.0)]
-    points, _ = build_hpi(txs, min_per_period=1)
+    points, _ = build_hpi(table(txs), min_per_period=1)
     assert [p.period for p in points] == [week(0), week(1)]
     # the ISO week of Monday 1969-12-29 straddles the Unix epoch
     days = [dt.date(1969, 12, 29), dt.date(1970, 1, 1), dt.date(1970, 1, 4),
             dt.date(1970, 1, 5)]
-    points, _ = build_hpi([tx(d, 10.0 + i) for i, d in enumerate(days)], min_per_period=1)
+    points, _ = build_hpi(table([tx(d, 10.0 + i) for i, d in enumerate(days)]),
+                          min_per_period=1)
     assert [(p.period, p.n_transactions) for p in points] == [
         (dt.date(1969, 12, 29), 3), (dt.date(1970, 1, 5), 1)]
 
@@ -119,10 +107,11 @@ def test_weekly_buckets_match_calendar_oracle():
         tx(D0 + dt.timedelta(days=int(d)), 10.0 + i)
         for i, d in enumerate(rng.integers(0, 120, size=100))
     ]
-    points, fit = build_hpi(txs, freq="weekly", min_per_period=1)
+    points, fit = build_hpi(table(txs), freq="weekly", min_per_period=1)
     counts = {}
     for t in txs:
-        counts[monday_of(t.date)] = counts.get(monday_of(t.date), 0) + 1
+        monday = monday_of(t[0].date())
+        counts[monday] = counts.get(monday, 0) + 1
     assert {p.period: p.n_transactions for p in points} == counts
     assert all(p.period.weekday() == 0 for p in points)
     assert fit.n_obs == 100
@@ -131,10 +120,10 @@ def test_weekly_buckets_match_calendar_oracle():
 
 def test_daily_buckets_are_dates():
     txs = [tx(D0, 10.0), tx(D0 + dt.timedelta(days=1), 11.0)]
-    points, _ = build_hpi(txs, freq="daily", min_per_period=1)
+    points, _ = build_hpi(table(txs), freq="daily", min_per_period=1)
     assert [p.period for p in points] == [D0, D0 + dt.timedelta(days=1)]
     with pytest.raises(ValidationError):
-        build_hpi(txs, freq="monthly", min_per_period=1)
+        build_hpi(table(txs), freq="monthly", min_per_period=1)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +134,7 @@ def test_daily_buckets_are_dates():
 def test_noiseless_doubling_recovers_exact_index():
     txs = [tx(week(0), p) for p in (100.0, 200.0, 400.0)]
     txs += [tx(week(1), 2.0 * p) for p in (100.0, 200.0, 400.0)]
-    points, fit = build_hpi(txs)
+    points, fit = build_hpi(table(txs))
     assert [p.period for p in points] == [week(0), week(1)]
     assert points[0].index == 1.0
     assert points[0].delta == 0.0
@@ -161,7 +150,7 @@ def test_noiseless_doubling_recovers_exact_index():
 def test_single_period_is_insufficient():
     txs = [tx(week(0), 10.0 + i) for i in range(5)]
     with pytest.raises(InsufficientDataError):
-        build_hpi(txs)
+        build_hpi(table(txs))
 
 
 def test_coefficients_match_materialized_dummy_oracle():
@@ -176,8 +165,8 @@ def test_coefficients_match_materialized_dummy_oracle():
             usd = math.exp(math.log(500.0) + d + 0.9 * math.log(plots)
                            - 0.1 * weth + 0.05 * z)
             txs.append(tx(week(w), usd, plots=plots, weth=weth))
-    points, fit = build_hpi(txs)
-    periods, beta, se, rss = _oracle_refit(txs)
+    points, fit = build_hpi(table(txs))
+    periods, beta, se, rss = _oracle_refit(table(txs))
 
     assert [p.period for p in points] == periods
     # oracle layout: [const, dummy_1, dummy_2, log_plots, weth]
@@ -203,7 +192,7 @@ def test_planted_coefficients_recovered_without_noise():
             weth = bool(rng.integers(0, 2))
             usd = math.exp(math.log(300.0) + d + 0.9 * math.log(plots) - 0.1 * weth)
             txs.append(tx(week(w), usd, plots=plots, weth=weth))
-    points, fit = build_hpi(txs)
+    points, fit = build_hpi(table(txs))
     for p, d in zip(points, deltas):
         assert p.index == pytest.approx(math.exp(d), abs=1e-10)
     assert fit.beta_log_plots == pytest.approx(0.9, abs=1e-10)
@@ -219,8 +208,8 @@ def test_currency_unit_invariance():
             plots = int(rng.integers(1, 5))
             txs.append(tx(week(w), usd, plots=plots))
             scaled.append(tx(week(w), usd * 1000.0, plots=plots))
-    base_points, _ = build_hpi(txs)
-    scaled_points, _ = build_hpi(scaled)
+    base_points, _ = build_hpi(table(txs))
+    scaled_points, _ = build_hpi(table(scaled))
     for a, b in zip(base_points, scaled_points):
         assert b.index == pytest.approx(a.index, abs=1e-10)
         assert b.delta == pytest.approx(a.delta, abs=1e-10)
@@ -237,7 +226,7 @@ def test_reduces_to_geometric_means_with_identical_composition():
         prices = scale * rng.lognormal(5.0, 0.3, size=5)
         levels[w] = prices
         txs += [tx(week(w), p) for p in prices]
-    points, fit = build_hpi(txs)
+    points, fit = build_hpi(table(txs))
     gm = {w: math.exp(np.mean(np.log(v))) for w, v in levels.items()}
     for w, p in enumerate(points):
         assert p.index == pytest.approx(gm[w] / gm[0], rel=1e-9)
@@ -255,13 +244,13 @@ def test_plot_count_control_absorbs_composition_shift():
     txs += [tx(week(0), 2.0 * p, plots=2) for p in base_prices]
     txs += [tx(week(1), 2.0 * p, plots=2) for p in base_prices]
     txs += [tx(week(1), p, plots=1) for p in base_prices]
-    points, fit = build_hpi(txs)
+    points, fit = build_hpi(table(txs))
     assert points[1].index == pytest.approx(1.0, abs=1e-9)
     assert fit.beta_log_plots == pytest.approx(1.0, abs=1e-9)
 
     # without plot variation in the data the same prices would read as a
     # price move; verify against the materialized oracle refit
-    periods, beta, se, _ = _oracle_refit(txs)
+    periods, beta, se, _ = _oracle_refit(table(txs))
     assert points[1].delta == pytest.approx(beta[1], abs=1e-10)
 
 
@@ -269,7 +258,7 @@ def test_sparse_period_becomes_gap():
     txs = [tx(week(0), 100.0 + i) for i in range(4)]
     txs += [tx(week(1), 150.0), tx(week(1), 160.0)]  # below min_per_period
     txs += [tx(week(2), 120.0 + i) for i in range(3)]
-    points, fit = build_hpi(txs, min_per_period=3)
+    points, fit = build_hpi(table(txs), min_per_period=3)
     assert [p.period for p in points] == [week(0), week(2)]
     assert fit.gap_periods == (week(1),)
     assert fit.n_obs == 7  # the two gap transactions never enter the fit
@@ -277,7 +266,7 @@ def test_sparse_period_becomes_gap():
 
 def test_min_per_period_one_keeps_everything():
     txs = [tx(week(0), 100.0), tx(week(1), 110.0), tx(week(2), 121.0)]
-    points, fit = build_hpi(txs, min_per_period=1)
+    points, fit = build_hpi(table(txs), min_per_period=1)
     assert len(points) == 3
     assert fit.gap_periods == ()
     assert fit.df_resid == 0
@@ -289,7 +278,7 @@ def test_collinear_control_raises_singular():
     txs = [tx(week(0), 100.0 + i) for i in range(4)]
     txs += [tx(week(1), 150.0 + i, weth=True) for i in range(4)]
     with pytest.raises(SingularDesignError) as exc:
-        build_hpi(txs)
+        build_hpi(table(txs))
     assert "weth_flag" in str(exc.value)
 
 
@@ -303,7 +292,7 @@ def test_control_constant_within_each_week_raises_singular():
             usd = float(rng.lognormal(5.0, 0.3))
             txs.append(tx(week(w), usd, plots=plots, weth=j % 2 == 0))
     with pytest.raises(SingularDesignError) as exc:
-        build_hpi(txs)
+        build_hpi(table(txs))
     assert "log_num_plots" in str(exc.value)
     assert "log_num_plots" in exc.value.columns
 
@@ -319,15 +308,15 @@ def test_controls_collinear_within_periods_raise_singular():
             usd = float(rng.lognormal(5.0, 0.3))
             txs.append(tx(week(w), usd, plots=plots, weth=plots == 2))
     with pytest.raises(SingularDesignError) as exc:
-        build_hpi(txs)
+        build_hpi(table(txs))
     assert "log_num_plots" in str(exc.value)
     assert "weth_flag" in str(exc.value)
     assert set(exc.value.columns) == {"log_num_plots", "weth_flag"}
 
 
-def _assert_matches_oracle(txs, freq):
-    points, fit = build_hpi(txs, freq=freq)
-    periods, beta, se, rss = _oracle_refit(txs, freq=freq)
+def _assert_matches_oracle(sales, freq):
+    points, fit = build_hpi(sales, freq=freq)
+    periods, beta, se, rss = _oracle_refit(sales, freq=freq)
     assert [p.period for p in points] == periods
     P = len(periods)
     for i, p in enumerate(points[1:], start=1):
@@ -348,8 +337,9 @@ def test_daily_panel_with_gap_matches_oracle():
     deltas = [0.0, 0.1, -0.05, 0.2, 0.15, -0.1]
     txs, _ = gen_hedonic_panel(deltas, n_per_period=8, beta_plots=0.7,
                                beta_weth=-0.2, noise=0.1, seed=4, freq="daily")
-    gap_day = txs[16].date
-    txs = [t for t in txs if t.date != gap_day] + [t for t in txs if t.date == gap_day][:2]
+    gap_day = txs.day[16].item()
+    on_gap = txs.day == np.datetime64(gap_day)
+    txs = txs[np.concatenate([np.flatnonzero(~on_gap), np.flatnonzero(on_gap)[:2]])]
     points, fit = _assert_matches_oracle(txs, "daily")
     assert fit.gap_periods == (gap_day,)
     assert len(points) == len(deltas) - 1
@@ -364,7 +354,7 @@ def test_weth_only_panel_matches_oracle():
             weth = bool(rng.integers(0, 2))
             usd = math.exp(6.0 + d - 0.15 * weth + 0.05 * rng.normal())
             txs.append(tx(week(w), usd, plots=1, weth=weth))
-    _, fit = _assert_matches_oracle(txs, "weekly")
+    _, fit = _assert_matches_oracle(table(txs), "weekly")
     assert fit.beta_log_plots is None and fit.se_log_plots is None
     assert fit.beta_weth is not None
 
@@ -398,9 +388,9 @@ def test_log_holds_one_value_at_a_time():
 
 def test_build_hpi_validation():
     with pytest.raises(ValidationError):
-        build_hpi([tx(week(0), 10.0)], min_per_period=0)
+        build_hpi(table([tx(week(0), 10.0)]), min_per_period=0)
     with pytest.raises(ValidationError):
-        build_hpi([])
+        build_hpi(table([]))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +407,7 @@ def _three_week_panel():
             continue
         for _ in range(4):
             txs.append(tx(week(w), float(rng.lognormal(5.0, 0.3))))
-    return build_hpi(txs)
+    return build_hpi(table(txs))
 
 
 def test_hpi_to_series_skips_gap_weeks():

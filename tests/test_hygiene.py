@@ -1,5 +1,6 @@
-"""Source hygiene: no module under ``src/landmetrics`` keeps a dead import
-or a dead public function or class, and only ``series`` writes files.
+"""Source hygiene: no module under ``src/landmetrics`` keeps a dead import,
+a dead public function or class, or a dead public method or property, and
+only ``series`` writes files.
 
 No linter ships with the package's test dependencies, so this check
 parses each module with ``ast`` instead.
@@ -53,6 +54,19 @@ def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _sources() -> dict[str, str]:
+    return {p.relative_to(ROOT).as_posix(): p.read_text()
+            for top in ("src", "tests", "scripts")
+            for p in sorted((ROOT / top).rglob("*.py"))}
+
+
+def _without(text: str, node) -> str:
+    """``text`` less the lines of ``node``'s definition, decorators included."""
+    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+    lines = text.splitlines()
+    return "\n".join(lines[:first - 1] + lines[node.end_lineno:])
+
+
 def dead_public_names(sources: dict[str, str], package) -> list[str]:
     """Public top-level functions and classes of the ``package`` paths
     whose name appears in no text of ``sources`` (path -> source) outside
@@ -64,15 +78,9 @@ def dead_public_names(sources: dict[str, str], package) -> list[str]:
                 continue
             if node.name.startswith("_"):
                 continue
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
             word = re.compile(rf"\b{re.escape(node.name)}\b")
-            for other, text in sources.items():
-                if other == path:
-                    lines = text.splitlines()
-                    text = "\n".join(lines[:first - 1] + lines[node.end_lineno:])
-                if word.search(text):
-                    break
-            else:
+            if not any(word.search(_without(text, node) if other == path else text)
+                       for other, text in sources.items()):
                 dead.append(f"{path}: {node.name}")
     return dead
 
@@ -97,11 +105,52 @@ def test_dead_name_detector_flags_names_used_only_at_their_definition():
 
 
 def test_package_has_no_dead_public_names():
-    sources = {p.relative_to(ROOT).as_posix(): p.read_text()
-               for top in ("src", "tests", "scripts")
-               for p in sorted((ROOT / top).rglob("*.py"))}
     package = {p.relative_to(ROOT).as_posix() for p in MODULES}
-    assert dead_public_names(sources, package) == []
+    assert dead_public_names(_sources(), package) == []
+
+
+def dead_public_methods(sources: dict[str, str], package) -> list[str]:
+    """Public methods and properties of the top-level classes of the
+    ``package`` paths with no ``.name`` reference in any text of
+    ``sources`` outside their own definition."""
+    dead = []
+    for path in sorted(package):
+        for cls in ast.parse(sources[path]).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        or node.name.startswith("_")):
+                    continue
+                attribute = re.compile(rf"\.{re.escape(node.name)}\b")
+                if not any(attribute.search(_without(text, node) if other == path else text)
+                           for other, text in sources.items()):
+                    dead.append(f"{path}: {cls.name}.{node.name}")
+    return dead
+
+
+def test_dead_method_detector_needs_an_attribute_reference():
+    module = ("class Fit:\n"
+              "    @property\n"
+              "    def n_obs(self):\n"
+              "        return 3\n"
+              "    def coefficient(self, label):\n"
+              "        return self.coefficient(label)\n"
+              "    def table(self):\n"
+              "        return self.n_obs\n"
+              "    def _private(self):\n"
+              "        pass\n"
+              "def render(fit):\n"
+              "    return fit.table()\n"
+              "def unused(fit):\n"
+              "    return coefficient\n")
+    sources = {"pkg/mod.py": module, "tests/test_mod.py": "from pkg.mod import render\n"}
+    assert dead_public_methods(sources, {"pkg/mod.py"}) == ["pkg/mod.py: Fit.coefficient"]
+
+
+def test_package_has_no_dead_public_methods():
+    package = {p.relative_to(ROOT).as_posix() for p in MODULES}
+    assert dead_public_methods(_sources(), package) == []
 
 
 def file_writes(source: str) -> list[str]:

@@ -201,17 +201,14 @@ def test_nonpositive_or_malformed_price_rejected(tmp_path):
 
 def test_usd_conversion_values(tx_file, fx):
     rows, _ = load_transactions(tx_file)
+    with pytest.raises(ValidationError, match="USD"):
+        prepare_dataset(rows)
     txs, rejected = to_usd(rows, fx)
     assert not rejected
-    t1 = txs[0]
-    assert t1.usd_price == 2.0 * 1000.0
-    assert t1.paid_in_weth is False
-    weth = txs[1]
-    assert weth.usd_price == 5.0 * 1100.0  # wETH settles at the ETH quote
-    assert weth.paid_in_weth is True
-    assert weth.native_currency == "WETH"
-    stable = txs[2]
-    assert stable.usd_price == 100.0  # exactly 1.0, no quote needed
+    # wETH settles at the ETH quote; USDC at exactly 1.0, with no quote needed
+    assert txs.usd_price.tolist() == [2.0 * 1000.0, 5.0 * 1100.0, 100.0]
+    assert txs.paid_in_weth.tolist() == [False, True, False]
+    assert [txs.symbols[c] for c in txs.currency] == ["ETH", "WETH", "USDC"]
 
 
 def test_missing_quote_rejects_row(fx):
@@ -235,8 +232,7 @@ def test_usd_conversion_is_linear_in_fx(tx_file, fx):
     base, _ = to_usd(non_stable, fx)
     scaled_fx = FxTable(quotes={k: 3.0 * v for k, v in fx.quotes.items()})
     scaled, _ = to_usd(non_stable, scaled_fx)
-    for a, b in zip(base, scaled):
-        assert b.usd_price == pytest.approx(3.0 * a.usd_price, rel=1e-12)
+    assert scaled.usd_price == pytest.approx(3.0 * base.usd_price, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -245,28 +241,19 @@ def test_usd_conversion_is_linear_in_fx(tx_file, fx):
 
 
 def _transactions(prices, start=dt.date(2021, 1, 4)):
-    from landmetrics.hedonic import Transaction
-
-    out = []
-    for i, p in enumerate(prices):
-        day = start + dt.timedelta(days=i % 30)
-        out.append(
-            Transaction(
-                timestamp=dt.datetime(day.year, day.month, day.day, 10),
-                usd_price=float(p),
-                num_plots=1,
-                paid_in_weth=False,
-                native_currency="ETH",
-                native_price=float(p) / 2000.0,
-            )
-        )
-    return out
+    """ETH sales in USD at 10:00, one a day over a 30-day cycle."""
+    usd = np.asarray(prices, np.float64)
+    days = np.datetime64(start) + np.arange(len(usd)) % 30
+    return TransactionTable(
+        timestamp=days + np.timedelta64(10, "h"), native_price=usd / 2000.0,
+        num_plots=np.ones(len(usd)), currency=np.zeros(len(usd)), symbols=("ETH",),
+        line=np.zeros(len(usd)), usd_price=usd)
 
 
 def test_prepare_identity_when_no_outliers():
     txs = _transactions(np.linspace(100.0, 200.0, 50))
     ds = prepare_dataset(txs, winsor_lo=0.0, winsor_hi=1.0, metaverse="demo")
-    assert [t.usd_price for t in ds.transactions] == [t.usd_price for t in txs]
+    assert ds.transactions.usd_price.tolist() == txs.usd_price.tolist()
     assert ds.metaverse == "demo"
     assert ds.coverage == (dt.date(2021, 1, 4), dt.date(2021, 2, 2))
 
@@ -276,7 +263,7 @@ def test_prepare_clamps_planted_outlier():
     txs = _transactions(prices)
     ds = prepare_dataset(txs, winsor_lo=0.001, winsor_hi=0.999)
     expected = winsorize_oracle(prices.tolist(), 0.001, 0.999)
-    got = [t.usd_price for t in ds.transactions]
+    got = ds.transactions.usd_price.tolist()
     assert got == pytest.approx(expected, rel=1e-12)
     assert max(got) < 1e6
     assert len(ds.transactions) == 100  # clamped, never dropped
@@ -287,9 +274,7 @@ def test_prepare_is_fixed_point():
     txs = _transactions(rng.lognormal(5.0, 1.0, size=200))
     once = prepare_dataset(txs, metaverse="m")
     twice = prepare_dataset(once.transactions, metaverse="m")
-    assert [t.usd_price for t in once.transactions] == [
-        t.usd_price for t in twice.transactions
-    ]
+    assert once.transactions.usd_price.tolist() == twice.transactions.usd_price.tolist()
 
 
 def test_prepare_needs_ten_transactions():
@@ -301,7 +286,7 @@ def test_dataset_summary_matches_stats():
     txs = _transactions([100.0, 150.0, 200.0, 130.0] * 5)
     ds = prepare_dataset(txs, winsor_lo=0.0, winsor_hi=1.0)
     s = ds.summary()
-    direct = summary_stats([t.usd_price for t in ds.transactions])
+    direct = summary_stats(ds.transactions.usd_price)
     assert s["n"] == 20
     assert s["usd_price"].mean == direct.mean
     assert s["usd_price"].p95 == direct.p95

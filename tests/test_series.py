@@ -566,5 +566,5 @@ def test_fill_gaps_noop_without_gaps():
 def test_fill_gaps_requires_positive_values():
     dates = (D0, D0 + dt.timedelta(weeks=2))
     s = TimeSeries("s", "weekly", dates, np.array([1.0, -1.0]))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="'s' needs positive values; value at 2021-01-18"):
         fill_gaps_loglinear(s)

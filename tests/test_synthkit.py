@@ -1,6 +1,5 @@
 """Synthetic-generator tests: determinism, planted truth, edge cases."""
 
-import csv
 import datetime as dt
 import math
 
@@ -9,7 +8,9 @@ import pytest
 
 from landmetrics.errors import ValidationError
 from landmetrics.hedonic import build_hpi
-from landmetrics.ingest import load_daily_prices, load_transactions, to_usd
+from landmetrics.ingest import PRICE_COLUMNS, TRANSACTION_COLUMNS, load_daily_prices, \
+    load_transactions, to_usd
+from landmetrics.series import write_csv
 from landmetrics.synthkit import (
     EPOCH,
     gen_coupled_pair,
@@ -176,12 +177,13 @@ def test_hedonic_panel_flat_deltas_give_flat_index():
 
 def test_hedonic_panel_structure():
     txs, _ = gen_hedonic_panel([0.0, 0.5], n_per_period=25, seed=8)
-    weeks = {tx.date.isocalendar()[:2] for tx in txs}
+    weeks = {d.isocalendar()[:2] for d in txs.day.tolist()}
     assert len(weeks) == 2
-    for tx in txs:
-        assert tx.native_price == tx.usd_price / 2000.0
-        assert tx.paid_in_weth == (tx.native_currency == "WETH")
-        assert 1 <= tx.num_plots <= 9
+    assert np.array_equal(txs.native_price, txs.usd_price / 2000.0)
+    currencies = [txs.symbols[c] for c in txs.currency.tolist()]
+    assert txs.paid_in_weth.tolist() == [c == "WETH" for c in currencies]
+    assert set(currencies) == {"ETH", "WETH"}
+    assert np.all((txs.num_plots >= 1) & (txs.num_plots <= 9))
 
 
 def test_hedonic_panel_validation():
@@ -199,17 +201,9 @@ def test_hedonic_panel_validation():
 
 
 def _write_market(sim, tmp_path):
-    tx_path = tmp_path / "transactions.csv"
-    with open(tx_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["timestamp", "native_price", "currency", "num_plots", "tx_id"])
-        w.writerows(sim.tx_rows)
-    px_path = tmp_path / "prices.csv"
-    with open(px_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["date", "symbol", "usd_price"])
-        for d, s, v in sim.price_rows:
-            w.writerow([d, s, repr(v)])
+    tx_path, px_path = tmp_path / "transactions.csv", tmp_path / "prices.csv"
+    write_csv(tx_path, TRANSACTION_COLUMNS, sim.tx_rows)
+    write_csv(px_path, PRICE_COLUMNS, sim.price_rows)
     return tx_path, px_path
 
 
@@ -224,7 +218,7 @@ def test_market_dataset_is_deterministic():
 def test_market_dataset_has_three_quotes_per_day():
     sim = gen_market_dataset(n_weeks=20, seed=2)
     assert len(sim.price_rows) == 20 * 7 * 3
-    day0 = [r for r in sim.price_rows if r[0] == EPOCH.isoformat()]
+    day0 = [r for r in sim.price_rows if r[0] == EPOCH]
     assert {r[1] for r in day0} == {"VOX", "BTC", "ETH"}
 
 
