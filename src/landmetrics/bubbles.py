@@ -17,13 +17,15 @@ Every ADF statistic here comes from one engine, the window sweep.  Its
 windows are fitted in blocks of whole end-date segments from one set of
 prefix sums of globally centered cross-products (the upper triangle
 only), and each block is reduced to its per-date supremum before the
-next is built.  Per window, the intercept is partialled out and one
-pivot loop eliminates the regressors in turn, the lagged level last, so
-its t-ratio falls out of the last pivot.  With ``lag_selection="bic"``
-one elimination pass with the level first gives every candidate lag's
-residual sum of squares, and the lag is chosen per window.  A
-single-window ADF (:func:`adf_stat`) is a sweep whose only window is the
-whole sample.
+next is built; the Monte-Carlo null fits short replications a group of
+whole ones per block.  Each window's fit is elementwise, so no statistic
+or critical value depends on the blocks or the groups.  Per window, the
+intercept is partialled out and one pivot loop eliminates the regressors
+in turn, the lagged level last, so its t-ratio falls out of the last
+pivot.  With ``lag_selection="bic"`` one elimination pass with the level
+first gives every candidate lag's residual sum of squares, and the lag is
+chosen per window.  A single-window ADF (:func:`adf_stat`) is a sweep
+whose only window is the whole sample.
 The definitional reference, one OLS per window written out by hand,
 lives in the test suite (``tests/oracles.py``), not here.
 """
@@ -32,11 +34,11 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import (
     InsufficientDataError,
@@ -45,6 +47,7 @@ from .errors import (
     ValidationError,
 )
 from .series import TimeSeries, write_csv
+from .synthkit import stream
 
 #: windows whose residual sum of squares falls below this relative floor
 #: are treated as degenerate (an exact fit has no usable t-ratio)
@@ -259,39 +262,40 @@ def adf_stat(window, spec: AdfSpec = AdfSpec()) -> AdfResult:
 # ---------------------------------------------------------------------------
 
 #: windows swept at once; a block holds whole r2 segments (at least one)
-_BLOCK_WINDOWS = 1 << 15
+_BLOCK_WINDOWS = 1 << 14
 
 
 def _prefix_sums(y: np.ndarray, k: int, level_first: bool = False):
     """Prefix sums of the centered k-lag ADF variables and their products.
 
-    W has one row per variable and one column per regression time: column
-    j is t = j + k + 1.  Its rows are the regressors Z, the lagged
-    differences dy[t-1], ..., dy[t-k] followed by the lagged level y[t-1]
-    (the level first when ``level_first``), and then the response
-    d = dy[t].  Centering by the full-sample means keeps the windowed
-    cross-products well conditioned.  Returns (P_w, P_ww): the prefix sums
-    of W's rows and of the products W[r] * W[c] for r <= c, the upper
-    triangle in row-major order, (m+1)(m+2)/2 rows for m regressors.
-    Column s of each holds the sum over the first s regression times.
+    W has one row per variable and, per series (a row of ``y``), one column
+    per regression time: column j is t = j + k + 1.  Its rows are the
+    regressors Z, the lagged differences dy[t-1], ..., dy[t-k] followed by
+    the lagged level y[t-1] (the level first when ``level_first``), and
+    then the response d = dy[t].  Centering by each series' full-sample
+    means keeps the windowed cross-products well conditioned.  Returns
+    (P_w, P_ww): the prefix sums of W's rows and of the products
+    W[r] * W[c] for r <= c, the upper triangle in row-major order,
+    (m+1)(m+2)/2 rows for m regressors.  The series' T - k slots sit side
+    by side; slot s holds the sum over the series' first s regression times.
     """
-    T = y.shape[0]
+    T = y.shape[1]
     dy = np.diff(y)
-    lags = [dy[k - i:T - 1 - i] for i in range(1, k + 1)]
-    level = [y[k:-1]]
-    W = np.array((level + lags if level_first else lags + level) + [dy[k:]])
-    W -= W.mean(axis=1, keepdims=True)
-    i, j = np.triu_indices(W.shape[0])
+    lags = [dy[:, k - i:T - 1 - i] for i in range(1, k + 1)]
+    level = [y[:, k:-1]]
+    W = np.array((level + lags if level_first else lags + level) + [dy[:, k:]])
+    W -= W.mean(axis=2, keepdims=True)
+    q = W.shape[0]
 
     def prefix(a):
-        out = np.zeros((a.shape[0], a.shape[1] + 1))
-        np.cumsum(a, axis=1, out=out[:, 1:])
-        return out
+        out = np.zeros(a.shape[:2] + (a.shape[2] + 1,))
+        np.cumsum(a, axis=2, out=out[:, :, 1:])
+        return out.reshape(a.shape[0], -1)
 
-    return prefix(W), prefix(W[i] * W[j])
+    return prefix(W), prefix(np.array([W[r] * W[c] for r in range(q) for c in range(r, q)]))
 
 
-def _window_fits(P, lo, hi):
+def _window_fits(P, lo, hi, scratch):
     """OLS of d on [1, Z] over prefix slots (lo, hi] of every window.
 
     One pivot loop serves every regressor count m.  The intercept is
@@ -306,49 +310,59 @@ def _window_fits(P, lo, hi):
     Returns (stat, rss, bad, Sdd): the t-ratio b/sqrt(sigma2/D) of the last
     regressor, with b = c/D; the rss after each pivot and whether any pivot
     so far was degenerate (both of shape (m, windows)); and the window's
-    response sum of squares.
+    response sum of squares.  The float arrays are rows of the caller's
+    ``scratch(n_rows, windows)`` buffer, valid until the next fit: blocks
+    reuse it rather than allocating, freeing and page-faulting in their own.
     """
     P_w, P_ww = P
-    q = P_w.shape[0]
+    q, t, w = P_w.shape[0], P_ww.shape[0], lo.shape[0]
     m = q - 1
-    n = (hi - lo).astype(np.float64)
-    S = np.take(P_w, hi, axis=1)
-    S -= np.take(P_w, lo, axis=1)
-    A = np.take(P_ww, hi, axis=1)
-    A -= np.take(P_ww, lo, axis=1)
-    Sdd = A[-1].copy()
-    mean = S / n
+    rows = scratch(3 * q + 2 * t + 2 * m + 5, w)
+    S, S_lo, A, A_lo, mean, floor, rss, (n, Sdd, stat, f, tmp) = np.split(
+        rows, np.cumsum([q, q, t, t, q, m, m]))
+    np.subtract(hi, lo, out=n)
+    # every index is in range; "clip" only spares take the copy "raise" makes
+    np.take(P_w, hi, axis=1, out=S, mode="clip")
+    S -= np.take(P_w, lo, axis=1, out=S_lo, mode="clip")
+    np.take(P_ww, hi, axis=1, out=A, mode="clip")
+    A -= np.take(P_ww, lo, axis=1, out=A_lo, mode="clip")
+    Sdd[:] = A[-1]
+    np.divide(S, n, out=mean)
     a = {}  # (r, c) -> row of A, in the row-major order _prefix_sums stores
     for x, (r, c) in enumerate((r, c) for r in range(q) for c in range(r, q)):
-        A[x] -= S[r] * mean[c]
+        A[x] -= np.multiply(S[r], mean[c], out=tmp)
         a[r, c] = A[x]
-    floor = [1e-14 * a[p, p] for p in range(m)]
-    rss = np.empty((m, n.shape[0]))
-    bad = np.empty((m, n.shape[0]), dtype=bool)
-    degenerate = np.zeros(n.shape[0], dtype=bool)
+    for p in range(m):
+        np.multiply(1e-14, a[p, p], out=floor[p])
+    bad = np.empty((m, w), dtype=bool)
+    degenerate = np.zeros(w, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for p in range(m):
             D, c = a[p, p], a[p, m]
             degenerate |= ~(D > floor[p])
             bad[p] = degenerate
             for r in range(p + 1, q):
-                f = a[p, r] / D
+                np.divide(a[p, r], D, out=f)
                 for s in range(r, q):
-                    a[r, s] -= a[p, s] * f
+                    a[r, s] -= np.multiply(a[p, s], f, out=tmp)
             rss[p] = a[m, m]
-        stat = c / D / np.sqrt(rss[-1] / (n - (m + 1)) / D)
+        np.divide(c, D, out=stat)
+        np.divide(rss[-1], np.subtract(n, m + 1, out=tmp), out=tmp)
+        tmp /= D
+        stat /= np.sqrt(tmp, out=tmp)
     return stat, rss, bad, Sdd
 
 
-def _fixed_stats(P, lo, hi) -> np.ndarray:
-    """Per-window t-ratios; -inf where the window is degenerate
-    (a degenerate pivot or an exact fit)."""
-    stat, rss, bad, Sdd = _window_fits(P, lo, hi)
-    bad = bad[-1] | ~(rss[-1] > _RSS_RTOL * np.maximum(Sdd, 1.0))
-    return np.where(bad | ~np.isfinite(stat), -np.inf, stat)
+def _fixed_stats(P, lo, hi, scratch) -> np.ndarray:
+    """Per-window t-ratios, a view of ``scratch`` (see :func:`_window_fits`);
+    -inf where the window is degenerate (a degenerate pivot or an exact fit)."""
+    stat, rss, bad, Sdd = _window_fits(P, lo, hi, scratch)
+    floor = np.multiply(_RSS_RTOL, np.maximum(Sdd, 1.0, out=Sdd), out=Sdd)
+    stat[bad[-1] | ~(rss[-1] > floor) | ~np.isfinite(stat)] = -np.inf
+    return stat
 
 
-def _bic_stats(own, nested, s1, r2, kmax):
+def _bic_stats(own, nested, s1, r2, kmax, scratch):
     """Per-window t-ratios and lag counts, the lag chosen per window by BIC.
 
     Every candidate k in [0, kmax] is fitted on the common sample of the
@@ -362,7 +376,7 @@ def _bic_stats(own, nested, s1, r2, kmax):
     or with no usable candidate, give -inf and lag -1.
     """
     selecting = r2 - s1 + 1 >= max(2 * kmax + 4, kmax + 5)
-    _, rss, singular, _ = _window_fits(nested, s1, r2 - kmax)
+    _, rss, singular, _ = _window_fits(nested, s1, r2 - kmax, scratch)
     n = (r2 - kmax - s1).astype(np.float64)
     best_bic = np.full(s1.shape, np.inf)
     lag = np.full(s1.shape, -1)
@@ -378,53 +392,76 @@ def _bic_stats(own, nested, s1, r2, kmax):
     stat = np.full(s1.shape, -np.inf)
     for k in range(kmax + 1):
         at = lag == k
-        stat[at] = _fixed_stats(own[k], s1[at], r2[at] - k)
+        stat[at] = _fixed_stats(own[k], s1[at], r2[at] - k, scratch)
     return stat, lag
 
 
-def _sweep(y: np.ndarray, r0: int, spec: AdfSpec, first_r2: int):
+def _sweep(y, r0: int, spec: AdfSpec, first_r2: int, shape=None):
     """Backward sup of the ADF t-ratio at each r2 in [first_r2, T-1].
 
-    The windows [s1, r2] with s1 in [0, r2 - r0] are fitted from one set
-    of prefix sums, in blocks of whole r2 segments of about
-    ``_BLOCK_WINDOWS`` windows; each block is reduced before the next is
-    built, so memory is bounded by the block, not by the O(T**2) sweep.
-    Returns per r2 the supremum (-inf where every window degenerates, for
+    The windows [s1, r2] with s1 in [0, r2 - r0] are fitted from prefix
+    sums, in blocks of whole r2 segments of about ``_BLOCK_WINDOWS``
+    windows; each block is reduced before the next is built, so memory is
+    bounded by the block, not by the O(T**2) sweep.  For one series ``y``,
+    returns per r2 the supremum (-inf where every window degenerates, for
     the caller to resolve), the first start attaining it (the one
-    ``np.argmax`` would pick) and the lag count of that window.
+    ``np.argmax`` would pick) and the lag count of that window.  With
+    ``shape`` = (n, T), ``y(reps)`` gives the series in ``reps`` as rows,
+    and only their suprema are returned, shape (n, T - first_r2); series
+    whose sweeps are shorter than a block are fitted a group of whole
+    sweeps per block, side by side in one set of prefix sums, from one
+    window plan.  No supremum depends on the blocks or the groups.
     """
-    k = spec.n_lags
-    if spec.lag_selection == "bic":
-        own = [_prefix_sums(y, j) for j in range(k + 1)]
-        nested = _prefix_sums(y, k, level_first=True)
-
-        def fit(s1, r2):
-            return _bic_stats(own, nested, s1, r2, k)
-    else:
-        P = _prefix_sums(y, k)
-
-        def fit(s1, r2):
-            return _fixed_stats(P, s1, r2 - k), np.full(s1.shape, k)
-    r2s = np.arange(first_r2, y.shape[0])
-    counts = r2s - r0 + 1
+    k, bic = spec.n_lags, spec.lag_selection == "bic"
+    one = shape is None
+    n, T = (1, y.shape[0]) if one else shape
+    r2s = np.arange(first_r2, T)
+    # a group's windows, and its prefix-sum slots, fit in one block
+    group = min(n, max(1, _BLOCK_WINDOWS // max(T, int((r2s - r0 + 1).sum()))))
+    offset = np.repeat(np.arange(group) * (T - k), r2s.size)  # series' first slots
+    seg_r2 = np.tile(r2s, group) + offset
+    counts = np.tile(r2s - r0 + 1, group)
     ends = np.cumsum(counts)
-    sup = np.empty(r2s.shape)
-    first = np.empty(r2s.shape, dtype=np.int64)
-    lag = np.empty(r2s.shape, dtype=np.int64)
-    a = 0
-    while a < r2s.shape[0]:
-        done = ends[a] - counts[a]
-        b = max(a + 1, int(np.searchsorted(ends, done + _BLOCK_WINDOWS, side="right")))
+
+    @functools.lru_cache(maxsize=1)
+    def plan(a, b):  # windows (s1, r2) in slots of segments a..b-1, segment starts
         c = counts[a:b]
-        starts = ends[a:b] - c - done
-        s1 = np.arange(ends[b - 1] - done) - np.repeat(starts, c)
-        stat, lags = fit(s1, np.repeat(r2s[a:b], c))
-        sup[a:b] = np.maximum.reduceat(stat, starts)
-        at_sup = stat == np.repeat(sup[a:b], c)
-        first[a:b] = np.minimum.reduceat(np.where(at_sup, s1, s1.shape[0]), starts)
-        lag[a:b] = lags[starts + first[a:b]]
-        a = b
-    return sup, first, lag
+        starts = ends[a:b] - c - (ends[a] - c[0])
+        return (np.arange(starts[-1] + c[-1]) - np.repeat(starts - offset[a:b], c),
+                np.repeat(seg_r2[a:b], c), starts)
+
+    buf = np.empty(0)
+
+    def scratch(n_rows, w):  # one buffer for every block's fit, grown as needed
+        nonlocal buf
+        if buf.shape[0] < n_rows * w:
+            buf = np.empty(n_rows * w)
+        return buf[:n_rows * w].reshape(n_rows, w)
+
+    sup = np.empty(n * r2s.size)
+    first = np.empty(r2s.size, dtype=np.int64)
+    lag = np.empty(r2s.size, dtype=np.int64)
+    for g in range(0, n, group):
+        ys = y[None] if one else y(range(g, min(g + group, n)))
+        own = [_prefix_sums(ys, j) for j in (range(k + 1) if bic else [k])]
+        nested = _prefix_sums(ys, k, level_first=True) if bic else None
+        out, ends_g = sup[g * r2s.size:], ends[:len(ys) * r2s.size]
+        a = 0
+        while a < ends_g.shape[0]:
+            done = ends[a] - counts[a]
+            b = max(a + 1, int(np.searchsorted(ends_g, done + _BLOCK_WINDOWS, side="right")))
+            s1, r2, starts = plan(a, b)
+            if bic:
+                stat, lags = _bic_stats(own, nested, s1, r2, k, scratch)
+            else:
+                stat, lags = _fixed_stats(own[-1], s1, r2 - k, scratch), np.broadcast_to(k, s1.shape)
+            out[a:b] = np.maximum.reduceat(stat, starts)
+            if one:
+                at_sup = stat == np.repeat(out[a:b], counts[a:b])
+                first[a:b] = np.minimum.reduceat(np.where(at_sup, s1, s1.shape[0]), starts)
+                lag[a:b] = lags[starts + first[a:b]]
+            a = b
+    return (sup, first, lag) if one else sup.reshape(n, r2s.size)
 
 
 def _check_sweep(T: int, r0: int, k: int) -> None:
@@ -498,11 +535,13 @@ def mc_critical_values(
     """Finite-sample critical values from simulated unit-root nulls.
 
     Each replication draws a driftless random walk of the requested length
-    (i.i.d. standard normal increments, zero start) from a Philox stream
-    keyed by (seed, replication index), computes its BSADF sequence, and
-    the table is the per-t empirical quantile (type 7) at each alpha.
-    Keying by replication index makes the result independent of any
-    execution order or worker count.
+    (i.i.d. standard normal increments, zero start) from the Philox stream
+    ``synthkit.stream(seed, replication index)`` (so ``seed`` lies in
+    [0, 2**63)), computes its BSADF sequence, and the table is the per-t
+    empirical quantile (type 7) at each alpha.  Keying by replication
+    index makes the result independent of the sweep's blocks, of how
+    short replications are grouped into them, and of any execution order
+    or worker count.
     """
     if n_rep < 200:
         raise ValidationError(f"n_rep must be >= 200, got {n_rep}")
@@ -517,12 +556,12 @@ def mc_critical_values(
     if min_window is None:
         min_window = default_min_window(T)
     _check_sweep(T, min_window, spec.n_lags)
-    n_pts = T - min_window
-    stats = np.empty((n_rep, n_pts))
-    for rep in range(n_rep):
-        rng = Generator(Philox(key=[seed, rep]))
-        y = np.concatenate([[0.0], np.cumsum(rng.standard_normal(T - 1))])
-        stats[rep] = _sweep(y, min_window, spec, min_window)[0]
+
+    def walks(reps):
+        steps = [stream(seed, rep).standard_normal(T - 1) for rep in reps]
+        return np.hstack([np.zeros((len(steps), 1)), np.cumsum(steps, axis=1)])
+
+    stats = _sweep(walks, min_window, spec, min_window, shape=(n_rep, T))
     if not np.all(np.isfinite(stats)):
         raise NoValidWindowError("a null replication produced no valid window")
     cv = np.quantile(stats, alphas, axis=0).T.copy()
@@ -573,24 +612,11 @@ def datestamp(
     stats = np.array([p.stat for p in points])
     flags = stats > col
     eval_dates = dates[r0:]
-    episodes = []
-    i = 0
-    n = len(points)
-    while i < n:
-        if flags[i]:
-            j = i
-            while j + 1 < n and flags[j + 1]:
-                j += 1
-            episodes.append(
-                BubbleEpisode(
-                    start=eval_dates[i],
-                    end=eval_dates[j],
-                    peak_stat=float(stats[i:j + 1].max()),
-                )
-            )
-            i = j + 1
-        else:
-            i += 1
+    # flagged runs [i, j): where the flags switch on, and where off again
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], flags, [False]]))).tolist()
+    episodes = [BubbleEpisode(start=eval_dates[i], end=eval_dates[j - 1],
+                              peak_stat=float(stats[i:j].max()))
+                for i, j in zip(edges[::2], edges[1::2])]
     return DatestampResult(
         level=float(level),
         dates=eval_dates,
@@ -598,5 +624,5 @@ def datestamp(
         cvs=np.asarray(col, dtype=np.float64).copy(),
         flags=flags,
         episodes=tuple(episodes),
-        pct_flagged=float(flags.sum()) / float(n),
+        pct_flagged=float(flags.sum()) / float(len(points)),
     )

@@ -48,7 +48,7 @@ from .ingest import Dataset, FxTable, load_daily_prices, load_transactions, \
 from .series import SummaryStats, TimeSeries, _fmt, difference, \
     fill_gaps_loglinear, lead_lag_correlation, pairwise_correlation, \
     require_positive, resample_weekly, restrict, summary_stats, write_csv, write_json
-from .synthkit import gen_coupled_pair, gen_explosive, gen_hedonic_panel, \
+from .synthkit import SEED_BOUND, gen_coupled_pair, gen_explosive, gen_hedonic_panel, \
     gen_market_dataset, gen_random_walk
 from .var_granger import build_panel, granger_table, granger_table_to_csv, \
     stationarity_precheck
@@ -144,7 +144,7 @@ _KEYS = {
     "alphas": (_parse_floats, (0.90, 0.95, 0.99), "critical-value quantiles, ascending"),
     "level": (_parse_float, 0.95, "flagging level; must be one of the alphas"),
     "n_rep": (_parse_int, 500, "Monte-Carlo replications for critical values"),
-    "seed": (_parse_int, 0, "master seed for every simulated quantity"),
+    "seed": (_parse_int, 0, "master seed for every simulated quantity, in [0, 2**63)"),
     "p_max": (_parse_int, 3, "largest VAR lag order in the causality table"),
     "max_offset": (_parse_int, 10, "correlogram half-width in periods"),
     "adf_alpha": (_parse_float, 0.05, "left-tail size of the stationarity pre-check"),
@@ -239,8 +239,12 @@ def _validate_config(cfg: RunConfig) -> None:
         raise _UsageError(f"adf_alpha must be in (0, 1), got {cfg.adf_alpha}")
     if cfg.r0 is not None and cfg.r0 < cfg.adf_lags + 5:
         raise _UsageError(f"r0={cfg.r0} must be >= adf_lags + 5 = {cfg.adf_lags + 5}")
-    if cfg.seed < 0:
-        raise _UsageError(f"seed must be >= 0, got {cfg.seed}")
+    _check_seed(cfg.seed)
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < SEED_BOUND:
+        raise _UsageError(f"seed must lie in [0, 2**63), got {seed}")
 
 
 def canonical_config(cfg: RunConfig) -> dict:
@@ -283,7 +287,7 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def _log(message: str) -> None:
-    print(message)
+    print(message, file=sys.stderr)
 
 
 def _require_file(path: str, what: str) -> str:
@@ -782,6 +786,7 @@ def _flat_eth_price_rows(table, quote: float = 2000.0):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     seed = args.seed

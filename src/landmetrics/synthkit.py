@@ -35,10 +35,15 @@ from .series import TimeSeries
 EPOCH = dt.date(2021, 1, 4)
 
 
+#: seeds and stream indices lie below this: numpy keys Philox through
+#: float64 from 2**63 on, where distinct seeds collide
+SEED_BOUND = 2**63
+
+
 def stream(seed: int, index: int = 0) -> Generator:
     """Independent Philox substream for (seed, index)."""
-    if not (0 <= seed < 2**64) or not (0 <= index < 2**64):
-        raise ValidationError("seed and stream index must be uint64 values")
+    if not (0 <= seed < SEED_BOUND and 0 <= index < SEED_BOUND):
+        raise ValidationError(f"seed and stream index must lie in [0, 2**63), got {seed, index}")
     return Generator(Philox(key=[seed, index]))
 
 

@@ -25,6 +25,7 @@ from landmetrics.errors import (
     SingularDesignError,
     ValidationError,
 )
+from landmetrics.synthkit import stream
 
 from oracles import adf_design, adf_stat_oracle, bic_lag_oracle, bsadf_bic_oracle, \
     bsadf_oracle, ols_t_ratio
@@ -308,8 +309,8 @@ def test_bsadf_constant_series_has_no_valid_window():
 def test_block_boundaries_change_nothing(monkeypatch):
     """The sweep's blocks hold whole r2 segments; one segment per block
     must give bitwise the same points and critical values as the default
-    blocks, which put the whole T=240 sweeps in one block and split the
-    T=300 Monte Carlo in two."""
+    blocks, which split the T=240 sweeps in two and each replication of
+    the T=300 Monte Carlo in three."""
     y = walk(240, 23)
     specs = (AdfSpec(n_lags=1), AdfSpec(n_lags=3), AdfSpec(n_lags=3, lag_selection="bic"))
 
@@ -402,6 +403,42 @@ def test_cv_validation():
         mc_critical_values(60, 12, spec=AdfSpec(n_lags=2, lag_selection="bic"), n_rep=200)
     with pytest.raises(ValidationError):
         mc_critical_values(60, 12, alphas=(0.0, 0.95), n_rep=200)
+
+
+@pytest.mark.parametrize("seed", [2**63, 2**64 - 1, 2**64])
+def test_cv_seed_outside_the_philox_keys_is_rejected(seed):
+    # numpy keys Philox through float64 from 2**63 on: 2**63 and 2**63 + 1
+    # share a key, and 2**64 - 1 gets seed 0's
+    with pytest.raises(ValidationError, match=r"\[0, 2\*\*63\)"):
+        mc_critical_values(60, 12, n_rep=200, seed=seed)
+
+
+def test_replication_groups_change_nothing(monkeypatch):
+    """A null smaller than a block is fitted a group of whole replications
+    at a time (at r0=12 the last of n_rep=203 is partial; the pre-check
+    shape r0=T-1 puts every replication in one group).  The table must be
+    bitwise that of one window per block, and the type-7 quantile of each
+    replication's own bsadf_series on the same stream(seed, rep) walk."""
+    T, n_rep, seed, spec = 40, 203, 9, AdfSpec(n_lags=1)
+    r0s = (12, T - 1)
+
+    def run():
+        return [mc_critical_values(T, r0, spec, n_rep=n_rep, seed=seed).cv_by_t
+                for r0 in r0s]
+
+    per_rep = (T - 12) * (T - 12 + 1) // 2
+    assert 1 < bubbles._BLOCK_WINDOWS // per_rep < n_rep
+    assert n_rep % (bubbles._BLOCK_WINDOWS // per_rep)
+    grouped = run()
+    for r0, cv in zip(r0s, grouped):
+        stats = []
+        for rep in range(n_rep):
+            y = np.concatenate([[0.0], np.cumsum(stream(seed, rep).standard_normal(T - 1))])
+            stats.append([p.stat for p in bsadf_series(y, r0=r0, spec=spec)])
+        assert np.array_equal(cv, np.quantile(stats, (0.90, 0.95, 0.99), axis=0).T)
+    monkeypatch.setattr(bubbles, "_BLOCK_WINDOWS", 1)
+    for cv, default_cv in zip(run(), grouped):
+        assert np.array_equal(cv, default_cv)
 
 
 def test_cv_level_column(small_cv):

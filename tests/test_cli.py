@@ -266,6 +266,31 @@ def test_bubble_series_file_outputs_and_rerun_identical(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bubble_logs_go_to_stderr(tmp_path, capsys):
+    src = tmp_path / "walkdemo.csv"
+    gen_random_walk(140, seed=2).to_csv(src)
+    assert main(["bubble", "--series-file", str(src), "--r0", "25", "--n-rep", "200",
+                 "--no-log-prices", "--out-dir", str(tmp_path / "out")]) == 0
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert lines and all(line.startswith("[bubble] ") for line in lines)
+
+
+@pytest.mark.parametrize("seed", [2**63, 2**64 - 1, 2**64])
+def test_seed_outside_the_philox_keys_exits_1(tmp_path, capsys, seed):
+    message = f"error: seed must lie in [0, 2**63), got {seed}\n"
+    src = tmp_path / "walkdemo.csv"
+    gen_random_walk(140, seed=2).to_csv(src)
+    assert main(["bubble", "--series-file", str(src), "--no-log-prices",
+                 "--seed", str(seed), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == message
+    assert main(["simulate", "--kind", "walk", "--seed", str(seed),
+                 "--out-dir", str(tmp_path / "sim")]) == 1
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists() and not (tmp_path / "sim").exists()
+
+
 def test_bubble_log_prices_need_positive_values(tmp_path, capsys):
     src = tmp_path / "walkdemo.csv"
     gen_random_walk(140, seed=2).to_csv(src)     # starts at 0
@@ -464,6 +489,7 @@ def test_pipeline_failure_writes_partial_report(tmp_path, capsys):
 def test_index_gap_stops_granger_and_pipeline_alike(tmp_path, capsys):
     fix = tmp_path / "fix"
     _make_market_fixture(fix, weeks=20, seed=3)
+    capsys.readouterr()                      # the fixture's [simulate] log line
     # keep one sale of the week of 2021-02-08, under min_per_period = 3,
     # so that week becomes a gap period of the index
     tx = fix / "transactions.csv"
@@ -613,6 +639,7 @@ def test_summarize_without_inputs_is_usage_error(tmp_path, capsys):
 def test_pipeline_without_coin_writes_nothing(tmp_path, capsys):
     fix = tmp_path / "fix"
     _make_market_fixture(fix, weeks=20, seed=9)
+    capsys.readouterr()                      # the fixture's [simulate] log line
     out = tmp_path / "out"
     assert main(["pipeline", "--config", str(fix / "run.cfg"), "--coin", "",
                  "--out-dir", str(out)]) == 1

@@ -37,6 +37,17 @@ def test_stream_is_keyed_and_deterministic():
         stream(-1, 0)
 
 
+@pytest.mark.parametrize("seed", [2**63, 2**64 - 1, 2**64])
+def test_stream_rejects_seeds_philox_cannot_key_apart(seed):
+    # numpy builds the key through float64 from 2**63 on, so 2**63 and
+    # 2**63 + 1 would share a stream, and 2**64 - 1 would be seed 0's
+    for key in ((seed, 0), (0, seed)):
+        with pytest.raises(ValidationError, match=r"\[0, 2\*\*63\)"):
+            stream(*key)
+    largest = stream(2**63 - 1, 2**63 - 1).standard_normal(3)
+    assert not np.array_equal(largest, stream(2**63 - 2, 2**63 - 1).standard_normal(3))
+
+
 # ---------------------------------------------------------------------------
 # random walk
 # ---------------------------------------------------------------------------
