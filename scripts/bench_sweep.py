@@ -1,4 +1,4 @@
-"""Time the BSADF window sweep and its Monte-Carlo null, layer by layer.
+"""Time the BSADF window sweep, its Monte-Carlo null and the Granger table.
 
 Pins this process to one CPU and BLAS to one thread, then times:
 
@@ -7,7 +7,9 @@ Pins this process to one CPU and BLAS to one thread, then times:
 * the stationarity pre-check's null: ``mc_critical_values`` at T=60 with
   ``min_window=59``, 200 replications;
 * acceptance criterion 10's null: ``mc_critical_values`` at T=600, 1000
-  replications.
+  replications;
+* one demo-sized ``granger_table``: 59 rows by 4 columns of white noise,
+  ``p_max=3``, both specs (24 block F tests).
 
 Each figure is the median of ``--repeats`` runs (default 5), in seconds,
 all in one process: once earlier figures have freed large arrays, glibc
@@ -64,6 +66,7 @@ def main(argv=None):
     import numpy as np
     from landmetrics import bubbles
     from landmetrics.synthkit import stream
+    from landmetrics.var_granger import Panel, granger_table
 
     def one_replication(T, k):
         r0, spec = bubbles.default_min_window(T), bubbles.AdfSpec(n_lags=k)
@@ -80,6 +83,9 @@ def main(argv=None):
         60, min_window=59, alphas=(0.05,), n_rep=200, seed=0), args.repeats)
     figures["criterion10_null_T600_rep1000_s"] = median_time(lambda: bubbles.mc_critical_values(
         600, n_rep=1000, seed=1), args.repeats)
+    panel = Panel(("x", "y", "c1", "c2"), stream(0, 0).standard_normal((59, 4)))
+    figures["granger_table_demo_s"] = median_time(
+        lambda: granger_table(panel, "x", "y", p_max=3, both_specs=True), args.repeats)
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     result = {"figures": figures, "repeats": args.repeats, "nproc": os.cpu_count(),
               "cpu": cpu_model(), "python": platform.python_version(),

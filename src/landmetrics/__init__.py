@@ -11,7 +11,6 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     LandmetricsError,
-    NestingError,
     NoValidWindowError,
     NumericalError,
     SchemaError,
@@ -36,7 +35,6 @@ __all__ = [
     "InsufficientDataError",
     "NumericalError",
     "SingularDesignError",
-    "NestingError",
     "NoValidWindowError",
     "__version__",
 ]

@@ -6,7 +6,7 @@ Two broad families matter to callers (and to the CLI exit-code mapping):
   or insufficient.  The computation never started.
 * ``NumericalError`` and subclasses: the inputs were well-formed but the
   computation could not produce a defensible answer (singular designs,
-  violated nesting, no estimable window).
+  no estimable window).
 """
 
 
@@ -40,10 +40,6 @@ class SingularDesignError(NumericalError):
     def __init__(self, message, columns=()):
         super().__init__(message)
         self.columns = tuple(columns)
-
-
-class NestingError(NumericalError):
-    """Restricted model does not nest inside the unrestricted model."""
 
 
 class NoValidWindowError(NumericalError):

@@ -1,9 +1,11 @@
-"""VAR(p) estimation and Granger-causality block F tests.
+"""Granger-causality block F tests on a panel of aligned series.
 
-Equation-by-equation OLS: each variable is regressed on a constant and p
-lags of every panel variable.  The Granger test of ``cause -> effect``
-compares the effect's equation with and without the cause's p lags via
-the nested F test, with q = p restrictions.
+The Granger test of ``cause -> effect`` regresses the effect on a
+constant and p lags of every variable in the system, and asks whether
+the cause's p lags add anything (q = p restrictions).  No VAR is
+estimated as such: each test factors its one design with a thin QR, and
+the restricted fit's extra rss is read off the same factorization, so
+the two fits are never run separately.
 
 Sample-size convention: a panel with ``rows`` aligned observations fit at
 lag order p has regression sample ``n_obs = rows - p`` and per-equation
@@ -27,8 +29,12 @@ from .errors import (
     SingularDesignError,
     ValidationError,
 )
-from .linreg import DesignMatrix, FTestResult, nested_f_test, ols_fit
+from .linreg import f_tail_prob
 from .series import write_csv
+
+#: a QR pivot |R_jj| at or below RANK_TOL * ||x_j|| marks design column j
+#: as collinear with the columns before it
+RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -124,17 +130,6 @@ def build_panel(series_list) -> Panel:
 
 
 @dataclass(frozen=True)
-class VarModel:
-    p: int
-    variable_names: tuple[str, ...]
-    intercepts: np.ndarray
-    lag_matrices: np.ndarray = field(repr=False)  # (p, k, k): A_i[row eq, col var]
-    resid_cov: np.ndarray = field(repr=False)
-    n_obs: int
-    df_resid: int
-
-
-@dataclass(frozen=True)
 class GrangerResult:
     cause: str
     effect: str
@@ -147,11 +142,12 @@ class GrangerResult:
     controls_included: bool
 
 
-def _lagged_design(panel: Panel, p: int):
-    """Materialize the VAR(p) design: constant plus p lags of every column.
+def _lagged_design(panel: Panel, cause: str, p: int):
+    """Labels and columns of the Granger design for ``cause`` at lag order p.
 
-    Returns (design, responses) where responses[:, j] is variable j over
-    the regression sample (rows p..n-1).
+    The columns are a constant, p lags of every other panel column, then
+    the cause's p lags, so the restriction under test drops the last p
+    columns.  The rows are the regression sample, rows p..n-1.
     """
     if p < 1:
         raise ValidationError(f"lag order must be >= 1, got {p}")
@@ -163,41 +159,28 @@ def _lagged_design(panel: Panel, p: int):
         raise InsufficientDataError(
             f"{rows} rows leave df_resid = {n_obs - n_params} < 5 at p={p}, k={k}"
         )
-    labels = ["const"]
-    cols = [np.ones(n_obs)]
-    for lag in range(1, p + 1):
-        for j, name in enumerate(panel.variable_names):
-            labels.append(f"{name}_lag{lag}")
-            cols.append(x[p - lag:rows - lag, j])
-    design = DesignMatrix(tuple(labels), np.column_stack(cols))
-    return design, x[p:]
+    names = panel.variable_names
+    order = [n for n in names if n != cause] + [cause]
+    lags = [(n, lag) for n in order for lag in range(1, p + 1)]
+    labels = ["const"] + [f"{n}_lag{lag}" for n, lag in lags]
+    cols = [x[p - lag:rows - lag, names.index(n)] for n, lag in lags]
+    return labels, np.column_stack([np.ones(n_obs)] + cols)
 
 
-def fit_var(panel: Panel, p: int) -> VarModel:
-    """Fit a VAR(p) by equation-wise least squares."""
-    design, resp = _lagged_design(panel, p)
-    k = panel.n_vars
-    n_obs = resp.shape[0]
-    intercepts = np.empty(k)
-    lag_matrices = np.empty((p, k, k))
-    resid = np.empty((n_obs, k))
-    df_resid = n_obs - (k * p + 1)
-    for eq in range(k):
-        fit = ols_fit(design, resp[:, eq])
-        intercepts[eq] = fit.coefficients[0]
-        for lag in range(1, p + 1):
-            lo = 1 + (lag - 1) * k
-            lag_matrices[lag - 1, eq, :] = fit.coefficients[lo:lo + k]
-        resid[:, eq] = fit.residuals
-    return VarModel(
-        p=p,
-        variable_names=panel.variable_names,
-        intercepts=intercepts,
-        lag_matrices=lag_matrices,
-        resid_cov=(resid.T @ resid) / n_obs,
-        n_obs=n_obs,
-        df_resid=df_resid,
-    )
+def _check_pivots(labels, x, r) -> None:
+    """Raise if a design column is collinear with the columns before it.
+
+    ``|r[j, j]|`` is the norm of what is left of column j once the
+    columns before it are projected out; the test compares it with the
+    column's own norm.
+    """
+    bad = np.abs(np.diag(r)) <= RANK_TOL * np.linalg.norm(x, axis=0)
+    if np.any(bad):
+        cols = tuple(label for label, b in zip(labels, bad) if b)
+        raise SingularDesignError(
+            f"design matrix is rank deficient; collinear columns: {', '.join(cols)}",
+            columns=cols,
+        )
 
 
 def granger_test(
@@ -209,6 +192,21 @@ def granger_test(
     (effect, cause).  With ``controls=True`` every panel column enters as
     an endogenous variable; the panel must then hold at least one column
     beyond the tested pair.
+
+    With ``x = QR`` and ``z = Q'y`` for the unrestricted design, whose
+    last p columns are the cause's lags, the restricted rss exceeds the
+    unrestricted one by exactly ``|z[-p:]|^2``:
+
+        F = (|z[-p:]|^2 / p) / (rss_u / df_u)
+
+    so F is never negative.  ``rss_u`` comes from the residuals
+    ``y - Qz``.  An exact fit (``rss_u == 0``) gives F = inf and p = 0.
+
+    Raises
+    ------
+    SingularDesignError
+        If a design column is collinear with the columns before it; the
+        error names those columns.
     """
     names = panel.variable_names
     if cause == effect:
@@ -224,25 +222,27 @@ def granger_test(
         sub = panel
     else:
         sub = panel.subset([effect, cause])
-    design, resp = _lagged_design(sub, p)
-    y = resp[:, sub.variable_names.index(effect)]
-    unrestricted = ols_fit(design, y)
-
-    drop = {f"{cause}_lag{lag}" for lag in range(1, p + 1)}
-    keep = [i for i, lbl in enumerate(design.column_labels) if lbl not in drop]
-    restricted_design = DesignMatrix(
-        tuple(design.column_labels[i] for i in keep), design.data[:, keep]
-    )
-    restricted = ols_fit(restricted_design, y)
-    ftest: FTestResult = nested_f_test(restricted, unrestricted, q=p)
+    labels, x = _lagged_design(sub, cause, p)
+    y = sub.column(effect)[p:]
+    q, r = np.linalg.qr(x)
+    _check_pivots(labels, x, r)
+    z = q.T @ y
+    resid = y - q @ z
+    rss_u = float(resid @ resid)
+    df_den = y.shape[0] - x.shape[1]
+    if rss_u == 0.0:
+        f_stat, p_value = np.inf, 0.0
+    else:
+        f_stat = float(z[-p:] @ z[-p:]) / p / (rss_u / df_den)
+        p_value = f_tail_prob(f_stat, p, df_den)
     return GrangerResult(
         cause=cause,
         effect=effect,
         p=p,
-        f_stat=ftest.f_stat,
-        p_value=ftest.p_value,
-        df_num=ftest.df_num,
-        df_den=ftest.df_den,
+        f_stat=f_stat,
+        p_value=p_value,
+        df_num=p,
+        df_den=df_den,
         n_obs=y.shape[0],
         controls_included=controls,
     )

@@ -9,6 +9,7 @@ not tautology.  None of these helpers may import from landmetrics.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +66,54 @@ def ols_t_ratio(x_rows, y, coef_index):
     sigma2 = rss / df
     se = math.sqrt(sigma2 * diag[coef_index])
     return beta[coef_index] / se
+
+
+def exact_rss(x_rows, y):
+    """Residual sum of squares of OLS in exact rational arithmetic.
+
+    Every float enters as the ``Fraction`` it denotes; the normal
+    equations are solved by Gauss-Jordan elimination without rounding,
+    so the result is the exact rss of the given floats.
+    """
+    x = [[Fraction(v) for v in row] for row in x_rows]
+    yy = [Fraction(v) for v in y]
+    k = len(x[0])
+    m = [[sum(r[i] * r[j] for r in x) for j in range(k)]
+         + [sum(r[i] * t for r, t in zip(x, yy))] for i in range(k)]
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if m[r][col] != 0)
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [v / m[col][col] for v in m[col]]
+        for row in range(k):
+            if row != col and m[row][col] != 0:
+                factor = m[row][col]
+                m[row] = [rv - factor * cv for rv, cv in zip(m[row], m[col])]
+    beta = [m[i][k] for i in range(k)]
+    resid = [t - sum(b * v for b, v in zip(beta, r)) for r, t in zip(x, yy)]
+    return sum(e * e for e in resid)
+
+
+def granger_f_exact_oracle(columns, cause, effect, p):
+    """Granger F of ``cause -> effect`` from two exact least-squares fits.
+
+    ``columns`` maps each variable of the system to its list of values.
+    The unrestricted equation regresses the effect on a constant and p
+    lags of every variable; the restricted one drops the cause's lags.
+    Returns (F, df_den) with F rounded once, from the exact rss values.
+    """
+    n = len(columns[effect])
+    rows_u, rows_r = [], []
+    for t in range(p, n):
+        lags = {name: [vals[t - lag] for lag in range(1, p + 1)]
+                for name, vals in columns.items()}
+        rows_u.append([1.0] + [v for name in columns for v in lags[name]])
+        rows_r.append([1.0] + [v for name in columns if name != cause
+                               for v in lags[name]])
+    y = columns[effect][p:]
+    rss_u = exact_rss(rows_u, y)
+    rss_r = exact_rss(rows_r, y)
+    df_den = len(y) - len(rows_u[0])
+    return float((rss_r - rss_u) / p / (rss_u / df_den)), df_den
 
 
 # ---------------------------------------------------------------------------

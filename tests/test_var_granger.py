@@ -1,4 +1,4 @@
-"""VAR estimation, Granger F tests, and stationarity precheck tests."""
+"""Panels, Granger F tests, and stationarity precheck tests."""
 
 import datetime as dt
 import math
@@ -10,21 +10,22 @@ from numpy.random import Generator, Philox
 from landmetrics.bubbles import AdfSpec
 from landmetrics.errors import (
     InsufficientDataError,
+    SingularDesignError,
     ValidationError,
 )
-from landmetrics.linreg import DesignMatrix, ols_fit
+from landmetrics.linreg import f_tail_prob
 from landmetrics.series import TimeSeries
 from landmetrics.var_granger import (
     Panel,
     build_panel,
-    fit_var,
     granger_table,
     granger_table_to_csv,
     granger_test,
     stationarity_precheck,
 )
 
-from oracles import adf_stat_oracle, ols_normal_equations, quantile_type7
+from oracles import adf_stat_oracle, granger_f_exact_oracle, ols_normal_equations, \
+    quantile_type7
 
 D0 = dt.date(2021, 1, 4)
 
@@ -111,74 +112,6 @@ def test_build_panel_happy_path():
 
 
 # ---------------------------------------------------------------------------
-# fit_var
-# ---------------------------------------------------------------------------
-
-
-def test_noiseless_var1_recovery():
-    a = np.array([[0.5, 0.1], [0.0, 0.3]])
-    n = 100
-    x = np.empty((n, 2))
-    x[0] = [2.0, 1.0]
-    for t in range(1, n):
-        x[t] = a @ x[t - 1]
-    model = fit_var(Panel(("u", "v"), x), p=1)
-    assert model.lag_matrices[0] == pytest.approx(a, abs=1e-8)
-    assert model.intercepts == pytest.approx([0.0, 0.0], abs=1e-8)
-    assert model.n_obs == 99
-    assert model.df_resid == 99 - 3
-
-
-def test_fit_var_matches_materialized_lag_oracle():
-    rng = np.random.default_rng(14)
-    panel = Panel(("a", "b", "c"), rng.standard_normal((40, 3)))
-    p = 2
-    model = fit_var(panel, p=p)
-
-    x = panel.data
-    n_obs = 40 - p
-    rows = []
-    for t in range(p, 40):
-        row = [1.0]
-        for lag in range(1, p + 1):
-            row.extend(x[t - lag])
-        rows.append(row)
-    for eq in range(3):
-        beta, _, _, _ = ols_normal_equations(rows, x[p:, eq].tolist())
-        assert model.intercepts[eq] == pytest.approx(beta[0], abs=1e-10)
-        for lag in range(1, p + 1):
-            got = model.lag_matrices[lag - 1, eq]
-            want = beta[1 + (lag - 1) * 3: 1 + lag * 3]
-            assert got == pytest.approx(want, abs=1e-10)
-    assert model.n_obs == n_obs
-    assert model.resid_cov == pytest.approx(model.resid_cov.T)
-    assert np.all(np.linalg.eigvalsh(model.resid_cov) > -1e-12)
-
-
-def test_white_noise_lag_coefficients_are_insignificant():
-    panel = white_panel(200, ("a", "b"), seed=18)
-    model = fit_var(panel, p=1)
-
-    # rebuild the equation for "a" explicitly to get standard errors
-    x = panel.data
-    design = DesignMatrix(
-        ("const", "a_lag1", "b_lag1"),
-        np.column_stack([np.ones(199), x[:-1, 0], x[:-1, 1]]),
-    )
-    fit = ols_fit(design, x[1:, 0])
-    assert fit.coefficients[1:] == pytest.approx(model.lag_matrices[0, 0], abs=1e-12)
-    for b, se in zip(fit.coefficients[1:], fit.std_errors[1:]):
-        assert abs(b) < 3.0 * se
-
-
-def test_fit_var_insufficient_rows():
-    with pytest.raises(InsufficientDataError):
-        fit_var(white_panel(8, ("a", "b"), seed=0), p=2)
-    with pytest.raises(ValidationError):
-        fit_var(white_panel(30, ("a", "b"), seed=0), p=0)
-
-
-# ---------------------------------------------------------------------------
 # granger_test degrees of freedom
 # ---------------------------------------------------------------------------
 
@@ -226,6 +159,99 @@ def test_granger_f_matches_two_fit_reconstruction():
     expected = ((rss_r - rss_u) / p) / (rss_u / df_den)
     assert res.f_stat == pytest.approx(expected, rel=1e-9)
     assert res.df_den == df_den
+
+
+@pytest.mark.parametrize("seed, names, p, controls, exact", [
+    (48, ("x", "y"), 1, False, 1.038403987322391e-06),
+    (49, ("x", "y", "c"), 2, True, None),
+], ids=["bivariate_seed48", "controls_p2"])
+def test_granger_f_matches_exact_refit(seed, names, p, controls, exact):
+    # at seed 48 F is about 1e-6: an rss difference of two fits loses
+    # eight of its digits there, the one-QR statistic none
+    data = np.random.default_rng(seed).standard_normal((60, len(names)))
+    res = granger_test(Panel(names, data), "x", "y", p=p, controls=controls)
+    want, df_den = granger_f_exact_oracle(
+        {n: data[:, j].tolist() for j, n in enumerate(names)}, "x", "y", p)
+    if exact is not None:
+        assert want == pytest.approx(exact, rel=1e-15)
+    assert res.df_den == df_den
+    assert abs(res.f_stat - want) <= 1e-12 * want
+
+
+def _collinear_panel(case):
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal((2, 80))
+    if case == "control_twice_cause":
+        return Panel(("x", "y", "c"), np.column_stack([x, y, 2.0 * x]))
+    if case == "constant_effect":
+        return Panel(("x", "y"), np.column_stack([x, np.full(80, 3.0)]))
+    return Panel(("x", "y", "c"), np.column_stack([x, y, x + y]))
+
+
+@pytest.mark.parametrize("case, controls, implicated", [
+    ("control_twice_cause", True, {"c_lag1", "c_lag2", "x_lag1", "x_lag2"}),
+    ("constant_effect", False, {"const", "y_lag1", "y_lag2"}),
+    ("control_sums_pair", True,
+     {f"{n}_lag{lag}" for n in "xyc" for lag in (1, 2)}),
+], ids=["control_twice_cause", "constant_effect", "control_sums_pair"])
+def test_collinear_design_is_named(case, controls, implicated):
+    panel = _collinear_panel(case)
+    with pytest.raises(SingularDesignError) as exc:
+        granger_test(panel, "x", "y", p=2, controls=controls)
+    assert exc.value.columns
+    assert set(exc.value.columns) <= implicated
+    for name in exc.value.columns:
+        assert name in str(exc.value)
+
+
+def test_granger_insufficient_rows():
+    with pytest.raises(InsufficientDataError):
+        granger_test(white_panel(8, ("x", "y"), seed=0), "x", "y", p=2)
+    with pytest.raises(ValidationError):
+        granger_test(white_panel(30, ("x", "y"), seed=0), "x", "y", p=0)
+
+
+def test_granger_scale_equivariance():
+    panel = coupled_panel(80, beta=0.3, seed=77, extra=1)
+    scaled = Panel(panel.variable_names, 250.0 * panel.data)
+    for controls in (False, True):
+        a = granger_test(panel, "x", "y", p=2, controls=controls)
+        b = granger_test(scaled, "x", "y", p=2, controls=controls)
+        assert b.f_stat == pytest.approx(a.f_stat, rel=1e-9)
+        assert b.p_value == pytest.approx(a.p_value, rel=1e-9)
+
+
+def test_granger_perfect_cause_gives_huge_f():
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(40)
+    y = np.concatenate([[0.0], 5.0 * x[:-1]]) + 1e-8 * rng.standard_normal(40)
+    res = granger_test(Panel(("x", "y"), np.column_stack([x, y])), "x", "y", p=1)
+    assert res.f_stat > 1e10
+    assert res.p_value < 1e-12
+
+
+def test_granger_orthogonal_cause_gives_zero_f():
+    # a cause lag orthogonal to the restricted fit's residuals earns a
+    # coefficient of zero, so the rss is unchanged and F is 0, not below
+    rng = np.random.default_rng(2)
+    n = 30
+    y = rng.standard_normal(n)
+    restricted = np.column_stack([np.ones(n - 1), y[:-1]])
+    e = y[1:] - restricted @ np.linalg.lstsq(restricted, y[1:], rcond=None)[0]
+    w = rng.standard_normal(n - 1)
+    x = np.append(w - (w @ e) / (e @ e) * e, 0.0)
+    res = granger_test(Panel(("x", "y"), np.column_stack([x, y])), "x", "y", p=1)
+    assert 0.0 <= res.f_stat <= 1e-9
+    assert res.p_value == pytest.approx(1.0, abs=1e-9)
+
+
+def test_granger_p_value_is_f_tail_prob():
+    panel = coupled_panel(90, beta=0.2, seed=21, extra=1)
+    for controls in (False, True):
+        for p in (1, 3):
+            r = granger_test(panel, "x", "y", p=p, controls=controls)
+            assert r.df_num == p
+            assert r.p_value == f_tail_prob(r.f_stat, p, r.df_den)
 
 
 def test_planted_causality_is_detected_one_way():
