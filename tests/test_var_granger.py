@@ -211,6 +211,16 @@ def test_granger_insufficient_rows():
         granger_test(white_panel(30, ("x", "y"), seed=0), "x", "y", p=0)
 
 
+def test_granger_rejects_more_columns_than_rows():
+    # 5 rows at p=2 leave 3 observations for 5 design columns (7 with a
+    # control); such a design is refused before it is factored
+    with pytest.raises(InsufficientDataError):
+        granger_test(white_panel(5, ("x", "y"), seed=0), "x", "y", p=2)
+    with pytest.raises(InsufficientDataError):
+        granger_test(white_panel(5, ("x", "y", "c"), seed=0), "x", "y", p=2,
+                     controls=True)
+
+
 def test_granger_scale_equivariance():
     panel = coupled_panel(80, beta=0.3, seed=77, extra=1)
     scaled = Panel(panel.variable_names, 250.0 * panel.data)
