@@ -91,8 +91,6 @@ class AdfSpec:
 @dataclass(frozen=True)
 class AdfResult:
     stat: float
-    window_start: int
-    window_end: int
     n_obs_used: int
     n_lags_used: int
 
@@ -250,8 +248,6 @@ def adf_stat(window, spec: AdfSpec = AdfSpec()) -> AdfResult:
     k_used = int(lag[0])
     return AdfResult(
         stat=float(stat[0]),
-        window_start=0,
-        window_end=L - 1,
         n_obs_used=L - k_used - 1,
         n_lags_used=k_used,
     )

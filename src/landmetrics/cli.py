@@ -396,16 +396,27 @@ class _Run:
 
     @cached_property
     def index(self):
-        """(points, fit, level series after the gap policy, fill_applied)."""
+        """(points, fit, level series after the gap policy, fill_applied).
+
+        The index is at ``freq``; its gaps are ``fit.gap_periods``, which
+        ``fill = interpolate`` fills on the index's own grid.
+        """
         cfg = self.cfg
         points, fit = build_hpi(self.dataset.transactions, freq=cfg.freq,
                                 min_per_period=cfg.min_per_period)
         level = hpi_to_series(points, name="hpi", freq=cfg.freq)
-        fill_applied = (cfg.freq == "weekly" and bool(fit.gap_periods)
-                        and cfg.fill == "interpolate")
+        fill_applied = bool(fit.gap_periods) and cfg.fill == "interpolate"
         if fill_applied:
             level = fill_gaps_loglinear(level)
         return points, fit, level, fill_applied
+
+    def quotes(self, symbol: str) -> TimeSeries:
+        """The symbol's daily quotes at the index frequency: resampled by
+        ``resample_rule`` when that is weekly."""
+        series = self.fx.series(symbol)
+        if series.freq != self.cfg.freq:
+            series = resample_weekly(series, rule=self.cfg.resample_rule)
+        return series
 
     def coin_and_index(self, stage: str, overrides: str):
         """The quote symbol and the index, for a stage without overrides."""
@@ -539,7 +550,7 @@ def _leadlag(run: _Run) -> dict:
         y = _read_series(series_y, "series-y", cfg.freq)
     else:
         coin, (_, _, x, _) = run.coin_and_index("leadlag", "--series-x/--series-y")
-        y = resample_weekly(run.fx.series(coin), rule=cfg.resample_rule)
+        y = run.quotes(coin)
     x, y = _common_span([x, y])
     gram = lead_lag_correlation(x, y, max_lag=cfg.max_offset)
     best = gram.argmax_offset()
@@ -581,7 +592,7 @@ def _granger_columns(run: _Run) -> tuple[list[TimeSeries], str, str]:
     """The aligned columns to test plus the (cause, effect) pair.
 
     Explicit ``name=path`` series are used as-is; otherwise the columns are
-    the differenced weekly index and quote series, testing coin -> index.
+    the differenced index and quote series at ``freq``, testing coin -> index.
     """
     cfg = run.cfg
     if run.args.series:
@@ -597,14 +608,13 @@ def _granger_columns(run: _Run) -> tuple[list[TimeSeries], str, str]:
         columns = _common_span(columns)
         return columns, columns[0].name, columns[1].name
     coin, (_, fit, level, _) = run.coin_and_index("granger", "--series overrides")
-    if cfg.freq == "weekly" and fit.gap_periods and cfg.fill == "none":
+    if fit.gap_periods and cfg.fill == "none":
         gaps = ", ".join(d.isoformat() for d in fit.gap_periods)
         raise ValidationError(
             f"index has gap periods ({gaps}); differencing across gaps is "
             f"not meaningful. Set fill=interpolate to bridge them."
         )
-    columns = [level] + [resample_weekly(run.fx.series(sym), rule=cfg.resample_rule)
-                         for sym in _analysis_symbols(cfg)]
+    columns = [level] + [run.quotes(sym) for sym in _analysis_symbols(cfg)]
     columns = _common_span(columns)
     columns = [difference(s, mode=cfg.diff_mode).rename(s.name) for s in columns]
     return columns, coin, "hpi"
@@ -751,11 +761,10 @@ def _write_report(out: str, report: dict) -> None:
 # -- simulate ---------------------------------------------------------------
 
 
-def _write_sales(out: str, tx_rows, price_rows) -> list[str]:
-    """Write transactions.csv and prices.csv."""
-    write_csv(os.path.join(out, "transactions.csv"), TRANSACTION_COLUMNS, tx_rows)
-    write_csv(os.path.join(out, "prices.csv"), PRICE_COLUMNS, price_rows)
-    return ["transactions.csv", "prices.csv"]
+def _sales_writers(tx_rows, price_rows) -> dict:
+    """Writers of transactions.csv and prices.csv, by file name."""
+    return {"transactions.csv": lambda path: write_csv(path, TRANSACTION_COLUMNS, tx_rows),
+            "prices.csv": lambda path: write_csv(path, PRICE_COLUMNS, price_rows)}
 
 
 def _parse_windows(tokens, length: int):
@@ -786,27 +795,25 @@ def _flat_eth_price_rows(table, quote: float = 2000.0):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    """Generate the fixture, then create ``--out-dir`` and write it there."""
     _check_seed(args.seed)
     out = args.out_dir
-    os.makedirs(out, exist_ok=True)
     seed = args.seed
     kind = args.kind
     truth: dict = {"kind": kind, "seed": seed}
-    files: list[str] = []
 
+    # file name -> writer taking the file's path
     if kind == "walk":
         series = gen_random_walk(args.length, drift=args.drift, sigma=args.sigma,
                                  seed=seed)
-        series.to_csv(os.path.join(out, "walk.csv"))
-        files.append("walk.csv")
+        writers = {"walk.csv": series.to_csv}
         truth.update(length=args.length, drift=args.drift, sigma=args.sigma)
     elif kind == "explosive":
         windows = _parse_windows(args.window, args.length)
         series, labels = gen_explosive(
             args.length, windows, rho=args.rho, sigma=args.sigma, seed=seed,
             start_level=args.start_level)
-        series.to_csv(os.path.join(out, "explosive.csv"))
-        files.append("explosive.csv")
+        writers = {"explosive.csv": series.to_csv}
         truth.update(length=args.length, rho=args.rho, sigma=args.sigma,
                      start_level=args.start_level,
                      windows=[list(w) for w in windows],
@@ -815,9 +822,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         noise = 1.0 if args.noise is None else args.noise
         x, y = gen_coupled_pair(args.length, beta=args.beta, lag=args.lag,
                                 noise=noise, seed=seed)
-        x.to_csv(os.path.join(out, "coupled_x.csv"))
-        y.to_csv(os.path.join(out, "coupled_y.csv"))
-        files += ["coupled_x.csv", "coupled_y.csv"]
+        writers = {"coupled_x.csv": x.to_csv, "coupled_y.csv": y.to_csv}
         truth.update(length=args.length, beta=args.beta, lag=args.lag, noise=noise)
     elif kind == "hedonic":
         noise = 0.0 if args.noise is None else args.noise
@@ -828,21 +833,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 beta_weth=args.beta_weth, noise=noise, seed=seed)
         except ValidationError as exc:
             raise _UsageError(str(exc)) from exc
-        files += _write_sales(out, _transactions_to_rows(transactions),
-                              _flat_eth_price_rows(transactions))
+        writers = _sales_writers(_transactions_to_rows(transactions),
+                                 _flat_eth_price_rows(transactions))
         truth.update(gen_truth)
         truth["eth_usd_quote"] = 2000.0
     elif kind == "market":
         sim = gen_market_dataset(n_weeks=args.weeks, seed=seed,
                                  metaverse=args.metaverse, coin=args.coin)
-        files += _write_sales(out, sim.tx_rows, sim.price_rows)
+        writers = _sales_writers(sim.tx_rows, sim.price_rows)
         truth.update(sim.truth)
     else:  # pragma: no cover - argparse choices guard this
         raise _UsageError(f"unknown kind {kind!r}")
 
-    write_json(os.path.join(out, "truth.json"), truth)
-    files.append("truth.json")
-    _log(f"[simulate] {kind} -> {', '.join(files)} in {out}")
+    writers["truth.json"] = lambda path: write_json(path, truth)
+    os.makedirs(out, exist_ok=True)
+    for name, write in writers.items():
+        write(os.path.join(out, name))
+    _log(f"[simulate] {kind} -> {', '.join(writers)} in {out}")
     return 0
 
 

@@ -5,10 +5,13 @@ regression of log price on period effects plus two attribute controls:
 
     ln(usd_price) = a_period + b1 * ln(num_plots) + b2 * weth + e
 
-The first estimable period is the base: its delta is identically 0 and
-its index exactly 1.  Periods with fewer than ``min_per_period``
-transactions are not estimated; they are reported as gaps and the
-index series simply omits those dates.
+A period (a day or an ISO week, labeled by ``series.period_start``) is
+estimable with at least ``min_per_period`` transactions; the others'
+transactions do not enter the regression.  The index spans the first
+estimable period, the base (delta identically 0, index exactly 1), to
+the last.  Its gaps are ``series.grid_gaps`` of the index: the periods
+inside that span under ``min_per_period`` transactions, none included.
+Thin periods at either edge fall outside the index.
 
 The period effects are absorbed rather than estimated as dummy columns
 (Frisch-Waugh-Lovell).  Log price and the K <= 2 controls are demeaned
@@ -42,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InsufficientDataError, SingularDesignError, ValidationError
-from .series import TimeSeries, write_csv, write_json
+from .series import TimeSeries, grid_gaps, period_start, write_csv, write_json
 
 #: a kept control whose pivot falls below COLLINEAR_RTOL times its centered
 #: sum of squares is collinear with the rest of the design
@@ -162,16 +165,6 @@ class HedonicFit:
         }
 
 
-def _periods(day, freq: str) -> np.ndarray:
-    """Period label of each day: the Monday of its ISO week, or the day itself."""
-    if freq == "daily":
-        return day
-    if freq == "weekly":
-        ordinal = day.astype(np.int64)       # 1970-01-01, day 0, was a Thursday
-        return (ordinal - (ordinal + 3) % 7).astype("datetime64[D]")
-    raise ValidationError(f"freq must be 'weekly' or 'daily', got {freq!r}")
-
-
 def _log(values) -> np.ndarray:
     """``math.log`` of each value: np.log can differ from it in the last bit."""
     return np.fromiter(map(math.log, values), np.float64, len(values))
@@ -193,18 +186,18 @@ def build_hpi(
     ``transactions`` is a table converted to USD.  Returns one
     :class:`HpiPoint` per estimable period (in order) and the
     :class:`HedonicFit` with the pooled control coefficients.  Periods
-    with fewer than ``min_per_period`` transactions are gaps: their
-    transactions do not enter the regression and no point is emitted for
-    them.
+    with fewer than ``min_per_period`` transactions are not estimated:
+    their transactions do not enter the regression and no point is
+    emitted for them.  ``gap_periods`` are the grid periods missing
+    inside the index's span, whether thin or without any sale.
     """
     if min_per_period < 1:
         raise ValidationError(f"min_per_period must be >= 1, got {min_per_period}")
     usd_price = transactions.usd_prices()
-    period = _periods(transactions.day, freq)
+    period = period_start(transactions.day, freq)
     labels, counts = np.unique(period, return_counts=True)
     estimable = counts >= min_per_period
     periods = labels[estimable].tolist()
-    gaps = tuple(labels[~estimable].tolist())
     if len(periods) < 2:
         raise InsufficientDataError(
             f"need at least 2 periods with >= {min_per_period} transactions, "
@@ -272,7 +265,7 @@ def build_hpi(
         rss=rss,
         df_resid=df_resid,
         base_period=periods[0],
-        gap_periods=gaps,
+        gap_periods=tuple(grid_gaps(hpi_to_series(points, freq=freq))),
     )
     return points, meta
 

@@ -64,13 +64,13 @@ class FxTable:
     def symbols(self) -> tuple[str, ...]:
         return tuple(sorted({s for _, s in self.quotes}))
 
-    def series(self, symbol: str, name: str | None = None) -> TimeSeries:
+    def series(self, symbol: str) -> TimeSeries:
         symbol = symbol.upper()
         items = sorted((d, v) for (d, s), v in self.quotes.items() if s == symbol)
         if not items:
             raise ValidationError(f"no quotes for symbol {symbol!r}")
         return TimeSeries(
-            name=name or symbol,
+            name=symbol,
             freq="daily",
             dates=tuple(d for d, _ in items),
             values=np.array([v for _, v in items]),

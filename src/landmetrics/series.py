@@ -3,9 +3,11 @@
 The :class:`TimeSeries` type is the common currency between the ingest,
 index-construction, bubble-dating, and VAR stages.  It is deliberately
 minimal: a name, a frequency, strictly increasing dates, and a float64
-value per date.  Weekly series live on a 7-day grid so that two weekly
-series can be aligned by date arithmetic alone; gaps (absent weeks) are
-allowed in the container and are dealt with explicitly downstream.
+value per date.  The calendar is decided here: :func:`grid_step` is each
+frequency's step, and a series' dates lie on its grid, so series align by
+date arithmetic alone; :func:`period_start` labels the period holding a
+day; and a gap is a grid date missing strictly inside a series' span
+(:func:`grid_gaps`), allowed in the container and dealt with downstream.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -41,10 +43,24 @@ import numpy as np
 
 from .errors import DomainError, InsufficientDataError, SchemaError, ValidationError
 
-DAY = dt.timedelta(days=1)
-WEEK = dt.timedelta(days=7)
+#: the grid step of each frequency
+_STEP = {"daily": dt.timedelta(days=1), "weekly": dt.timedelta(days=7)}
 
-_FREQS = ("daily", "weekly")
+
+def grid_step(freq: str) -> dt.timedelta:
+    """The grid step of ``freq``, which must be ``"daily"`` or ``"weekly"``."""
+    try:
+        return _STEP[freq]
+    except KeyError:
+        raise ValidationError(f"freq must be one of {tuple(_STEP)}, got {freq!r}") from None
+
+
+def period_start(day: np.ndarray, freq: str) -> np.ndarray:
+    """The first day of the period holding each day (datetime64[D]): the
+    day itself, or the Monday of its ISO week."""
+    step = grid_step(freq).days
+    ordinal = day.astype(np.int64)       # day 0, 1970-01-01, was a Thursday
+    return (ordinal - (ordinal + 3) % step).astype("datetime64[D]")
 
 
 def _fmt(x: float) -> str:
@@ -89,9 +105,8 @@ def write_json(path, obj) -> None:
 class TimeSeries:
     """A named series of float values on strictly increasing dates.
 
-    ``freq`` is ``"daily"`` or ``"weekly"``.  Weekly dates must share a
-    common 7-day grid, so consecutive present weeks differ by exactly
-    7 days; missing weeks simply widen the difference to a multiple of 7.
+    ``freq`` is ``"daily"`` or ``"weekly"``.  Consecutive dates differ by
+    a multiple of the frequency's step: one step, or more across a gap.
     """
 
     name: str
@@ -100,8 +115,7 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.freq not in _FREQS:
-            raise ValidationError(f"freq must be one of {_FREQS}, got {self.freq!r}")
+        step = grid_step(self.freq)
         dates = tuple(self.dates)
         vals = np.asarray(self.values, dtype=np.float64).copy()
         if vals.ndim != 1:
@@ -117,13 +131,9 @@ class TimeSeries:
         for a, b in zip(dates, dates[1:]):
             if b <= a:
                 raise ValidationError(f"dates not strictly increasing at {b} in {self.name!r}")
-        if self.freq == "weekly":
-            origin = dates[0]
-            for d in dates[1:]:
-                if (d - origin).days % 7 != 0:
-                    raise ValidationError(
-                        f"weekly series {self.name!r} has off-grid date {d}"
-                    )
+        for d in dates[1:]:
+            if (d - dates[0]) % step:
+                raise ValidationError(f"{self.freq} series {self.name!r} has off-grid date {d}")
         if not np.all(np.isfinite(vals)):
             bad = dates[int(np.flatnonzero(~np.isfinite(vals))[0])]
             raise ValidationError(f"non-finite value at {bad} in series {self.name!r}")
@@ -136,7 +146,7 @@ class TimeSeries:
 
     @property
     def step(self) -> dt.timedelta:
-        return WEEK if self.freq == "weekly" else DAY
+        return grid_step(self.freq)
 
     def value_at(self, d: dt.date) -> float | None:
         try:
@@ -186,7 +196,6 @@ class SummaryStats:
     n: int
     mean: float
     min: float
-    median: float
     max: float
     std_dev: float | None
     skewness: float | None
@@ -225,7 +234,6 @@ def summary_stats(values) -> SummaryStats:
         n=n,
         mean=mean,
         min=float(x.min()),
-        median=p50,
         max=float(x.max()),
         std_dev=std_dev,
         skewness=skewness,
@@ -264,7 +272,7 @@ def winsorize(values, lo_q: float, hi_q: float) -> np.ndarray:
 def resample_weekly(series: TimeSeries, rule: str = "last") -> TimeSeries:
     """Aggregate a daily series into ISO weeks (Monday through Sunday).
 
-    The weekly point is labeled with the Monday of its ISO week.  ``rule``
+    The weekly point is labeled by :func:`period_start`.  ``rule``
     selects the aggregate: ``"last"`` takes the final observation of the
     week, ``"mean"`` the average of that week's observations.  A weekly
     input is returned unchanged with a warning.
@@ -275,9 +283,8 @@ def resample_weekly(series: TimeSeries, rule: str = "last") -> TimeSeries:
         warnings.warn(f"series {series.name!r} is already weekly; resample is a no-op")
         return series
     buckets: dict[dt.date, list[float]] = {}
-    for d, v in zip(series.dates, series.values):
-        iso = d.isocalendar()
-        monday = dt.date.fromisocalendar(iso[0], iso[1], 1)
+    labels = period_start(np.array(series.dates, "datetime64[D]"), "weekly").tolist()
+    for monday, v in zip(labels, series.values):
         buckets.setdefault(monday, []).append(float(v))
     mondays = sorted(buckets)
     if rule == "last":
@@ -336,8 +343,6 @@ class Correlogram:
     ``corr`` set to ``None``.
     """
 
-    x_name: str
-    y_name: str
     max_lag: int
     entries: tuple[CorrelogramEntry, ...] = field(repr=False)
 
@@ -392,7 +397,7 @@ def lead_lag_correlation(x: TimeSeries, y: TimeSeries, max_lag: int = 10) -> Cor
                 ys.append(y_map[shifted])
         corr = _pearson(np.array(xs), np.array(ys))
         entries.append(CorrelogramEntry(offset=k, corr=corr, n_pairs=len(xs)))
-    return Correlogram(x_name=x.name, y_name=y.name, max_lag=max_lag, entries=tuple(entries))
+    return Correlogram(max_lag=max_lag, entries=tuple(entries))
 
 
 def pairwise_correlation(series_list) -> np.ndarray:
@@ -435,45 +440,43 @@ def restrict(series: TimeSeries, start: dt.date, end: dt.date) -> TimeSeries:
     )
 
 
-def weekly_gaps(series: TimeSeries) -> list[dt.date]:
-    """Dates of absent weeks strictly inside a weekly series' span."""
-    if series.freq != "weekly":
-        raise ValidationError("weekly_gaps is defined for weekly series")
+def _grid(series: TimeSeries) -> list[dt.date]:
+    """Every grid date from the series' first date to its last."""
+    step = series.step
+    return [series.dates[0] + i * step
+            for i in range((series.dates[-1] - series.dates[0]) // step + 1)]
+
+
+def grid_gaps(series: TimeSeries) -> list[dt.date]:
+    """The gaps of a series: grid dates missing strictly inside its span."""
     present = set(series.dates)
-    gaps = []
-    d = series.dates[0] + WEEK
-    while d < series.dates[-1]:
-        if d not in present:
-            gaps.append(d)
-        d += WEEK
-    return gaps
+    return [d for d in _grid(series) if d not in present]
 
 
 def fill_gaps_loglinear(series: TimeSeries) -> TimeSeries:
-    """Fill absent weeks by interpolating linearly in log space.
+    """Fill the series' gaps (:func:`grid_gaps`) by interpolating linearly
+    in log space between the present dates around each one.
 
-    Requires strictly positive values.  A gap-free series is returned
-    unchanged.
+    The result has the series' frequency and every grid date of its
+    span.  Requires strictly positive values.  A gap-free series is
+    returned unchanged.
     """
-    gaps = weekly_gaps(series)
+    gaps = grid_gaps(series)
     if not gaps:
         return series
     require_positive(series, "log-linear fill")
     logv = {d: math.log(v) for d, v in zip(series.dates, series.values)}
-    known = list(series.dates)
-    dates, values = [], []
-    d = series.dates[0]
-    ki = 0
-    while d <= series.dates[-1]:
+    known = series.dates
+    grid = _grid(series)
+    values = []
+    ki = 0      # known[ki - 1] and known[ki] bracket each gap
+    for d in grid:
         if d in logv:
             values.append(math.exp(logv[d]))
-            while ki < len(known) and known[ki] <= d:
-                ki += 1
+            ki += 1
         else:
             left = known[ki - 1]
             right = known[ki]
             w = (d - left).days / (right - left).days
             values.append(math.exp((1.0 - w) * logv[left] + w * logv[right]))
-        dates.append(d)
-        d += WEEK
-    return TimeSeries(series.name, "weekly", tuple(dates), np.array(values))
+    return TimeSeries(series.name, series.freq, tuple(grid), np.array(values))

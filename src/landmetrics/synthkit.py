@@ -29,7 +29,7 @@ from numpy.random import Generator, Philox
 
 from .errors import ValidationError
 from .hedonic import TransactionTable
-from .series import TimeSeries
+from .series import TimeSeries, grid_step
 
 #: all generated calendars start here (a Monday, so weekly grids align)
 EPOCH = dt.date(2021, 1, 4)
@@ -47,9 +47,9 @@ def stream(seed: int, index: int = 0) -> Generator:
     return Generator(Philox(key=[seed, index]))
 
 
-def _dates(n: int, freq: str, start: dt.date) -> tuple[dt.date, ...]:
-    step = dt.timedelta(days=7 if freq == "weekly" else 1)
-    return tuple(start + i * step for i in range(n))
+def _dates(n: int, freq: str) -> tuple[dt.date, ...]:
+    step = grid_step(freq)
+    return tuple(EPOCH + i * step for i in range(n))
 
 
 def _check_length(n: int) -> None:
@@ -62,9 +62,7 @@ def gen_random_walk(
     drift: float = 0.0,
     sigma: float = 1.0,
     seed: int = 0,
-    name: str = "walk",
     freq: str = "daily",
-    start: dt.date = EPOCH,
 ) -> TimeSeries:
     """Driftable random walk, y_0 = 0, increments drift + sigma * N(0,1)."""
     _check_length(n)
@@ -72,7 +70,7 @@ def gen_random_walk(
         raise ValidationError(f"sigma must be >= 0, got {sigma}")
     eps = stream(seed, 0).standard_normal(n - 1)
     y = np.concatenate([[0.0], np.cumsum(drift + sigma * eps)])
-    return TimeSeries(name=name, freq=freq, dates=_dates(n, freq, start), values=y)
+    return TimeSeries(name="walk", freq=freq, dates=_dates(n, freq), values=y)
 
 
 def gen_explosive(
@@ -82,9 +80,7 @@ def gen_explosive(
     sigma: float = 1.0,
     seed: int = 0,
     start_level: float = 0.0,
-    name: str = "explosive",
     freq: str = "daily",
-    start: dt.date = EPOCH,
 ) -> tuple[TimeSeries, np.ndarray]:
     """Random walk with explosive segments; returns (series, truth labels).
 
@@ -121,7 +117,7 @@ def gen_explosive(
     for t in range(1, n):
         base = rho * y[t - 1] if truth[t] else y[t - 1]
         y[t] = base + sigma * eps[t - 1]
-    series = TimeSeries(name=name, freq=freq, dates=_dates(n, freq, start), values=y)
+    series = TimeSeries(name="explosive", freq=freq, dates=_dates(n, freq), values=y)
     return series, truth
 
 
@@ -132,7 +128,6 @@ def gen_coupled_pair(
     noise: float = 1.0,
     seed: int = 0,
     freq: str = "weekly",
-    start: dt.date = EPOCH,
 ) -> tuple[TimeSeries, TimeSeries]:
     """White-noise x and y_t = beta * x_{t-lag} + noise * eta_t.
 
@@ -150,7 +145,7 @@ def gen_coupled_pair(
     eta = rng.standard_normal(n)
     y = noise * eta
     y[lag:] += beta * x[:-lag]
-    dates = _dates(n, freq, start)
+    dates = _dates(n, freq)
     return (
         TimeSeries(name="x", freq=freq, dates=dates, values=x),
         TimeSeries(name="y", freq=freq, dates=dates, values=y),
@@ -165,8 +160,6 @@ def gen_hedonic_panel(
     noise: float = 0.0,
     seed: int = 0,
     freq: str = "weekly",
-    start: dt.date = EPOCH,
-    base_log_price: float = math.log(1000.0),
 ) -> tuple[TransactionTable, dict]:
     """Transactions with planted period deltas and control coefficients.
 
@@ -174,7 +167,7 @@ def gen_hedonic_panel(
     delta must be 0.  Plot counts are uniform on 1..9, the wETH indicator
     is Bernoulli(0.4), and
 
-        ln(usd_price) = base_log_price + delta + beta_plots * ln(plots)
+        ln(usd_price) = ln(1000) + delta + beta_plots * ln(plots)
                         + beta_weth * weth + noise * eps.
 
     Returns the transactions (in USD, settled in ETH or wETH at 2000 USD)
@@ -190,10 +183,9 @@ def gen_hedonic_panel(
     if noise < 0.0:
         raise ValidationError(f"noise must be >= 0, got {noise}")
     rng = stream(seed, 0)
-    step = dt.timedelta(days=7 if freq == "weekly" else 1)
+    base_log_price = math.log(1000.0)
     stamps, usd, plots, weth = [], [], [], []
-    for k, delta in enumerate(deltas):
-        period_start = start + k * step
+    for first_day, delta in zip(_dates(len(deltas), freq), deltas):
         for _ in range(n_per_period):
             plots.append(int(rng.integers(1, 10)))
             weth.append(bool(rng.random() < 0.4))
@@ -208,7 +200,7 @@ def gen_hedonic_panel(
             day = int(rng.integers(0, 7)) if freq == "weekly" else 0
             hour = int(rng.integers(8, 20))
             usd.append(math.exp(log_price))
-            stamps.append(dt.datetime.combine(period_start + dt.timedelta(days=day),
+            stamps.append(dt.datetime.combine(first_day + dt.timedelta(days=day),
                                               dt.time(hour=hour)))
     usd_price = np.array(usd)
     txs = TransactionTable(
@@ -267,7 +259,7 @@ def gen_market_dataset(
     if n_weeks < 20:
         raise ValidationError(f"market fixture needs >= 20 weeks, got {n_weeks}")
     n_days = n_weeks * 7
-    days = _dates(n_days, "daily", EPOCH)
+    days = _dates(n_days, "daily")
 
     win = (int(0.55 * n_days), int(0.65 * n_days))
     z, _ = gen_explosive(

@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .linreg import f_tail_prob
-from .series import write_csv
+from .series import grid_step, write_csv
 
 #: a QR pivot |R_jj| at or below RANK_TOL * ||x_j|| marks design column j
 #: as collinear with the columns before it
@@ -66,7 +66,7 @@ class Panel:
             dates = tuple(self.dates)
             if len(dates) != x.shape[0]:
                 raise ValidationError("dates length does not match rows")
-            step = dt.timedelta(days=7 if self.freq == "weekly" else 1)
+            step = grid_step(self.freq)
             for a, b in zip(dates, dates[1:]):
                 if b - a != step:
                     raise ValidationError(

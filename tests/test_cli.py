@@ -18,6 +18,7 @@ from landmetrics.synthkit import EPOCH, gen_coupled_pair, gen_random_walk, strea
 D0 = dt.date(2021, 1, 4)
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "pipeline_report.json"
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+DEMO_CFG = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "demo" / "run.cfg"
 
 
 def weekly(values, start=D0, name="s"):
@@ -288,7 +289,12 @@ def test_seed_outside_the_philox_keys_exits_1(tmp_path, capsys, seed):
     assert main(["simulate", "--kind", "walk", "--seed", str(seed),
                  "--out-dir", str(tmp_path / "sim")]) == 1
     assert capsys.readouterr().err == message
+    # a generator's own check fails before --out-dir is created, too
+    assert main(["simulate", "--kind", "walk", "--length", "5",
+                 "--out-dir", str(tmp_path / "short")]) == 2
+    assert capsys.readouterr().err == "error: generated series need length >= 10, got 5\n"
     assert not (tmp_path / "out").exists() and not (tmp_path / "sim").exists()
+    assert not (tmp_path / "short").exists()
 
 
 def test_bubble_log_prices_need_positive_values(tmp_path, capsys):
@@ -486,17 +492,26 @@ def test_pipeline_failure_writes_partial_report(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_index_gap_stops_granger_and_pipeline_alike(tmp_path, capsys):
+def _thin_week(fix, first, keep):
+    """Keep only ``keep`` of the sales of the week that starts on ``first``."""
+    tx = fix / "transactions.csv"
+    week = {(first + dt.timedelta(days=day)).isoformat() for day in range(7)}
+    lines = tx.read_text().splitlines(keepends=True)
+    in_week = [i for i, line in enumerate(lines) if line[:10] in week]
+    tx.write_text("".join(line for i, line in enumerate(lines) if i not in in_week[keep:]))
+
+
+# one sale left in the week of 2021-02-08 is under min_per_period = 3, and a
+# week with no sale left is missing from the grid: either way it is a gap
+GAP_WEEK_SALES = pytest.mark.parametrize("keep", [1, 0], ids=["one_sale", "no_sale"])
+
+
+@GAP_WEEK_SALES
+def test_index_gap_stops_granger_and_pipeline_alike(tmp_path, capsys, keep):
     fix = tmp_path / "fix"
     _make_market_fixture(fix, weeks=20, seed=3)
     capsys.readouterr()                      # the fixture's [simulate] log line
-    # keep one sale of the week of 2021-02-08, under min_per_period = 3,
-    # so that week becomes a gap period of the index
-    tx = fix / "transactions.csv"
-    gap_week = {f"2021-02-{day:02d}" for day in range(8, 15)}
-    lines = tx.read_text().splitlines(keepends=True)
-    in_gap = [i for i, line in enumerate(lines) if line[:10] in gap_week]
-    tx.write_text("".join(line for i, line in enumerate(lines) if i not in in_gap[1:]))
+    _thin_week(fix, dt.date(2021, 2, 8), keep)
     message = ("index has gap periods (2021-02-08); differencing across gaps "
                "is not meaningful. Set fill=interpolate to bridge them.")
     cfg = str(fix / "run.cfg")
@@ -511,6 +526,18 @@ def test_index_gap_stops_granger_and_pipeline_alike(tmp_path, capsys):
     assert report["failed_stage"] == "granger"
     assert report["error"] == message
     assert "bubble_VOX.csv" in report["files"]
+    capsys.readouterr()
+
+
+def test_daily_pipeline_runs_on_the_demo_fixture(tmp_path, capsys):
+    # days without a sale are gaps of the daily index, and the quote
+    # columns stay daily, so the panel aligns with the filled index
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(DEMO_CFG), "--freq", "daily",
+                 "--min-per-period", "1", "--fill", "interpolate",
+                 "--out-dir", str(out)]) == 0
+    hpi = json.loads((out / "report.json").read_text())["stages"]["hpi"]
+    assert hpi["fill_applied"] is True and hpi["gap_periods"]
     capsys.readouterr()
 
 
@@ -649,15 +676,11 @@ def test_pipeline_without_coin_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_fill_interpolate_bridges_index_gap_in_granger_and_pipeline(tmp_path, capsys):
+@GAP_WEEK_SALES
+def test_fill_interpolate_bridges_index_gap_in_granger_and_pipeline(tmp_path, capsys, keep):
     fix = tmp_path / "fix"
     _make_market_fixture(fix, weeks=30, seed=3)
-    # one sale in the week of 2021-02-08 leaves it under min_per_period = 3
-    tx = fix / "transactions.csv"
-    gap_week = {f"2021-02-{day:02d}" for day in range(8, 15)}
-    lines = tx.read_text().splitlines(keepends=True)
-    in_gap = [i for i, line in enumerate(lines) if line[:10] in gap_week]
-    tx.write_text("".join(line for i, line in enumerate(lines) if i not in in_gap[1:]))
+    _thin_week(fix, dt.date(2021, 2, 8), keep)
     argv = ["--config", str(fix / "run.cfg"), "--fill", "interpolate"]
 
     out = tmp_path / "g"

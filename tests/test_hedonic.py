@@ -264,6 +264,24 @@ def test_sparse_period_becomes_gap():
     assert fit.n_obs == 7  # the two gap transactions never enter the fit
 
 
+def test_thin_edge_weeks_fall_outside_the_index():
+    txs = [tx(week(0), 90.0), tx(week(0), 95.0)]         # thin first week
+    txs += [tx(week(w), 100.0 + 10 * w + i) for w in (1, 2) for i in range(3)]
+    txs += [tx(week(3), 130.0)]                            # thin last week
+    points, fit = build_hpi(table(txs), min_per_period=3)
+    assert [p.period for p in points] == [week(1), week(2)]
+    assert fit.base_period == week(1)
+    assert fit.gap_periods == ()
+    assert fit.n_obs == 6
+
+
+def test_week_without_sales_is_a_gap():
+    txs = [tx(week(w), 100.0 + 10 * w + i) for w in (0, 2, 3) for i in range(3)]
+    points, fit = build_hpi(table(txs), min_per_period=3)
+    assert [p.period for p in points] == [week(0), week(2), week(3)]
+    assert fit.gap_periods == (week(1),)
+
+
 def test_min_per_period_one_keeps_everything():
     txs = [tx(week(0), 100.0), tx(week(1), 110.0), tx(week(2), 121.0)]
     points, fit = build_hpi(table(txs), min_per_period=1)

@@ -1,6 +1,6 @@
 """Source hygiene: no module under ``src/landmetrics`` keeps a dead import,
-a dead public function or class, or a dead public method or property, and
-only ``series`` writes files.
+a dead public function or class, a dead public method or property, or a
+dataclass field that nothing reads, and only ``series`` writes files.
 
 No linter ships with the package's test dependencies, so this check
 parses each module with ``ast`` instead.
@@ -151,6 +151,60 @@ def test_dead_method_detector_needs_an_attribute_reference():
 def test_package_has_no_dead_public_methods():
     package = {p.relative_to(ROOT).as_posix() for p in MODULES}
     assert dead_public_methods(_sources(), package) == []
+
+
+def _reads(source: str) -> set[str]:
+    """Attribute names that ``source`` reads: by ``.name`` or as the
+    constant name of a ``getattr`` call."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Call) and ast.unparse(node.func) == "getattr"
+              and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+            names.add(node.args[1].value)
+    return names
+
+
+def dead_fields(sources: dict[str, str], package) -> list[str]:
+    """Fields of the top-level dataclasses of the ``package`` paths that
+    no text of ``sources`` reads."""
+    read = set().union(*map(_reads, sources.values()))
+    dead = []
+    for path in sorted(package):
+        for cls in ast.parse(sources[path]).body:
+            if not (isinstance(cls, ast.ClassDef) and any(
+                    ast.unparse(d).split("(")[0].endswith("dataclass")
+                    for d in cls.decorator_list)):
+                continue
+            dead += [f"{path}: {cls.name}.{node.target.id}" for node in cls.body
+                     if isinstance(node, ast.AnnAssign) and node.target.id not in read]
+    return dead
+
+
+def test_dead_field_detector_needs_a_read():
+    module = ("from dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\n"
+              "class Fit:\n"
+              "    n_obs: int\n"
+              "    label: str\n"
+              "    rss: float\n"
+              "    unused: float\n"
+              "    def table(self):\n"
+              "        return self.n_obs\n"
+              "class Plain:\n"
+              "    width: int\n"
+              "def make(rss):\n"
+              "    return Fit(n_obs=1, label='a', rss=rss, unused=0.0)\n")
+    sources = {"pkg/mod.py": module,
+               "tests/test_mod.py": "def check(fit):\n    return getattr(fit, 'label')\n"}
+    assert dead_fields(sources, {"pkg/mod.py"}) == ["pkg/mod.py: Fit.rss",
+                                                    "pkg/mod.py: Fit.unused"]
+
+
+def test_package_has_no_dead_dataclass_fields():
+    package = {p.relative_to(ROOT).as_posix() for p in MODULES}
+    assert dead_fields(_sources(), package) == []
 
 
 def file_writes(source: str) -> list[str]:

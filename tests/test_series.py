@@ -18,12 +18,12 @@ from landmetrics.series import (
     TimeSeries,
     difference,
     fill_gaps_loglinear,
+    grid_gaps,
     lead_lag_correlation,
     pairwise_correlation,
     resample_weekly,
     restrict,
     summary_stats,
-    weekly_gaps,
     winsorize,
     write_csv,
 )
@@ -155,7 +155,7 @@ def test_summary_one_two_three():
     assert st_.mean == 2.0
     assert st_.min == 1.0
     assert st_.max == 3.0
-    assert st_.median == 2.0
+    assert st_.p50 == 2.0
     assert st_.std_dev == pytest.approx(1.0)
     assert st_.skewness == pytest.approx(0.0, abs=1e-12)
 
@@ -224,7 +224,6 @@ def test_summary_is_permutation_invariant(xs, rnd):
 def test_summary_quantiles_are_ordered(xs):
     s = summary_stats(xs)
     assert s.min <= s.p5 <= s.p50 <= s.p95 <= s.max
-    assert s.median == s.p50
 
 
 def test_summary_rejects_empty_and_nan():
@@ -527,21 +526,30 @@ def test_pairwise_needs_two_series():
 
 
 # ---------------------------------------------------------------------------
-# weekly gaps and log-linear fill
+# grid gaps and log-linear fill
 # ---------------------------------------------------------------------------
 
 
 def test_weekly_gaps_lists_missing_mondays():
     dates = (D0, D0 + dt.timedelta(weeks=1), D0 + dt.timedelta(weeks=4))
     s = TimeSeries("s", "weekly", dates, np.array([1.0, 2.0, 3.0]))
-    gaps = weekly_gaps(s)
+    gaps = grid_gaps(s)
     assert gaps == [D0 + dt.timedelta(weeks=2), D0 + dt.timedelta(weeks=3)]
-    assert weekly_gaps(weekly([1.0, 2.0, 3.0])) == []
+    assert grid_gaps(weekly([1.0, 2.0, 3.0])) == []
 
 
-def test_weekly_gaps_requires_weekly():
-    with pytest.raises(ValidationError):
-        weekly_gaps(daily([1.0, 2.0]))
+def test_daily_gaps_and_fill_stay_on_the_daily_grid():
+    # days 2, 3 and 5 are missing; the fill keeps the series daily
+    days = (0, 1, 4, 6)
+    s = TimeSeries("s", "daily", tuple(D0 + dt.timedelta(days=i) for i in days),
+                   np.exp(0.1 * np.array(days, float)))
+    assert grid_gaps(s) == [D0 + dt.timedelta(days=i) for i in (2, 3, 5)]
+    assert grid_gaps(daily([1.0, 2.0, 3.0])) == []
+    filled = fill_gaps_loglinear(s)
+    assert filled.freq == "daily"
+    assert filled.dates == tuple(D0 + dt.timedelta(days=i) for i in range(7))
+    assert filled.values == pytest.approx(np.exp(0.1 * np.arange(7.0)), rel=1e-12)
+    assert grid_gaps(filled) == []
 
 
 def test_fill_gaps_exact_on_loglinear_data():
@@ -553,7 +561,7 @@ def test_fill_gaps_exact_on_loglinear_data():
     filled = fill_gaps_loglinear(s)
     assert len(filled) == 6
     assert filled.values == pytest.approx(full, rel=1e-12)
-    assert weekly_gaps(filled) == []
+    assert grid_gaps(filled) == []
 
 
 def test_fill_gaps_noop_without_gaps():
