@@ -1,4 +1,5 @@
-"""Time the BSADF window sweep, its Monte-Carlo null and the Granger table.
+"""Time the BSADF window sweep, its Monte-Carlo null, the Granger table and
+the CLI import.
 
 Pins this process to one CPU and BLAS to one thread, then times:
 
@@ -9,12 +10,16 @@ Pins this process to one CPU and BLAS to one thread, then times:
 * acceptance criterion 10's null: ``mc_critical_values`` at T=600, 1000
   replications;
 * one demo-sized ``granger_table``: 59 rows by 4 columns of white noise,
-  ``p_max=3``, both specs (24 block F tests).
+  ``p_max=3``, both specs (24 block F tests);
+* one ``f_tail_prob(2.3, 3, 50)`` call, in microseconds (a run makes
+  1,000 calls);
+* ``import landmetrics.cli`` in a fresh process on the same CPU, timed
+  inside that process: the median of 7 after one untimed import.
 
-Each figure is the median of ``--repeats`` runs (default 5), in seconds,
-all in one process: once earlier figures have freed large arrays, glibc
-stops returning freed memory to the OS, so these figures can miss page
-faults that a fresh process pays.
+Every other figure is the median of ``--repeats`` runs (default 5), in
+seconds unless its name ends in ``_us``, all in one process: once earlier
+figures have freed large arrays, glibc stops returning freed memory to the
+OS, so these figures can miss page faults that a fresh process pays.
 ``--src`` imports ``landmetrics`` from another checkout's ``src`` so that
 two versions can be timed on the same machine; ``--label`` names the
 result, which is merged into the ``--out`` JSON file beside any others.
@@ -30,6 +35,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 
@@ -44,6 +50,18 @@ def median_time(fn, repeats):
         fn()
         times.append(time.perf_counter() - start)
     return statistics.median(times)
+
+
+def import_time(src, runs=7):
+    """Median seconds of ``import landmetrics.cli`` in a fresh interpreter,
+    after one untimed import that compiles the bytecode."""
+    code = ("import time; t = time.perf_counter(); import landmetrics.cli; "
+            "print(time.perf_counter() - t)")
+    env = dict(os.environ, PYTHONPATH=src)
+    times = [float(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                  capture_output=True, text=True).stdout)
+             for _ in range(runs + 1)]
+    return statistics.median(times[1:])
 
 
 def cpu_model():
@@ -65,6 +83,7 @@ def main(argv=None):
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
     from landmetrics import bubbles
+    from landmetrics.linreg import f_tail_prob
     from landmetrics.synthkit import stream
     from landmetrics.var_granger import Panel, granger_table
 
@@ -86,6 +105,9 @@ def main(argv=None):
     panel = Panel(("x", "y", "c1", "c2"), stream(0, 0).standard_normal((59, 4)))
     figures["granger_table_demo_s"] = median_time(
         lambda: granger_table(panel, "x", "y", p_max=3, both_specs=True), args.repeats)
+    figures["f_tail_prob_us"] = 1e3 * median_time(
+        lambda: [f_tail_prob(2.3, 3, 50) for _ in range(1000)], args.repeats)
+    figures["import_cli_s"] = import_time(os.path.abspath(args.src))
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     result = {"figures": figures, "repeats": args.repeats, "nproc": os.cpu_count(),
               "cpu": cpu_model(), "python": platform.python_version(),

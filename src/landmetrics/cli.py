@@ -738,12 +738,13 @@ REPORT_DIGITS = 10
 def _report_floats(obj):
     """Round every float in ``obj`` to ``REPORT_DIGITS`` significant digits.
 
-    The report is meant to be byte-identical across numpy/scipy/BLAS
-    versions, and their last few ULPs differ (scipy's ``betainc`` behind
-    the Granger p-values, for one).  Ten digits sit inside
-    ``f_tail_prob``'s documented 1e-10 accuracy.  A value lying on a
-    rounding boundary can still flip its last digit; no finite rounding
-    avoids that.  Non-finite floats and all other types pass through.
+    The report is meant to be byte-identical across numpy/BLAS versions,
+    and their last few ULPs differ (in the Granger F statistics that
+    ``linreg``'s own incomplete beta maps to p-values, for one).  Ten
+    digits sit inside ``f_tail_prob``'s documented 1e-10 accuracy.  A
+    value lying on a rounding boundary can still flip its last digit; no
+    finite rounding avoids that.  Non-finite floats and all other types
+    pass through.
     """
     if isinstance(obj, float):
         return float(f"{obj:.{REPORT_DIGITS}g}")

@@ -219,7 +219,8 @@ def bsadf_bic_oracle(y, r2, r0, kmax):
 
 
 # ---------------------------------------------------------------------------
-# F and Student-t tail probabilities by adaptive numerical integration
+# F and Student-t tail probabilities by adaptive numerical integration, and
+# the F tail in 50-digit arithmetic
 # ---------------------------------------------------------------------------
 
 
@@ -244,6 +245,17 @@ def f_tail_oracle(f, d1, d2):
         return 1.0
     upper, _ = quad(f_pdf, f, math.inf, args=(d1, d2), limit=400)
     return upper
+
+
+def f_tail_exact_oracle(f, d1, d2):
+    """P[F(d1, d2) > f] from mpmath's regularized incomplete beta at 50
+    digits, with ``f`` taken as the exact value of its float."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        x = d2 / (d2 + d1 * mpmath.mpf(f))
+        return float(mpmath.betainc(mpmath.mpf(d2) / 2, mpmath.mpf(d1) / 2, 0, x,
+                                    regularized=True))
 
 
 def t_pdf(x, df):

@@ -555,8 +555,9 @@ def _nudge_floats(obj, ulps):
 
 
 def test_report_bytes_survive_last_ulp_drift(tmp_path):
-    # Library upgrades move the last few ULPs of derived statistics (scipy's
-    # betainc behind the Granger p-values); report.json must not show it.
+    # numpy/BLAS upgrades move the last few ULPs of derived statistics (the
+    # Granger F statistics behind the p-values that linreg's own incomplete
+    # beta computes); report.json must not show it.
     golden = GOLDEN.read_bytes()
     report = json.loads(golden)
     written = {}

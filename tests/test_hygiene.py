@@ -1,14 +1,19 @@
 """Source hygiene: no module under ``src/landmetrics`` keeps a dead import,
 a dead public function or class, a dead public method or property, or a
-dataclass field that nothing reads, and only ``series`` writes files.
+dataclass field that nothing reads, and only ``series`` writes files.  The
+package imports exactly the third-party packages that ``pyproject.toml``
+declares, and a CLI run never loads scipy.
 
 No linter ships with the package's test dependencies, so this check
 parses each module with ``ast`` instead.
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -247,3 +252,51 @@ def test_only_series_writes_files():
     writes = {p.name: file_writes(p.read_text()) for p in MODULES}
     assert writes.pop("series.py")
     assert {name: calls for name, calls in writes.items() if calls} == {}
+
+
+def third_party_imports(source: str) -> set[str]:
+    """Top-level names of the packages that ``source`` imports, anywhere in
+    it, other than the standard library and relative imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.partition(".")[0])
+    return {name for name in names
+            if name not in sys.stdlib_module_names and name != "__future__"}
+
+
+def test_import_detector_skips_stdlib_and_relative_imports():
+    source = ("from __future__ import annotations\n"
+              "import os.path, numpy.linalg as la\n"
+              "from .series import TimeSeries\n"
+              "from collections import abc\n"
+              "def f():\n"
+              "    from scipy.special import betainc\n")
+    assert third_party_imports(source) == {"numpy", "scipy"}
+
+
+def test_runtime_imports_match_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")    # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    # distribution names equal import names for every dependency so far
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+                for dep in project["dependencies"]}
+    imported = set().union(*(third_party_imports(p.read_text()) for p in MODULES))
+    assert imported == declared
+
+
+def test_cli_run_never_imports_scipy(tmp_path):
+    demo = ROOT / "fixtures" / "demo" / "run.cfg"
+    code = ("import sys\n"
+            "import landmetrics.cli as cli\n"
+            f"assert cli.main(['granger', '--config', {str(demo)!r},"
+            f" '--out-dir', {str(tmp_path)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -1,16 +1,23 @@
 """F tail probability against hand-rolled oracles."""
 
+import csv
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from landmetrics import linreg
+from landmetrics.cli import main
 from landmetrics.errors import ValidationError
 from landmetrics.linreg import f_tail_prob
 
-from oracles import f_tail_oracle, t_two_sided_tail_oracle
+from oracles import f_tail_exact_oracle, f_tail_oracle, t_two_sided_tail_oracle
+
+DEMO_CFG = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "demo" / "run.cfg"
+F_GRID = [1e-4 * (30.0 / 1e-4) ** (i / 59) for i in range(60)]   # geometric, 1e-4 to 30
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +62,54 @@ def test_f_tail_grid_against_quadrature_oracle():
         d1 = 1 + (i % 6)
         d2 = d2_choices[i % 3]
         assert f_tail_prob(f, d1, d2) == pytest.approx(
-            f_tail_oracle(f, d1, d2), abs=1e-8
+            f_tail_oracle(f, d1, d2), abs=1e-10
         ), (f, d1, d2)
+
+
+def test_f_tail_grid_against_exact_oracle():
+    # Rounding x = d2 / (d2 + d1 f) to a double moves I_x(d2/2, d1/2) by a
+    # relative amount that grows with d2, so the bound does too.
+    misses = []
+    for d1 in (1, 2, 3, 4, 6, 12):
+        for d2 in (1, 5, 50, 200, 500, 1500, 5000, 20000, 100000):
+            bound = 2e-12 * max(1.0, d2 / 200)
+            for f in F_GRID:
+                exact = f_tail_exact_oracle(f, d1, d2)
+                if exact >= 1e-30:
+                    rel = abs(f_tail_prob(f, d1, d2) - exact) / exact
+                    if rel > bound:
+                        misses.append((f, d1, d2, rel))
+    assert misses == []
+
+
+def test_log_beta_keeps_its_digits_at_large_arguments():
+    # lgamma(a + b) - lgamma(a) done plainly loses about 1e-11 at a = 10^4
+    import mpmath
+
+    with mpmath.workdps(50):
+        for a in (50.0, 2500.0, 10000.0, 50000.0):
+            for b in (0.5, 1.5, 6.0):
+                exact = float(mpmath.log(mpmath.beta(a, b)))
+                assert linreg._log_beta(a, b) == pytest.approx(exact, rel=0.0, abs=1e-13)
+                assert linreg._log_beta(b, a) == linreg._log_beta(a, b)
+
+
+def test_f_tail_iteration_cap(monkeypatch):
+    for f in F_GRID:
+        assert 0.0 <= f_tail_prob(f, 12, 100_000) <= 1.0
+    monkeypatch.setattr(linreg, "_MAX_ITER", 2)
+    with pytest.raises(ArithmeticError):
+        f_tail_prob(1.0, 12, 100_000)
+
+
+def test_demo_granger_p_values_match_exact_oracle(tmp_path):
+    assert main(["granger", "--config", str(DEMO_CFG), "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "granger.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 12
+    for row in rows:
+        exact = f_tail_exact_oracle(float(row["f_stat"]), int(row["df_num"]), int(row["df_den"]))
+        assert float(row["p_value"]) == pytest.approx(exact, rel=1e-13, abs=0.0), row
 
 
 def test_f_tail_monotone_decreasing_in_f():
