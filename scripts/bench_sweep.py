@@ -1,5 +1,5 @@
-"""Time the BSADF window sweep, its Monte-Carlo null, the Granger table and
-the CLI import.
+"""Time the BSADF window sweep, its Monte-Carlo null, the Granger table,
+the transactions ingest and the CLI import.
 
 Pins this process to one CPU and BLAS to one thread, then times:
 
@@ -13,13 +13,16 @@ Pins this process to one CPU and BLAS to one thread, then times:
   ``p_max=3``, both specs (24 block F tests);
 * one ``f_tail_prob(2.3, 3, 50)`` call, in microseconds (a run makes
   1,000 calls);
+* ``load_transactions`` on a ``simulate --kind hedonic`` file of 104 weeks
+  by 1,000 sales, as rows per second (the rows over the median time);
 * ``import landmetrics.cli`` in a fresh process on the same CPU, timed
   inside that process: the median of 7 after one untimed import.
 
 Every other figure is the median of ``--repeats`` runs (default 5), in
-seconds unless its name ends in ``_us``, all in one process: once earlier
-figures have freed large arrays, glibc stops returning freed memory to the
-OS, so these figures can miss page faults that a fresh process pays.
+seconds unless its name ends in ``_us`` or ``_per_s``, all in one process:
+once earlier figures have freed large arrays, glibc stops returning freed
+memory to the OS, so these figures can miss page faults that a fresh
+process pays.
 ``--src`` imports ``landmetrics`` from another checkout's ``src`` so that
 two versions can be timed on the same machine; ``--label`` names the
 result, which is merged into the ``--out`` JSON file beside any others.
@@ -37,6 +40,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -83,6 +87,8 @@ def main(argv=None):
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
     from landmetrics import bubbles
+    from landmetrics.cli import main as cli_main
+    from landmetrics.ingest import load_transactions
     from landmetrics.linreg import f_tail_prob
     from landmetrics.synthkit import stream
     from landmetrics.var_granger import Panel, granger_table
@@ -107,6 +113,14 @@ def main(argv=None):
         lambda: granger_table(panel, "x", "y", p_max=3, both_specs=True), args.repeats)
     figures["f_tail_prob_us"] = 1e3 * median_time(
         lambda: [f_tail_prob(2.3, 3, 50) for _ in range(1000)], args.repeats)
+    with tempfile.TemporaryDirectory() as tmp:
+        cli_main(["simulate", "--kind", "hedonic", "--seed", "1", "--deltas",
+                  ",".join(["0"] + ["0.01"] * 103), "--n-per-period", "1000",
+                  "--beta-plots", "0.9", "--noise", "0.3", "--out-dir", tmp])
+        path = os.path.join(tmp, "transactions.csv")
+        n_rows = len(load_transactions(path)[0])
+        figures["load_transactions_rows_per_s"] = n_rows / median_time(
+            lambda: load_transactions(path), args.repeats)
     figures["import_cli_s"] = import_time(os.path.abspath(args.src))
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     result = {"figures": figures, "repeats": args.repeats, "nproc": os.cpu_count(),

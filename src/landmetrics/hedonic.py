@@ -170,6 +170,14 @@ def _log(values) -> np.ndarray:
     return np.fromiter(map(math.log, values), np.float64, len(values))
 
 
+def _log_by_value(values) -> np.ndarray:
+    """:func:`_log` of each value, taken once per distinct value.  A function
+    of its own, so that its index array is freed before the regression's
+    arrays are built and adds nothing to the peak."""
+    distinct, at = np.unique(values, return_inverse=True)
+    return _log(distinct)[at]
+
+
 def _within(values, code, counts):
     """Per-period means of ``values`` and the values less their period mean."""
     means = np.bincount(code, weights=values, minlength=counts.size) / counts
@@ -211,7 +219,7 @@ def build_hpi(
 
     log_price = _log(usd_price[sample])
     controls = {
-        "log_num_plots": _log(transactions.num_plots[sample]),
+        "log_num_plots": _log_by_value(transactions.num_plots[sample]),
         "weth_flag": transactions.paid_in_weth[sample].astype(np.float64),
     }
     kept = [name for name, x in controls.items() if np.ptp(x) > 0.0]

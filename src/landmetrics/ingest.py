@@ -14,10 +14,22 @@ fields``, ``bad timestamp``, ``bad price``, ``price <= 0``, ``bad plot
 count``, ``plot count < 1``, ``missing currency``, ``unknown currency``,
 and then, in the USD conversion, ``no fx for date``.  Rejected rows are
 never dropped silently; they come back as (line, reason) pairs with
-their 1-based file line, and ``accepted + rejected == input rows``
-always holds (blank lines are not rows).  The ``tx_id`` column is
-required but not kept.  wETH settles at the ETH quote (1:1 peg) and is
-the only currency that sets ``paid_in_weth``.
+the 1-based file line their record starts on, and ``accepted + rejected
+== input rows`` always holds (blank lines are not rows).  The ``tx_id``
+column is required but not kept.  wETH settles at the ETH quote (1:1
+peg) and is the only currency that sets ``paid_in_weth``.
+
+The pass takes the records ``_CHUNK_ROWS`` at a time and converts a
+chunk a column at a time: prices and plot counts through the same
+``float`` and ``int`` the row checks use, timestamps with numpy, and each
+distinct currency string once.  That is only a faster route to the row
+checks' result, so a chunk takes it only when every row passes every
+check and its timestamp has the exact shape ``YYYY-MM-DDTHH:MM:SS``.  A
+chunk with a short or blank record, a record spanning two lines, a
+timestamp of another shape (``Z``, an offset, a space, fractional
+seconds) or any row that fails a check goes through the row checks
+instead, row by row in file order, which give every rejection its
+reason and line.
 """
 
 from __future__ import annotations
@@ -27,6 +39,8 @@ import datetime as dt
 import math
 from array import array
 from dataclasses import dataclass, field, replace
+from itertools import islice, repeat
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -43,6 +57,12 @@ STABLE_CURRENCIES = frozenset({"USDC", "USDT", "DAI"})
 _EPOCH = dt.datetime(1970, 1, 1)
 _MICROSECOND = dt.timedelta(microseconds=1)
 _MAX_PLOTS = 2**63 - 1       # the plot count column is int64
+#: records converted a column at a time; small, since a chunk's strings
+#: are all held at once
+_CHUNK_ROWS = 1024
+#: the byte range of each position of the YYYY-MM-DDTHH:MM:SS shape
+_STAMP_LO = np.frombuffer(b"0000-00-00T00:00:00", np.uint8)
+_STAMP_HI = np.frombuffer(b"9999-99-99T99:99:99", np.uint8)
 
 
 @dataclass(frozen=True)
@@ -141,15 +161,58 @@ def _parse_row(row, width, cols, currencies):
     return (ts - _EPOCH) // _MICROSECOND, price, plots, currency
 
 
+def _parse_columns(rows, width, cols, currencies, symbols):
+    """A chunk's columns as :func:`_parse_row` gives them row by row:
+    microseconds since 1970, prices, plot counts, and currencies as codes
+    into ``symbols``, which gains the chunk's new currencies in order of
+    first appearance.  None, with ``symbols`` untouched, unless every row
+    passes every check and has a timestamp of the exact shape
+    YYYY-MM-DDTHH:MM:SS."""
+    if min(map(len, rows)) < width:
+        return None
+    i_ts, i_price, i_currency, i_plots = cols
+    columns = tuple(zip(*rows))
+    text = "".join(columns[i_ts])
+    if set(map(len, columns[i_ts])) != {19} or not text.isascii():
+        return None
+    stamps = np.frombuffer(text.encode("ascii"), "S19")
+    chars = stamps.view(np.uint8).reshape(len(rows), 19)
+    if not (np.all((chars >= _STAMP_LO) & (chars <= _STAMP_HI))
+            and np.all(np.any(chars[:, :4] != ord("0"), axis=1))):     # no year 0
+        return None
+    try:
+        stamps = stamps.astype("datetime64[us]").view(np.int64)
+        prices = np.fromiter(map(float, columns[i_price]), np.float64, len(rows))
+        plots = np.fromiter(map(int, columns[i_plots]), np.int64, len(rows))
+    except (ValueError, OverflowError):         # OverflowError: a count past int64
+        return None
+    if not (np.all(prices > 0.0) and np.all(np.isfinite(prices)) and np.all(plots >= 1)):
+        return None
+    names = {raw: raw.strip().upper() for raw in dict.fromkeys(columns[i_currency])}
+    if not all(names.values()) or (
+            currencies is not None and not all(n in currencies for n in names.values())):
+        return None
+    code = {raw: symbols.setdefault(name, len(symbols)) for raw, name in names.items()}
+    return stamps, prices, plots, np.fromiter(map(code.__getitem__, columns[i_currency]),
+                                              np.int64, len(rows))
+
+
+def _numbered(reader):
+    """(lines read before the record, record) pairs of a csv reader: a
+    record starts on the line after them and spans more than one line
+    when a quoted field holds a line break."""
+    return zip(map(attrgetter("line_num"), repeat(reader)), reader)
+
+
 def load_transactions(path, currencies: frozenset[str] | None = None):
     """Parse a transactions CSV into (table, rejected).
 
     The header must contain the five documented columns (extra columns
     are ignored).  Rows failing any field check are returned in
-    ``rejected`` with their 1-based file line number; the table holds
-    the others in file order, without USD prices.  ``currencies=None``
-    accepts any currency; otherwise a row whose currency is outside the
-    set is rejected.
+    ``rejected`` with the 1-based file line their record starts on; the
+    table holds the others in file order, without USD prices.
+    ``currencies=None`` accepts any currency; otherwise a row whose
+    currency is outside the set is rejected.
     """
     lines, stamps, plots, codes = array("q"), array("q"), array("q"), array("q")
     prices = array("d")
@@ -159,18 +222,31 @@ def load_transactions(path, currencies: frozenset[str] | None = None):
         reader = csv.reader(fh)
         width, cols = _read_header(reader, path, TRANSACTION_COLUMNS, "transactions")
         cols = cols[:4]                             # tx_id is required but not kept
-        for lineno, row in enumerate(reader, start=2):
-            parsed = _parse_row(row, width, cols, currencies)
-            if type(parsed) is str:
-                if any(f.strip() for f in row):     # blank lines are not rows
-                    rejected.append(RejectedRow(lineno, parsed))
-                continue
-            stamp, price, n_plots, currency = parsed
-            lines.append(lineno)
-            stamps.append(stamp)
-            prices.append(price)
-            plots.append(n_plots)
-            codes.append(symbols.setdefault(currency, len(symbols)))
+        numbered = _numbered(reader)
+        while chunk := list(islice(numbered, _CHUNK_ROWS)):
+            first = chunk[0][0] + 1
+            parsed = None
+            if reader.line_num - first + 1 == len(chunk):    # one line per record
+                parsed = _parse_columns(list(map(itemgetter(1), chunk)), width, cols,
+                                        currencies, symbols)
+            if parsed is not None:
+                lines.frombytes(np.arange(first, reader.line_num + 1, dtype=np.int64).tobytes())
+                for buffer, column in zip((stamps, prices, plots, codes), parsed):
+                    buffer.frombytes(column.tobytes())
+            else:
+                for before, row in chunk:
+                    parsed = _parse_row(row, width, cols, currencies)
+                    if type(parsed) is str:
+                        if any(f.strip() for f in row):     # blank lines are not rows
+                            rejected.append(RejectedRow(before + 1, parsed))
+                        continue
+                    stamp, price, n_plots, currency = parsed
+                    lines.append(before + 1)
+                    stamps.append(stamp)
+                    prices.append(price)
+                    plots.append(n_plots)
+                    codes.append(symbols.setdefault(currency, len(symbols)))
+            del chunk               # hold one chunk of records at a time, not two
     table = TransactionTable(
         timestamp=np.asarray(stamps, np.int64).view("datetime64[us]"),
         native_price=prices, num_plots=plots, currency=codes,
@@ -188,7 +264,8 @@ def load_daily_prices(path) -> FxTable:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         _, (i_date, i_symbol, i_price) = _read_header(reader, path, PRICE_COLUMNS, "price")
-        for lineno, row in enumerate(reader, start=2):
+        for before, row in _numbered(reader):
+            lineno = before + 1
             if not row or all(not f.strip() for f in row):
                 continue
             try:

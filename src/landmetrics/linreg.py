@@ -36,17 +36,21 @@ def _log_beta(a: float, b: float) -> float:
                              + tail(a + b) - tail(a))
 
 
-def _betainc(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for a, b > 0 and 0 < x < 1.
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, b) for a, b > 0, 0 < x <= 1 and
+    y = 1 - x > 0, each formed on its own so that neither is rounded
+    through the other.
 
     The continued fraction converges fastest for x < (a+1)/(a+b+2);
-    above that the symmetry I_x(a, b) = 1 - I_{1-x}(b, a) applies.  It
-    is evaluated by the modified Lentz method (Press et al., *Numerical
-    Recipes*, 6.4), and its prefactor x^a (1-x)^b / (a B(a, b)) in logs.
+    above that the symmetry I_x(a, b) = 1 - I_y(b, a) applies.  It is
+    evaluated by the modified Lentz method (Press et al., *Numerical
+    Recipes*, 6.4), and its prefactor x^a y^b / (a B(a, b)) in logs.
     """
     if x > (a + 1.0) / (a + b + 2.0):
-        return 1.0 - _betainc(b, a, 1.0 - x)
-    log_front = a * math.log(x) + b * math.log1p(-x) - math.log(a) - _log_beta(a, b)
+        return 1.0 - _betainc(b, a, y, x)
+    # both logs from the smaller of x and y, whose relative error is the smaller
+    log_x, log_y = (math.log(x), math.log1p(-x)) if x < y else (math.log1p(-y), math.log(y))
+    log_front = a * log_x + b * log_y - math.log(a) - _log_beta(a, b)
     c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
     d = 1.0 / (d if abs(d) > _TINY else _TINY)
     h = d
@@ -81,7 +85,11 @@ def f_tail_prob(f: float, d1: int, d2: int) -> float:
     if not (f >= 0.0):
         raise ValidationError(f"f statistic must be >= 0, got {f!r}")
     a, b, f = float(d2) / 2.0, float(d1) / 2.0, float(f)
-    x = a / (a + b * f)
-    if x == 0.0 or x == 1.0:  # f = inf, f = 0, or f past double resolution
-        return x
-    return _betainc(a, b, x)
+    bf = b * f
+    x = a / (a + bf)
+    if x == 0.0:  # f = inf, or past double range
+        return 0.0
+    y = bf / (a + bf)
+    if y == 0.0:  # f = 0, or too small for 1 - P to be a double
+        return 1.0
+    return _betainc(a, b, x, y)

@@ -368,7 +368,8 @@ def load_transactions_oracle(path, currencies=None):
     Returns (rows, rejected): ``rows`` are (line, timestamp, native price,
     currency, plot count) tuples of the accepted rows in file order, and
     ``rejected`` the (line, reason) pairs of the first check each other
-    row fails.  Blank lines are neither.
+    row fails.  A row's line is the file line its record starts on.
+    Blank lines are neither.
     """
     import csv
     import datetime as dt
@@ -385,7 +386,11 @@ def load_transactions_oracle(path, currencies=None):
         header = [h.strip() for h in next(reader)]
         idx = {c: header.index(c)
                for c in ("timestamp", "native_price", "currency", "num_plots")}
-        for lineno, row in enumerate(reader, start=2):
+        while True:
+            lineno = reader.line_num + 1
+            row = next(reader, None)
+            if row is None:
+                break
             if not row or all(not f.strip() for f in row):
                 continue
             if len(row) < len(header):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from landmetrics import ingest
 from landmetrics.cli import main
 from landmetrics.errors import (
     InsufficientDataError,
@@ -372,6 +373,93 @@ def test_ingest_matches_row_by_row_oracle(tmp_path, currencies):
     reasons = {reason for _, reason in want_rejected + want_fx_rejected}
     assert len(reasons) == (9 if currencies else 8)
     assert len(rows) + len(rejected) == len(ADVERSARIAL_ROWS) - 4
+
+
+def test_line_numbers_count_file_lines_after_a_multi_line_record(tmp_path):
+    p = write(tmp_path, "t.csv", TX_HEADER + '\n2021-01-04T00:00:00,1.0,ETH,1,"a\nb"\n'
+              "2021-01-04T00:00:00,-1,ETH,1,t2\n\n2021-01-04T00:00:00,2,ETH,x,t3\n")
+    rows, rejected = load_transactions(p)
+    want_rows, want_rejected = load_transactions_oracle(p)
+    assert rows.line.tolist() == [line for line, *_ in want_rows] == [2]
+    assert ([(r.line, r.reason) for r in rejected] == want_rejected
+            == [(4, "price <= 0"), (6, "bad plot count")])
+
+
+def test_stamps_one_short_and_one_long_are_not_two_good_ones(tmp_path):
+    # joined, the two have the length of two stamps of the column pass's shape
+    p = write(tmp_path, "t.csv", TX_HEADER + "\n2021-01-04T12:00:0,1.0,ETH,1,t1\n"
+              "12021-01-04T12:00:00,1.0,ETH,1,t2\n")
+    rows, rejected = load_transactions(p)
+    assert len(rows) == 0
+    assert [(r.line, r.reason) for r in rejected] == [(2, "bad timestamp"), (3, "bad timestamp")]
+
+
+def _clean_rows(n, seed):
+    """``n`` rows that pass every check, in the shape of ADVERSARIAL_ROWS."""
+    rng = np.random.default_rng(seed)
+    stamps = (np.datetime64("2021-01-04T00:00:00")
+              + rng.integers(0, 60 * 86400, n).astype("timedelta64[s]")).astype(str)
+    prices = rng.lognormal(0.0, 3.0, n).tolist()
+    currency = rng.choice(["ETH", "weth", " usdc", "Eth"], n).tolist()
+    plots = rng.integers(1, 40, n).tolist()
+    return [f"{t},{p!r},{c},{k},c{i},x"
+            for i, (t, p, c, k) in enumerate(zip(stamps, prices, currency, plots))]
+
+
+#: rows of each kind the column pass must leave to the row checks
+DIRTY_ROWS = ADVERSARIAL_ROWS[1:] + [
+    "2021-01-04T24:00:00,1.0,ETH,1,ba,x",
+    "2021-01-04T23:59:60,1.0,ETH,1,bb,x",
+    "2021-02-29T12:00:00,1.0,ETH,1,bc,x",
+    "NaT,1.0,ETH,1,bd,x",
+    ",1.0,ETH,1,be,x",
+    "12021-01-04T12:00:00,1.0,ETH,1,bf,x",
+    "0000-01-01T00:00:00,1.0,ETH,1,bg,x",             # numpy has a year 0
+    "2021-01-04T12:00:0\u0663,1.0,ETH,1,bh,x",        # a non-ASCII digit
+    '2021-01-05T12:00:00,1.0,DAI,1,"b\ni",x',          # spans two lines
+    "2021-01-05T12:00:00,1.0,sand,1,bj,x",            # a currency first seen here
+]
+
+
+def _assert_matches_oracle(path, currencies):
+    rows, rejected = load_transactions(path, currencies)
+    want_rows, want_rejected = load_transactions_oracle(path, currencies)
+    assert [(r.line, r.reason) for r in rejected] == want_rejected
+    assert list(zip(rows.line.tolist(), rows.timestamp.astype(object),
+                    rows.native_price.tolist(),
+                    [rows.symbols[c] for c in rows.currency.tolist()],
+                    rows.num_plots.tolist())) == want_rows
+    assert rows.symbols == tuple(dict.fromkeys(c for _, _, _, c, _ in want_rows))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1024, None])
+@pytest.mark.parametrize("currencies", [None, frozenset({"ETH", "WETH", "USDC"})])
+def test_chunk_size_changes_nothing(tmp_path, monkeypatch, chunk, currencies):
+    # dirty rows in the first and third chunk of 1,024 records, none in the second
+    clean = _clean_rows(3000, seed=5)
+    records = ([ADVERSARIAL_ROWS[0]] + clean[:200] + DIRTY_ROWS[:30] + clean[200:2500]
+               + DIRTY_ROWS[30:] + clean[2500:])
+    path = write(tmp_path, "mixed.csv", "\n".join(records) + "\n")
+    monkeypatch.setattr(ingest, "_CHUNK_ROWS", chunk or len(records))
+    _assert_matches_oracle(path, currencies)
+
+
+def test_clean_file_takes_the_column_pass_for_every_chunk(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return parse_row(*args)
+
+    parse_row = ingest._parse_row
+    monkeypatch.setattr(ingest, "_parse_row", spy)
+    records = [ADVERSARIAL_ROWS[0]] + _clean_rows(3000, seed=6)
+    _assert_matches_oracle(write(tmp_path, "clean.csv", "\n".join(records) + "\n"), None)
+    assert calls == []
+    # one dirty row sends its chunk alone through the row checks
+    records.insert(1500, "2021-01-04T12:00:00Z,2.0,ETH,1,a,x")
+    _assert_matches_oracle(write(tmp_path, "one.csv", "\n".join(records) + "\n"), None)
+    assert len(calls) == ingest._CHUNK_ROWS
 
 
 def test_values_out_of_column_range_are_rejected(tmp_path):

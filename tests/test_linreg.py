@@ -82,6 +82,15 @@ def test_f_tail_grid_against_exact_oracle():
     assert misses == []
 
 
+@pytest.mark.parametrize("f", [1e-17, 1e-12, 1e-8])
+def test_f_tail_keeps_its_digits_at_tiny_f(f):
+    # 1 - P is about sqrt(f) at d1 = 1: taken as 1 - x from a rounded x it
+    # was lost, and f_tail_prob(1e-17, 1, 1) read exactly 1
+    for d1, d2 in [(1, 1), (1, 10), (2, 50), (6, 200)]:
+        assert f_tail_prob(f, d1, d2) == pytest.approx(
+            f_tail_exact_oracle(f, d1, d2), rel=0.0, abs=1e-15), (d1, d2)
+
+
 def test_log_beta_keeps_its_digits_at_large_arguments():
     # lgamma(a + b) - lgamma(a) done plainly loses about 1e-11 at a = 10^4
     import mpmath
