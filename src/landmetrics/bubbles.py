@@ -13,19 +13,22 @@ The ADF regression is the constant-included specification
 and the statistic is the t-ratio b_hat / se(b_hat).  Right-tail
 exceedance indicates explosive behaviour.
 
-Every ADF statistic here comes from one engine, the window sweep.  Its
-windows are fitted in blocks of whole end-date segments from one set of
-prefix sums of globally centered cross-products (the upper triangle
-only), and each block is reduced to its per-date supremum before the
-next is built; the Monte-Carlo null fits short replications a group of
-whole ones per block.  Each window's fit is elementwise, so no statistic
-or critical value depends on the blocks or the groups.  Per window, the
-intercept is partialled out and one pivot loop eliminates the regressors
-in turn, the lagged level last, so its t-ratio falls out of the last
-pivot.  With ``lag_selection="bic"`` one elimination pass with the level
-first gives every candidate lag's residual sum of squares, and the lag is
-chosen per window.  A single-window ADF (:func:`adf_stat`) is a sweep
-whose only window is the whole sample.
+Every ADF statistic here comes from one engine, the window sweep.  It
+fits windows from prefix sums of globally centered variables and their
+cross-products (the upper triangle only), in blocks of bands.  A band is
+a rectangle, consecutive end dates by every start the last of them
+admits, for a group of series side by side (the Monte-Carlo null's
+replications), so its windowed sums are one broadcast subtract; the starts
+that pad its earlier end dates are masked.  Each block is reduced to its
+per-date supremum before the next is built.  Each window's fit is
+elementwise, so no statistic or critical value depends on the blocks, the
+bands or the groups.  Per window, the intercept is partialled out and one
+pivot loop eliminates the regressors in turn, the lagged level last, so
+its t-ratio falls out of the last pivot.  With ``lag_selection="bic"``
+one elimination pass with the level first gives every candidate lag's
+residual sum of squares, and the lag is chosen per window.  A
+single-window ADF (:func:`adf_stat`) is a sweep whose only window is the
+whole sample.
 The definitional reference, one OLS per window written out by hand,
 lives in the test suite (``tests/oracles.py``), not here.
 """
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -257,8 +259,8 @@ def adf_stat(window, spec: AdfSpec = AdfSpec()) -> AdfResult:
 # window sweep: every window from prefix sums
 # ---------------------------------------------------------------------------
 
-#: windows swept at once; a block holds whole r2 segments (at least one)
-_BLOCK_WINDOWS = 1 << 14
+#: bytes a block may hold: its group's prefix sums plus the scratch buffer
+_BLOCK_BYTES = 1 << 22
 
 
 def _prefix_sums(y: np.ndarray, k: int, level_first: bool = False):
@@ -269,11 +271,11 @@ def _prefix_sums(y: np.ndarray, k: int, level_first: bool = False):
     regressors Z, the lagged differences dy[t-1], ..., dy[t-k] followed by
     the lagged level y[t-1] (the level first when ``level_first``), and
     then the response d = dy[t].  Centering by each series' full-sample
-    means keeps the windowed cross-products well conditioned.  Returns
-    (P_w, P_ww): the prefix sums of W's rows and of the products
-    W[r] * W[c] for r <= c, the upper triangle in row-major order,
-    (m+1)(m+2)/2 rows for m regressors.  The series' T - k slots sit side
-    by side; slot s holds the sum over the series' first s regression times.
+    means keeps the windowed cross-products well conditioned.  Returns the
+    prefix sums of W's rows followed by those of the products W[r] * W[c]
+    for r <= c, the upper triangle in row-major order: q + q(q+1)/2 rows
+    for q variables, of shape (rows, series, T - k), where slot s holds
+    the sum over the series' first s regression times.
     """
     T = y.shape[1]
     dy = np.diff(y)
@@ -282,113 +284,135 @@ def _prefix_sums(y: np.ndarray, k: int, level_first: bool = False):
     W = np.array((level + lags if level_first else lags + level) + [dy[:, k:]])
     W -= W.mean(axis=2, keepdims=True)
     q = W.shape[0]
+    P = np.zeros((q + q * (q + 1) // 2,) + W.shape[1:2] + (T - k,))
+    P[:q, :, 1:] = W
+    for x, (r, c) in enumerate(((r, c) for r in range(q) for c in range(r, q)), start=q):
+        np.multiply(W[r], W[c], out=P[x, :, 1:])
+    np.cumsum(P[:, :, 1:], axis=2, out=P[:, :, 1:])
+    return P
 
-    def prefix(a):
-        out = np.zeros(a.shape[:2] + (a.shape[2] + 1,))
-        np.cumsum(a, axis=2, out=out[:, :, 1:])
-        return out.reshape(a.shape[0], -1)
 
-    return prefix(W), prefix(np.array([W[r] * W[c] for r in range(q) for c in range(r, q)]))
-
-
-def _window_fits(P, lo, hi, scratch):
+def _window_fits(P, bands, buf, every_pivot=False):
     """OLS of d on [1, Z] over prefix slots (lo, hi] of every window.
 
-    One pivot loop serves every regressor count m.  The intercept is
-    partialled out of the windowed sums in closed form, giving the upper
-    triangle A of [Z, d]'s centered cross-products.  The regressors are
-    then eliminated one at a time, in row order (Frisch-Waugh-Lovell): the
-    pivot D_j of regressor j is its cross-product left after the earlier
-    ones are partialled out, and eliminating it lowers rss by c_j**2 / D_j,
-    with c_j its partialled cross-product with d.  A pivot is degenerate
-    unless D_j > 1e-14 * A_jj, the regressor's diagonal before elimination.
+    ``bands`` lists (hi, lo) slot arrays, of shapes (B, 1) and (1, c) for a
+    rectangle of B x c windows, or both (B, 1) for B windows, each for
+    every series in ``P``; the windows lie band after band, each in C
+    order (series, B, c).  One pivot loop serves every regressor count m.
+    The intercept is partialled out of the windowed sums in closed form,
+    giving the upper triangle A of [Z, d]'s centered cross-products.  The
+    regressors are then eliminated one at a time, in row order
+    (Frisch-Waugh-Lovell): the pivot D_j of regressor j is its
+    cross-product left after the earlier ones are partialled out, and
+    eliminating it lowers rss by c_j**2 / D_j, with c_j its partialled
+    cross-product with d.  A pivot is degenerate unless
+    D_j > 1e-14 * A_jj, the regressor's diagonal before elimination.
 
-    Returns (stat, rss, bad, Sdd): the t-ratio b/sqrt(sigma2/D) of the last
-    regressor, with b = c/D; the rss after each pivot and whether any pivot
-    so far was degenerate (both of shape (m, windows)); and the window's
-    response sum of squares.  The float arrays are rows of the caller's
-    ``scratch(n_rows, windows)`` buffer, valid until the next fit: blocks
-    reuse it rather than allocating, freeing and page-faulting in their own.
+    Returns (stat, rss, bad, Sdd) after the last pivot: the t-ratio
+    b/sqrt(sigma2/D) of the last regressor, with b = c/D, the rss, whether
+    any pivot was degenerate, and the response sum of squares; with
+    ``every_pivot``, (rss, bad) after each pivot, shape (m, windows).  The
+    float arrays are views of ``buf``, valid until the next fit: blocks
+    reuse it rather than allocating, freeing and page-faulting in their
+    own.  Windows with lo >= hi give meaningless values.
     """
-    P_w, P_ww = P
-    q, t, w = P_w.shape[0], P_ww.shape[0], lo.shape[0]
-    m = q - 1
-    rows = scratch(3 * q + 2 * t + 2 * m + 5, w)
-    S, S_lo, A, A_lo, mean, floor, rss, (n, Sdd, stat, f, tmp) = np.split(
-        rows, np.cumsum([q, q, t, t, q, m, m]))
-    np.subtract(hi, lo, out=n)
-    # every index is in range; "clip" only spares take the copy "raise" makes
-    np.take(P_w, hi, axis=1, out=S, mode="clip")
-    S -= np.take(P_w, lo, axis=1, out=S_lo, mode="clip")
-    np.take(P_ww, hi, axis=1, out=A, mode="clip")
-    A -= np.take(P_ww, lo, axis=1, out=A_lo, mode="clip")
+    R, G = P.shape[:2]
+    q = (math.isqrt(9 + 8 * R) - 3) // 2  # R = q + q(q+1)/2 rows
+    m, kept = q - 1, q - 1 if every_pivot else 0
+    shapes = [(G, hi.shape[0], lo.shape[1]) for hi, lo in bands]
+    w, n_rows = sum(map(math.prod, shapes)), R + q + m + kept + 5
+    SA, mean, floor, rss, (n, Sdd, stat, f, tmp) = np.split(
+        buf[:n_rows * w].reshape(n_rows, w), np.cumsum([R, q, m, kept]))
+    S, A = SA[:q], SA[q:]
+    at = 0
+    for (hi, lo), shape in zip(bands, shapes):
+        X = SA[:, at:at + math.prod(shape)].reshape((R,) + shape)
+        if lo.shape == hi.shape:  # one window per row
+            np.subtract(np.take(P, hi, axis=2), np.take(P, lo, axis=2), out=X)
+        else:  # copying the starts' sums down the rows beats a broadcast subtract
+            X[...] = np.take(P, lo, axis=2)
+            np.subtract(np.take(P, hi, axis=2), X, out=X)
+        np.subtract(hi, lo, out=n[at:at + math.prod(shape)].reshape(shape))
+        at += math.prod(shape)
     Sdd[:] = A[-1]
-    np.divide(S, n, out=mean)
     a = {}  # (r, c) -> row of A, in the row-major order _prefix_sums stores
-    for x, (r, c) in enumerate((r, c) for r in range(q) for c in range(r, q)):
-        A[x] -= np.multiply(S[r], mean[c], out=tmp)
-        a[r, c] = A[x]
-    for p in range(m):
-        np.multiply(1e-14, a[p, p], out=floor[p])
-    bad = np.empty((m, w), dtype=bool)
+    bad = np.empty((kept, w), dtype=bool)
     degenerate = np.zeros(w, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(S, n, out=mean)
+        for x, (r, c) in enumerate((r, c) for r in range(q) for c in range(r, q)):
+            A[x] -= np.multiply(S[r], mean[c], out=tmp)
+            a[r, c] = A[x]
+        for p in range(m):
+            np.multiply(1e-14, a[p, p], out=floor[p])
         for p in range(m):
             D, c = a[p, p], a[p, m]
             degenerate |= ~(D > floor[p])
-            bad[p] = degenerate
             for r in range(p + 1, q):
                 np.divide(a[p, r], D, out=f)
                 for s in range(r, q):
                     a[r, s] -= np.multiply(a[p, s], f, out=tmp)
-            rss[p] = a[m, m]
+            if every_pivot:
+                rss[p], bad[p] = a[m, m], degenerate
+        if every_pivot:
+            return rss, bad
         np.divide(c, D, out=stat)
-        np.divide(rss[-1], np.subtract(n, m + 1, out=tmp), out=tmp)
+        np.divide(a[m, m], np.subtract(n, m + 1, out=tmp), out=tmp)
         tmp /= D
         stat /= np.sqrt(tmp, out=tmp)
-    return stat, rss, bad, Sdd
+    return stat, a[m, m], degenerate, Sdd
 
 
-def _fixed_stats(P, lo, hi, scratch) -> np.ndarray:
-    """Per-window t-ratios, a view of ``scratch`` (see :func:`_window_fits`);
+def _fixed_stats(P, bands, buf) -> np.ndarray:
+    """Per-window t-ratios, a view of ``buf`` (see :func:`_window_fits`);
     -inf where the window is degenerate (a degenerate pivot or an exact fit)."""
-    stat, rss, bad, Sdd = _window_fits(P, lo, hi, scratch)
-    floor = np.multiply(_RSS_RTOL, np.maximum(Sdd, 1.0, out=Sdd), out=Sdd)
-    stat[bad[-1] | ~(rss[-1] > floor) | ~np.isfinite(stat)] = -np.inf
+    stat, rss, bad, Sdd = _window_fits(P, bands, buf)
+    with np.errstate(invalid="ignore"):
+        floor = np.multiply(_RSS_RTOL, np.maximum(Sdd, 1.0, out=Sdd), out=Sdd)
+        stat[bad | ~(rss > floor) | ~np.isfinite(stat)] = -np.inf
     return stat
 
 
-def _bic_stats(own, nested, s1, r2, kmax, scratch):
+def _bic_stats(own, nested, bands, kmax, buf):
     """Per-window t-ratios and lag counts, the lag chosen per window by BIC.
 
-    Every candidate k in [0, kmax] is fitted on the common sample of the
-    kmax regression.  The candidates are nested, so one elimination pass
-    over ``nested`` (the kmax columns with the level first, then dy[t-1],
+    ``bands`` lists one series' windows as (r2, s1) rectangles.  Every
+    candidate k in [0, kmax] is fitted on the common sample of the kmax
+    regression.  The candidates are nested, so one elimination pass over
+    ``nested`` (the kmax columns with the level first, then dy[t-1],
     dy[t-2], ...) leaves candidate k's rss after pivot k.  Candidates are
     tried in ascending k; a later one wins only with a BIC below the best
     by more than 1e-12, the first with rss <= 0 wins outright, and
     degenerate ones are skipped.  The winner's statistic is its own fixed-k
-    fit, from ``own[k]``.  Windows shorter than :func:`adf_stat` accepts,
-    or with no usable candidate, give -inf and lag -1.
+    fit, from ``own[k]``: over the whole bands for a lag most windows won,
+    else over the windows it won.  Windows shorter than :func:`adf_stat`
+    accepts, or with no usable candidate, give -inf and lag -1.
     """
+    r2 = np.concatenate([np.repeat(e.ravel(), s.size) for e, s in bands])
+    s1 = np.concatenate([np.tile(s.ravel(), e.size) for e, s in bands])
     selecting = r2 - s1 + 1 >= max(2 * kmax + 4, kmax + 5)
-    _, rss, singular, _ = _window_fits(nested, s1, r2 - kmax, scratch)
+    rss, singular = _window_fits(nested, [(e - kmax, s) for e, s in bands], buf, True)
     n = (r2 - kmax - s1).astype(np.float64)
     best_bic = np.full(s1.shape, np.inf)
     lag = np.full(s1.shape, -1)
-    for k in range(kmax + 1):
-        usable = selecting & ~singular[k]
-        exact = usable & (rss[k] <= 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bic = n * np.log(rss[k] / n) + (k + 2) * np.log(n)
-        take = exact | (usable & (bic < best_bic - 1e-12))
-        best_bic = np.where(take, bic, best_bic)
-        lag[take] = k
-        selecting &= ~exact
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_n = np.log(n)
+        for k in range(kmax + 1):
+            usable = selecting & ~singular[k]
+            exact = usable & (rss[k] <= 0.0)
+            bic = n * np.log(rss[k] / n) + (k + 2) * log_n
+            take = exact | (usable & (bic < best_bic - 1e-12))
+            np.copyto(best_bic, bic, where=take)
+            lag[take] = k
+            selecting &= ~exact
     stat = np.full(s1.shape, -np.inf)
     for k in range(kmax + 1):
         at = lag == k
-        stat[at] = _fixed_stats(own[k], s1[at], r2[at] - k, scratch)
+        won = np.count_nonzero(at)
+        if 2 * won > at.size:
+            np.copyto(stat, _fixed_stats(own[k], [(e - k, s) for e, s in bands], buf), where=at)
+        elif won:
+            stat[at] = _fixed_stats(own[k], [((r2[at] - k)[:, None], s1[at][:, None])], buf)
     return stat, lag
 
 
@@ -396,68 +420,67 @@ def _sweep(y, r0: int, spec: AdfSpec, first_r2: int, shape=None):
     """Backward sup of the ADF t-ratio at each r2 in [first_r2, T-1].
 
     The windows [s1, r2] with s1 in [0, r2 - r0] are fitted from prefix
-    sums, in blocks of whole r2 segments of about ``_BLOCK_WINDOWS``
-    windows; each block is reduced before the next is built, so memory is
-    bounded by the block, not by the O(T**2) sweep.  For one series ``y``,
-    returns per r2 the supremum (-inf where every window degenerates, for
-    the caller to resolve), the first start attaining it (the one
-    ``np.argmax`` would pick) and the lag count of that window.  With
-    ``shape`` = (n, T), ``y(reps)`` gives the series in ``reps`` as rows,
-    and only their suprema are returned, shape (n, T - first_r2); series
-    whose sweeps are shorter than a block are fitted a group of whole
-    sweeps per block, side by side in one set of prefix sums, from one
-    window plan.  No supremum depends on the blocks or the groups.
+    sums.  A band is B consecutive end dates r2 by the starts s1 in [0, c)
+    that the last of them admits, for every series of a group; the starts
+    past r2 - r0 that pad its earlier rows are set to -inf.  A band has at
+    most 16 rows, or an eighth of its first row's starts if more, so the
+    padding stays small.  A block packs bands until, with its group's
+    prefix sums, it holds about ``_BLOCK_BYTES``; it is reduced over the
+    starts before the next is built, so memory is bounded by the block,
+    not by the O(T**2) sweep.  For one series ``y``, returns per r2 the
+    supremum (-inf where every window degenerates, for the caller to
+    resolve), the first start attaining it and the lag count of that
+    window.  With ``shape`` = (n, T), ``y(reps)`` gives the series in
+    ``reps`` as rows, fitted side by side in groups whose prefix sums take
+    an eighth of the budget, and only the suprema are returned, shape
+    (n, T - first_r2).  No supremum depends on the blocks, bands or groups.
     """
     k, bic = spec.n_lags, spec.lag_selection == "bic"
     one = shape is None
     n, T = (1, y.shape[0]) if one else shape
-    r2s = np.arange(first_r2, T)
-    # a group's windows, and its prefix-sum slots, fit in one block
-    group = min(n, max(1, _BLOCK_WINDOWS // max(T, int((r2s - r0 + 1).sum()))))
-    offset = np.repeat(np.arange(group) * (T - k), r2s.size)  # series' first slots
-    seg_r2 = np.tile(r2s, group) + offset
-    counts = np.tile(r2s - r0 + 1, group)
-    ends = np.cumsum(counts)
-
-    @functools.lru_cache(maxsize=1)
-    def plan(a, b):  # windows (s1, r2) in slots of segments a..b-1, segment starts
-        c = counts[a:b]
-        starts = ends[a:b] - c - (ends[a] - c[0])
-        return (np.arange(starts[-1] + c[-1]) - np.repeat(starts - offset[a:b], c),
-                np.repeat(seg_r2[a:b], c), starts)
-
-    buf = np.empty(0)
-
-    def scratch(n_rows, w):  # one buffer for every block's fit, grown as needed
-        nonlocal buf
-        if buf.shape[0] < n_rows * w:
-            buf = np.empty(n_rows * w)
-        return buf[:n_rows * w].reshape(n_rows, w)
-
-    sup = np.empty(n * r2s.size)
-    first = np.empty(r2s.size, dtype=np.int64)
-    lag = np.empty(r2s.size, dtype=np.int64)
+    ks = range(k + 1) if bic else [k]
+    q = k + 2  # the widest fit's variables, and its float64 rows per window
+    rows = 3 * q + q * (q + 1) // 2 + 4 + (q - 1) * bic
+    prefix = 8 * sum((j + 2) * (j + 5) // 2 * (T - j) for j in ([*ks, k] if bic else ks))
+    group = min(n, max(1, _BLOCK_BYTES // (8 * prefix)))
+    cap = max(1, (_BLOCK_BYTES - group * prefix) // (8 * rows * group))  # windows per series
+    blocks, size, a = [[]], 0, first_r2  # blocks of bands [a, b) of end dates
+    while a < T:
+        c = a - r0
+        b = a + max(1, min(T - a, max(16, c // 8), (math.isqrt(c * c + 4 * cap) - c) // 2))
+        if size + (b - a) * (b - r0) > cap and blocks[-1]:
+            blocks.append([])
+            size = 0
+        blocks[-1].append((a, b))
+        size += (b - a) * (b - r0)
+        a = b
+    buf = np.empty(rows * group * max(sum((b - a) * (b - r0) for a, b in bl) for bl in blocks))
+    sup = np.empty((n, T - first_r2))
+    first = np.empty(T - first_r2, dtype=np.int64)
+    lag = np.full(T - first_r2, k, dtype=np.int64)
     for g in range(0, n, group):
         ys = y[None] if one else y(range(g, min(g + group, n)))
-        own = [_prefix_sums(ys, j) for j in (range(k + 1) if bic else [k])]
+        own = [_prefix_sums(ys, j) for j in ks]
         nested = _prefix_sums(ys, k, level_first=True) if bic else None
-        out, ends_g = sup[g * r2s.size:], ends[:len(ys) * r2s.size]
-        a = 0
-        while a < ends_g.shape[0]:
-            done = ends[a] - counts[a]
-            b = max(a + 1, int(np.searchsorted(ends_g, done + _BLOCK_WINDOWS, side="right")))
-            s1, r2, starts = plan(a, b)
+        for block in blocks:
+            bands = [(np.arange(a, b)[:, None], np.arange(b - r0)[None]) for a, b in block]
             if bic:
-                stat, lags = _bic_stats(own, nested, s1, r2, k, scratch)
+                stat, lags = _bic_stats(own, nested, bands, k, buf)
             else:
-                stat, lags = _fixed_stats(own[-1], s1, r2 - k, scratch), np.broadcast_to(k, s1.shape)
-            out[a:b] = np.maximum.reduceat(stat, starts)
-            if one:
-                at_sup = stat == np.repeat(out[a:b], counts[a:b])
-                first[a:b] = np.minimum.reduceat(np.where(at_sup, s1, s1.shape[0]), starts)
-                lag[a:b] = lags[starts + first[a:b]]
-            a = b
-    return (sup, first, lag) if one else sup.reshape(n, r2s.size)
+                stat = _fixed_stats(own[0], [(e - k, s) for e, s in bands], buf)
+            at = 0
+            for (a, b), (e, s) in zip(block, bands):
+                w = len(ys) * (b - a) * (b - r0)
+                band = stat[at:at + w].reshape(len(ys), b - a, b - r0)
+                np.copyto(band, -np.inf, where=s > e - r0)
+                i = slice(a - first_r2, b - first_r2)
+                band.max(axis=2, out=sup[g:g + len(ys), i])
+                if one:
+                    first[i] = band[0].argmax(axis=1)
+                    if bic:
+                        lag[i] = lags[at:at + w].reshape(b - a, -1)[np.arange(b - a), first[i]]
+                at += w
+    return (sup[0], first, lag) if one else sup
 
 
 def _check_sweep(T: int, r0: int, k: int) -> None:
@@ -471,29 +494,6 @@ def _check_sweep(T: int, r0: int, k: int) -> None:
 # ---------------------------------------------------------------------------
 # public sweep API
 # ---------------------------------------------------------------------------
-
-
-def bsadf_at(series, r2: int, r0: int, spec: AdfSpec = AdfSpec()) -> BsadfPoint:
-    """Backward supremum ADF at a single index r2.
-
-    :param series: TimeSeries or 1-d array.
-    :param r2: end index of the sweep, r2 >= r0.
-    :param r0: minimum window setting (smallest admissible start is
-        s1 = r2 - r0); must be >= n_lags + 5.
-    """
-    y = _as_values(series)
-    if not (0 <= r2 < y.shape[0]):
-        raise ValidationError(f"r2={r2} outside series of length {y.shape[0]}")
-    if r2 < r0:
-        raise ValidationError(f"r2={r2} < r0={r0}")
-    y = y[: r2 + 1]
-    if not np.all(np.isfinite(y)):
-        raise ValidationError("bsadf_at requires finite values")
-    _check_sweep(r2 + 1, r0, spec.n_lags)
-    sup, argmax, _ = _sweep(y, r0, spec, r2)
-    if not np.isfinite(sup[0]):
-        raise NoValidWindowError(f"all windows ending at {r2} failed")
-    return BsadfPoint(t_index=r2, stat=float(sup[0]), argmax_start=int(argmax[0]))
 
 
 def bsadf_series(series, r0: int | None = None, spec: AdfSpec = AdfSpec()) -> list[BsadfPoint]:
@@ -512,12 +512,10 @@ def bsadf_series(series, r0: int | None = None, spec: AdfSpec = AdfSpec()) -> li
         r0 = default_min_window(T)
     _check_sweep(T, r0, spec.n_lags)
     sup, argmax, _ = _sweep(y, r0, spec, r0)
-    out = []
-    for r2, stat, start in zip(range(r0, T), sup.tolist(), argmax.tolist()):
-        if not math.isfinite(stat):
-            raise NoValidWindowError(f"all windows ending at {r2} failed")
-        out.append(BsadfPoint(t_index=r2, stat=stat, argmax_start=start))
-    return out
+    if not np.all(np.isfinite(sup)):
+        raise NoValidWindowError(f"all windows ending at {r0 + np.argmin(np.isfinite(sup))} failed")
+    return [BsadfPoint(t_index=r2, stat=stat, argmax_start=start)
+            for r2, stat, start in zip(range(r0, T), sup.tolist(), argmax.tolist())]
 
 
 def mc_critical_values(
@@ -535,9 +533,9 @@ def mc_critical_values(
     ``synthkit.stream(seed, replication index)`` (so ``seed`` lies in
     [0, 2**63)), computes its BSADF sequence, and the table is the per-t
     empirical quantile (type 7) at each alpha.  Keying by replication
-    index makes the result independent of the sweep's blocks, of how
-    short replications are grouped into them, and of any execution order
-    or worker count.
+    index makes the result independent of the sweep's blocks and bands, of
+    how replications are grouped into them, and of any execution order or
+    worker count.
     """
     if n_rep < 200:
         raise ValidationError(f"n_rep must be >= 200, got {n_rep}")

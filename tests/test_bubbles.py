@@ -13,7 +13,6 @@ from landmetrics.bubbles import (
     BsadfPoint,
     CvTable,
     adf_stat,
-    bsadf_at,
     bsadf_series,
     datestamp,
     default_min_window,
@@ -172,14 +171,14 @@ def test_adf_spec_validation():
 
 
 # ---------------------------------------------------------------------------
-# backward sup ADF at one index
+# backward sup ADF at one index: the last point of the truncated series
 # ---------------------------------------------------------------------------
 
 
-def test_bsadf_at_min_index_is_single_window():
+def test_bsadf_min_index_is_single_window():
     y = walk(40, 11)
     spec = AdfSpec(n_lags=1)
-    point = bsadf_at(y, r2=10, r0=10, spec=spec)
+    point = bsadf_series(y[:11], r0=10, spec=spec)[-1]
     single = adf_stat(y[:11], spec)
     assert point.stat == pytest.approx(single.stat, abs=1e-12)
     assert point.argmax_start == 0
@@ -191,7 +190,7 @@ def test_bsadf_dominates_full_window_adf():
     rng = np.random.default_rng(5)
     y = y + 0.01 * rng.normal(size=30)
     spec = AdfSpec(n_lags=0)
-    point = bsadf_at(y, r2=29, r0=8, spec=spec)
+    point = bsadf_series(y, r0=8, spec=spec)[-1]
     assert point.stat >= adf_stat(y, spec).stat - 1e-12
 
 
@@ -268,7 +267,9 @@ def test_bsadf_series_matches_oracle_at_each_lag():
 def test_bic_sweep_matches_bic_oracle():
     # r0 = kmax + 5 is the smallest r0 allowed; for kmax = 3 it admits
     # windows shorter than the 2*kmax + 4 a BIC fit needs, which are
-    # dropped, so the lone window ending at r0 leaves no valid window
+    # dropped, so the lone window ending at r0 leaves no valid window: the
+    # series raises, and the other dates are read off the engine, whose
+    # supremum there is -inf
     for kmax in (1, 2, 3):
         y = walk(36, 40 + kmax)
         spec = AdfSpec(n_lags=kmax, lag_selection="bic")
@@ -278,27 +279,31 @@ def test_bic_sweep_matches_bic_oracle():
             valid = {r2: e for r2, e in expected.items() if e[0] is not None}
             if len(valid) == len(expected):
                 points = bsadf_series(y, r0=r0, spec=spec)
+                points += [bsadf_series(y[:r2 + 1], r0=r0, spec=spec)[-1] for r2 in valid]
+                points = [(p.t_index, p.stat, p.argmax_start) for p in points]
             else:
                 with pytest.raises(NoValidWindowError):
                     bsadf_series(y, r0=r0, spec=spec)
-                points = [bsadf_at(y, r2=r2, r0=r0, spec=spec) for r2 in valid]
-            assert [p.t_index for p in points] == list(valid)
-            for p in points:
-                stat, s1 = valid[p.t_index]
-                assert p.stat == pytest.approx(stat, abs=1e-12), (kmax, r0, p.t_index)
-                assert p.argmax_start == s1
+                sup, first, _ = bubbles._sweep(y, r0, spec, r0)
+                assert [r2 for r2, e in expected.items() if e[0] is None] == \
+                    [r0 + i for i in np.flatnonzero(sup == -np.inf)]
+                points = [(r2, sup[r2 - r0], first[r2 - r0]) for r2 in valid]
+            assert {p[0] for p in points} == set(valid)
+            for r2, stat, start in points:
+                assert stat == pytest.approx(valid[r2][0], abs=1e-12), (kmax, r0, r2)
+                assert start == valid[r2][1]
 
 
 def test_bsadf_validation_errors():
     y = walk(30, 1)
     with pytest.raises(ValidationError, match="r0"):
-        bsadf_at(y, r2=20, r0=4, spec=AdfSpec(n_lags=1))  # r0 < k + 5
-    with pytest.raises(ValidationError):
-        bsadf_at(y, r2=8, r0=10)
-    with pytest.raises(ValidationError):
-        bsadf_at(y, r2=99, r0=10)
+        bsadf_series(y, r0=4, spec=AdfSpec(n_lags=1))  # r0 < k + 5
+    with pytest.raises(InsufficientDataError):
+        bsadf_series(y[:9], r0=10)  # the last date is before r0
     with pytest.raises(InsufficientDataError):
         bsadf_series(y, r0=30)
+    with pytest.raises(ValidationError, match="finite"):
+        bsadf_series(np.concatenate([y[:20], [np.nan]]), r0=10)
 
 
 def test_bsadf_constant_series_has_no_valid_window():
@@ -306,35 +311,91 @@ def test_bsadf_constant_series_has_no_valid_window():
         bsadf_series(np.full(30, 7.0), r0=10, spec=AdfSpec(n_lags=1))
 
 
+def _record_fits(monkeypatch):
+    """Log each window fit as (series side by side, [(rows, starts) per band])."""
+    calls, fits = [], bubbles._window_fits
+
+    def spy(P, bands, *args):
+        calls.append((P.shape[1], [(hi.shape[0], lo.shape[1]) for hi, lo in bands]))
+        return fits(P, bands, *args)
+
+    monkeypatch.setattr(bubbles, "_window_fits", spy)
+    return calls
+
+
 def test_block_boundaries_change_nothing(monkeypatch):
-    """The sweep's blocks hold whole r2 segments; one segment per block
-    must give bitwise the same points and critical values as the default
-    blocks, which split the T=240 sweeps in two and each replication of
-    the T=300 Monte Carlo in three."""
+    """A block packs bands of end dates up to a byte budget.  The default
+    budget splits the T=240 sweep at k=3, and each group of replications
+    of the T=300 Monte Carlo, into several blocks of several bands; a
+    budget of one byte leaves one end date per block.  Both must give
+    bitwise the same points and critical values."""
     y = walk(240, 23)
-    specs = (AdfSpec(n_lags=1), AdfSpec(n_lags=3), AdfSpec(n_lags=3, lag_selection="bic"))
+    specs = (AdfSpec(n_lags=3), AdfSpec(n_lags=1), AdfSpec(n_lags=3, lag_selection="bic"))
+    calls = _record_fits(monkeypatch)
 
     def run():
-        points = [bsadf_series(y, spec=spec) for spec in specs]
+        del calls[:]
+        points = [bsadf_series(y, spec=specs[0])]
+        fixed = list(calls)
+        points += [bsadf_series(y, spec=spec) for spec in specs[1:]]
+        del calls[:]
         table = mc_critical_values(300, spec=AdfSpec(n_lags=1), n_rep=200, seed=4)
-        return points, table.cv_by_t
+        return points, table.cv_by_t, fixed, list(calls)
 
-    assert (300 - 35) * (300 - 35 + 1) // 2 > bubbles._BLOCK_WINDOWS
-    default_points, default_cv = run()
-    monkeypatch.setattr(bubbles, "_BLOCK_WINDOWS", 1)
-    points, cv = run()
+    default_points, default_cv, fixed, null = run()
+    for fits, end_dates in ((fixed, 240 - 31), (null, 300 - 35)):
+        assert max(sum(r for r, _ in bands) for _, bands in fits) < end_dates
+        assert max(len(bands) for _, bands in fits) > 1
+    monkeypatch.setattr(bubbles, "_BLOCK_BYTES", 1)
+    points, cv, fixed, null = run()
+    assert all(len(bands) == 1 and min(bands[0]) == 1 for _, bands in fixed + null)
     assert points == default_points
     assert np.array_equal(cv, default_cv)
 
 
-def test_bsadf_at_equals_the_last_point_of_the_truncated_series():
-    # bsadf_at sweeps only the windows ending at r2, from the same prefix
-    # sums as a full sweep of y[:r2 + 1]
+def test_block_budget_changes_no_bit(monkeypatch):
+    """The supremum, its first start and the lag of that window, for fixed
+    and BIC single-series sweeps and for a cv table, are bitwise the same
+    under the default budget, a budget that cuts bands short mid-sweep and
+    a budget of one window per block."""
+    y = walk(240, 5)
+    specs = (AdfSpec(n_lags=1), AdfSpec(n_lags=3, lag_selection="bic"))
+    calls = _record_fits(monkeypatch)
+
+    def run(budget):
+        monkeypatch.setattr(bubbles, "_BLOCK_BYTES", budget)
+        del calls[:]
+        sweeps = [bubbles._sweep(y, 31, spec, 31) for spec in specs]
+        cv = mc_critical_values(60, 12, AdfSpec(n_lags=1), n_rep=200, seed=2).cv_by_t
+        return sweeps, cv, [bands for _, bands in calls]
+
+    default, mid, one = (run(b) for b in (bubbles._BLOCK_BYTES, 1 << 18, 1))
+    # mid: more blocks than the default, bands of other heights, some of
+    # several rows and some blocks of several bands
+    assert len(mid[2]) > len(default[2])
+    assert sorted(map(sorted, mid[2])) != sorted(map(sorted, default[2]))
+    assert max(r for bands in mid[2] for r, _ in bands) > 1
+    assert max(map(len, mid[2])) > 1
+    assert all(len(bands) == 1 and min(bands[0]) == 1 for bands in one[2])
+    for other in (mid, one):
+        for (sup, first, lag), (sup0, first0, lag0) in zip(other[0], default[0]):
+            assert np.array_equal(sup, sup0)
+            assert np.array_equal(first, first0)
+            assert np.array_equal(lag, lag0)
+        assert np.array_equal(other[1], default[1])
+
+
+def test_last_point_of_the_truncated_series_matches_the_oracles():
+    # the BSADF at a single date r2 is the last point of y[:r2 + 1]
     y = walk(90, 31)
     for spec in (AdfSpec(n_lags=1), AdfSpec(n_lags=2, lag_selection="bic")):
+        oracle = bsadf_bic_oracle if spec.lag_selection == "bic" else bsadf_oracle
         for r2 in (20, 57, 89):
-            assert bsadf_at(y, r2=r2, r0=20, spec=spec) == \
-                bsadf_series(y[:r2 + 1], r0=20, spec=spec)[-1]
+            point = bsadf_series(y[:r2 + 1], r0=20, spec=spec)[-1]
+            stat, s1 = oracle(y.tolist(), r2, 20, spec.n_lags)
+            assert point.t_index == r2
+            assert point.stat == pytest.approx(stat, abs=1e-12), (spec, r2)
+            assert point.argmax_start == s1
 
 
 def test_bsadf_series_memory_is_bounded_by_the_block():
@@ -348,6 +409,23 @@ def test_bsadf_series_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert peak < 100 * 2**20
+
+
+@pytest.mark.parametrize("T, r0, k, bound", [
+    (420, 42, 1, 8_980_307),  # the demo pipeline's null
+    (240, 31, 3, 8_469_458),  # bic_stamp's null
+])
+def test_null_memory_stays_below_the_gathered_sweep(T, r0, k, bound):
+    """The bounds are the traced peaks of the sweep that gathered each
+    window's prefix sums (blocks of 16,384 windows), measured on the same
+    calls; a block is now sized by bytes, prefix sums included."""
+    tracemalloc.start()
+    try:
+        mc_critical_values(T, r0, AdfSpec(n_lags=k), n_rep=200, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 # ---------------------------------------------------------------------------
@@ -414,31 +492,34 @@ def test_cv_seed_outside_the_philox_keys_is_rejected(seed):
 
 
 def test_replication_groups_change_nothing(monkeypatch):
-    """A null smaller than a block is fitted a group of whole replications
-    at a time (at r0=12 the last of n_rep=203 is partial; the pre-check
-    shape r0=T-1 puts every replication in one group).  The table must be
-    bitwise that of one window per block, and the type-7 quantile of each
-    replication's own bsadf_series on the same stream(seed, rep) walk."""
+    """A null is fitted a group of replications at a time, side by side (at
+    T=40 the last group of n_rep=203 is partial, for r0=12 and for the
+    pre-check shape r0=T-1).  The table must be bitwise that of one
+    replication and one end date per block, and the type-7 quantile of
+    each replication's own bsadf_series on the same stream(seed, rep)
+    walk."""
     T, n_rep, seed, spec = 40, 203, 9, AdfSpec(n_lags=1)
     r0s = (12, T - 1)
+    calls = _record_fits(monkeypatch)
 
     def run():
         return [mc_critical_values(T, r0, spec, n_rep=n_rep, seed=seed).cv_by_t
                 for r0 in r0s]
 
-    per_rep = (T - 12) * (T - 12 + 1) // 2
-    assert 1 < bubbles._BLOCK_WINDOWS // per_rep < n_rep
-    assert n_rep % (bubbles._BLOCK_WINDOWS // per_rep)
     grouped = run()
+    groups = [g for g, _ in calls]
+    assert 1 < max(groups) < n_rep and min(groups) < max(groups) == groups[0]
     for r0, cv in zip(r0s, grouped):
         stats = []
         for rep in range(n_rep):
             y = np.concatenate([[0.0], np.cumsum(stream(seed, rep).standard_normal(T - 1))])
             stats.append([p.stat for p in bsadf_series(y, r0=r0, spec=spec)])
         assert np.array_equal(cv, np.quantile(stats, (0.90, 0.95, 0.99), axis=0).T)
-    monkeypatch.setattr(bubbles, "_BLOCK_WINDOWS", 1)
+    monkeypatch.setattr(bubbles, "_BLOCK_BYTES", 1)
+    del calls[:]
     for cv, default_cv in zip(run(), grouped):
         assert np.array_equal(cv, default_cv)
+    assert {g for g, _ in calls} == {1}
 
 
 def test_cv_level_column(small_cv):
