@@ -367,9 +367,8 @@ def _fixed_stats(P, bands, buf) -> np.ndarray:
     """Per-window t-ratios, a view of ``buf`` (see :func:`_window_fits`);
     -inf where the window is degenerate (a degenerate pivot or an exact fit)."""
     stat, rss, bad, Sdd = _window_fits(P, bands, buf)
-    with np.errstate(invalid="ignore"):
-        floor = np.multiply(_RSS_RTOL, np.maximum(Sdd, 1.0, out=Sdd), out=Sdd)
-        stat[bad | ~(rss > floor) | ~np.isfinite(stat)] = -np.inf
+    floor = np.multiply(_RSS_RTOL, np.maximum(Sdd, 1.0, out=Sdd), out=Sdd)
+    stat[bad | ~(rss > floor) | ~np.isfinite(stat)] = -np.inf
     return stat
 
 
