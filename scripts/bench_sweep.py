@@ -6,7 +6,7 @@ one on the ``--src`` tree, back to back, the pair's order alternating.  Every
 process is pinned to the same CPU, runs BLAS on one thread, times one figure
 and exits.  A figure's result is the change/parent ratio of each pair, as a
 median with its quartiles, beside each tree's median.  Pairing adjacent
-processes cancels most of the host's drift, which two sessions minutes apart
+processes cancels most of the host's drift, which two runs minutes apart
 cannot: run the script on two copies of one tree first, and read a ratio as
 a change only where it lies outside that run's spread.
 
