@@ -328,7 +328,8 @@ def _window_fits(P, bands, buf, every_pivot=False):
     for (hi, lo), shape in zip(bands, shapes):
         X = SA[:, at:at + math.prod(shape)].reshape((R,) + shape)
         if lo.shape == hi.shape:  # one window per row
-            np.subtract(np.take(P, hi, axis=2), np.take(P, lo, axis=2), out=X)
+            np.take(P, hi, axis=2, out=X)
+            X -= np.take(P, lo, axis=2)
         else:  # copying the starts' sums down the rows beats a broadcast subtract
             X[...] = np.take(P, lo, axis=2)
             np.subtract(np.take(P, hi, axis=2), X, out=X)
