@@ -14,7 +14,8 @@ The figures, each in seconds unless its name says otherwise:
 
 * one null replication (a driftless walk's full sweep at the default
   minimum window) at T in {300, 600, 1456, 3000} and k in {1, 3};
-* a BIC ``bsadf_series`` (kmax=3) of a driftless walk at T=1456;
+* a BIC ``bsadf_series`` (kmax=3) of a driftless walk at T=240 (the length
+  of the ``bic_stamp`` benchmark series) and at T=1456;
 * the stationarity pre-check's null: ``mc_critical_values`` at T=60 with
   ``min_window=59``, 200 replications;
 * acceptance criterion 10's null: ``mc_critical_values`` at T=600, 1000
@@ -57,7 +58,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 FIGURES = {
     **{f"replication_T{T}_k{k}_s": (n, T, k)
        for T, n in ((300, 15), (600, 9), (1456, 5), (3000, 3)) for k in (1, 3)},
-    "bic_bsadf_series_T1456_k3_s": (5,),
+    "bic_bsadf_series_T240_k3_s": (51, 240),
+    "bic_bsadf_series_T1456_k3_s": (5, 1456),
     "precheck_null_T60_rep200_s": (15,),
     "criterion10_null_T600_rep1000_s": (1,),
     "demo_null_rss_mb": (0, 420, 42, 1),
@@ -97,7 +99,7 @@ def child(figure, data):
         r0, spec, y = bubbles.default_min_window(T), bubbles.AdfSpec(n_lags=k), walk(T)
         fn = lambda: bubbles._sweep(lambda reps: y[None], r0, spec, r0, shape=(1, T))  # noqa: E731
     elif figure.startswith("bic_bsadf"):
-        y, spec = walk(1456), bubbles.AdfSpec(n_lags=3, lag_selection="bic")
+        y, spec = walk(*args), bubbles.AdfSpec(n_lags=3, lag_selection="bic")
         fn = lambda: bubbles.bsadf_series(y, spec=spec)  # noqa: E731
     elif figure.startswith("precheck"):
         fn = lambda: bubbles.mc_critical_values(60, 59, alphas=(0.05,), n_rep=200)  # noqa: E731
@@ -155,8 +157,7 @@ def main(argv=None):
     ap.add_argument("--parent", help="the source tree to compare --src against")
     ap.add_argument("--label", default="change")
     ap.add_argument("--out", default=None, help="JSON file to merge the result into")
-    ap.add_argument("--pairs", type=int, default=7)
-    ap.add_argument("--figures", default=",".join(FIGURES), help="comma-separated subset")
+    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--child", help=argparse.SUPPRESS)
     ap.add_argument("--data", help=argparse.SUPPRESS)
     ap.add_argument("--cpu", type=int, help=argparse.SUPPRESS)
@@ -176,7 +177,7 @@ def main(argv=None):
                         "--n-per-period", "1000", "--beta-plots", "0.9", "--noise", "0.3",
                         "--out-dir", tmp], env=env, check=True, capture_output=True)
         data = os.path.join(tmp, "transactions.csv")
-        for figure in args.figures.split(","):
+        for figure in FIGURES:
             runs = {"parent": [], "change": []}
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")

@@ -308,31 +308,29 @@ def _window_fits(P, bands, buf, every_pivot=False):
     cross-product with d.  A pivot is degenerate unless
     D_j > 1e-14 * A_jj, the regressor's diagonal before elimination.
 
-    Returns (stat, rss, bad, Sdd) after the last pivot: the t-ratio
+    Returns (stat, rss, bad, Sdd, n) after the last pivot: the t-ratio
     b/sqrt(sigma2/D) of the last regressor, with b = c/D, the rss, whether
-    any pivot was degenerate, and the response sum of squares; with
-    ``every_pivot``, (rss, bad) after each pivot, shape (m, windows).  The
-    float arrays are views of ``buf``, valid until the next fit: blocks
-    reuse it rather than allocating, freeing and page-faulting in their
-    own.  Windows with lo >= hi give meaningless values.
+    any pivot was degenerate, the response sum of squares and the window's
+    regression rows hi - lo; with ``every_pivot``, (rss, bad) after each
+    pivot, shape (m, windows), and n.  The float arrays are views of
+    ``buf``, valid until the next fit: blocks reuse it rather than
+    allocating, freeing and page-faulting in their own.  Windows with
+    lo >= hi give meaningless values.
     """
     R, G = P.shape[:2]
     q = (math.isqrt(9 + 8 * R) - 3) // 2  # R = q + q(q+1)/2 rows
     m, kept = q - 1, q - 1 if every_pivot else 0
     shapes = [(G, hi.shape[0], lo.shape[1]) for hi, lo in bands]
-    w, n_rows = sum(map(math.prod, shapes)), R + q + m + kept + 5
-    SA, mean, floor, rss, (n, Sdd, stat, f, tmp) = np.split(
-        buf[:n_rows * w].reshape(n_rows, w), np.cumsum([R, q, m, kept]))
+    w, edges = sum(map(math.prod, shapes)), np.cumsum([0, R, q, m, kept, 5]).tolist()
+    rows = buf[:edges[-1] * w].reshape(-1, w)
+    SA, mean, floor, rss, (n, Sdd, stat, f, tmp) = (rows[i:j] for i, j in zip(edges, edges[1:]))
     S, A = SA[:q], SA[q:]
     at = 0
     for (hi, lo), shape in zip(bands, shapes):
         X = SA[:, at:at + math.prod(shape)].reshape((R,) + shape)
-        if lo.shape == hi.shape:  # one window per row
-            np.take(P, hi, axis=2, out=X)
-            X -= np.take(P, lo, axis=2)
-        else:  # copying the starts' sums down the rows beats a broadcast subtract
-            X[...] = np.take(P, lo, axis=2)
-            np.subtract(np.take(P, hi, axis=2), X, out=X)
+        # copying the starts' sums down the rows beats a broadcast subtract
+        X[...] = np.take(P, lo, axis=2)
+        np.subtract(np.take(P, hi, axis=2), X, out=X)
         np.subtract(hi, lo, out=n[at:at + math.prod(shape)].reshape(shape))
         at += math.prod(shape)
     Sdd[:] = A[-1]
@@ -356,24 +354,25 @@ def _window_fits(P, bands, buf, every_pivot=False):
             if every_pivot:
                 rss[p], bad[p] = a[m, m], degenerate
         if every_pivot:
-            return rss, bad
+            return rss, bad, n
         np.divide(c, D, out=stat)
         np.divide(a[m, m], np.subtract(n, m + 1, out=tmp), out=tmp)
         tmp /= D
         stat /= np.sqrt(tmp, out=tmp)
-    return stat, a[m, m], degenerate, Sdd
+    return stat, a[m, m], degenerate, Sdd, n
 
 
-def _fixed_stats(P, bands, buf) -> np.ndarray:
+def _fixed_stats(P, bands, buf, min_n=0) -> np.ndarray:
     """Per-window t-ratios, a view of ``buf`` (see :func:`_window_fits`);
-    -inf where the window is degenerate (a degenerate pivot or an exact fit)."""
-    stat, rss, bad, Sdd = _window_fits(P, bands, buf)
+    -inf where the window is degenerate (a degenerate pivot or an exact fit)
+    or has fewer than ``min_n`` regression rows."""
+    stat, rss, bad, Sdd, n = _window_fits(P, bands, buf)
     floor = np.multiply(_RSS_RTOL, np.maximum(Sdd, 1.0, out=Sdd), out=Sdd)
-    stat[bad | ~(rss > floor) | ~np.isfinite(stat)] = -np.inf
+    stat[bad | ~(rss > floor) | ~np.isfinite(stat) | (n < min_n)] = -np.inf
     return stat
 
 
-def _bic_stats(own, nested, bands, kmax, buf):
+def _bic_stats(own, nested, bands, kmax, r0, buf):
     """Per-window t-ratios and lag counts, the lag chosen per window by BIC.
 
     ``bands`` lists one series' windows as (r2, s1) rectangles.  Every
@@ -386,15 +385,14 @@ def _bic_stats(own, nested, bands, kmax, buf):
     degenerate ones are skipped.  The winner's statistic is its own fixed-k
     fit, from ``own[k]``: over the whole bands for a lag most windows won,
     else over the windows it won.  Windows shorter than :func:`adf_stat`
-    accepts, or with no usable candidate, give -inf and lag -1.
+    accepts, or than r0 + 1 (the padding), or with no usable candidate,
+    give -inf and lag -1.
     """
-    r2 = np.concatenate([np.repeat(e.ravel(), s.size) for e, s in bands])
-    s1 = np.concatenate([np.tile(s.ravel(), e.size) for e, s in bands])
-    selecting = r2 - s1 + 1 >= max(2 * kmax + 4, kmax + 5)
-    rss, singular = _window_fits(nested, [(e - kmax, s) for e, s in bands], buf, True)
-    n = (r2 - kmax - s1).astype(np.float64)
-    best_bic = np.full(s1.shape, np.inf)
-    lag = np.full(s1.shape, -1)
+    rss, singular, n = _window_fits(nested, [(e - kmax, s) for e, s in bands], buf, True)
+    # a window's length r2 - s1 + 1 is n + kmax + 1
+    selecting = n >= max(2 * kmax + 4, kmax + 5, r0 + 1) - kmax - 1
+    best_bic = np.full(n.shape, np.inf)
+    lag = np.full(n.shape, -1)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_n = np.log(n)
         for k in range(kmax + 1):
@@ -405,14 +403,19 @@ def _bic_stats(own, nested, bands, kmax, buf):
             np.copyto(best_bic, bic, where=take)
             lag[take] = k
             selecting &= ~exact
-    stat = np.full(s1.shape, -np.inf)
+    # each end date's first window, in the bands' flat order
+    row_at = np.cumsum([0] + [s.size for e, s in bands for _ in range(e.size)])
+    r2 = np.concatenate([e.ravel() for e, _ in bands])
+    stat = np.full(n.shape, -np.inf)
     for k in range(kmax + 1):
         at = lag == k
         won = np.count_nonzero(at)
         if 2 * won > at.size:
             np.copyto(stat, _fixed_stats(own[k], [(e - k, s) for e, s in bands], buf), where=at)
-        elif won:
-            stat[at] = _fixed_stats(own[k], [((r2[at] - k)[:, None], s1[at][:, None])], buf)
+        elif won:  # the windows it won, located by end date and start
+            i = np.flatnonzero(at)
+            row = np.searchsorted(row_at, i, side="right") - 1
+            stat[at] = _fixed_stats(own[k], [((r2[row] - k)[:, None], (i - row_at[row])[:, None])], buf)
     return stat, lag
 
 
@@ -465,20 +468,19 @@ def _sweep(y, r0: int, spec: AdfSpec, first_r2: int, shape=None):
         for block in blocks:
             bands = [(np.arange(a, b)[:, None], np.arange(b - r0)[None]) for a, b in block]
             if bic:
-                stat, lags = _bic_stats(own, nested, bands, k, buf)
+                stat, lags = _bic_stats(own, nested, bands, k, r0, buf)
             else:
-                stat = _fixed_stats(own[0], [(e - k, s) for e, s in bands], buf)
+                stat = _fixed_stats(own[0], [(e - k, s) for e, s in bands], buf, r0 - k)
             at = 0
-            for (a, b), (e, s) in zip(block, bands):
+            for a, b in block:
                 w = len(ys) * (b - a) * (b - r0)
                 band = stat[at:at + w].reshape(len(ys), b - a, b - r0)
-                np.copyto(band, -np.inf, where=s > e - r0)
                 i = slice(a - first_r2, b - first_r2)
                 band.max(axis=2, out=sup[g:g + len(ys), i])
                 if one:
                     first[i] = band[0].argmax(axis=1)
-                    if bic:
-                        lag[i] = lags[at:at + w].reshape(b - a, -1)[np.arange(b - a), first[i]]
+                    if bic:  # the lag of each row's first window attaining the sup
+                        lag[i] = lags[np.arange(at, at + w, b - r0) + first[i]]
                 at += w
     return (sup[0], first, lag) if one else sup
 
