@@ -171,7 +171,7 @@ def load_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read config file: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

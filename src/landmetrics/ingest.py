@@ -19,17 +19,25 @@ the 1-based file line their record starts on, and ``accepted + rejected
 column is required but not kept.  wETH settles at the ETH quote (1:1
 peg) and is the only currency that sets ``paid_in_weth``.
 
-The pass takes the records ``_CHUNK_ROWS`` at a time and converts a
-chunk a column at a time: prices and plot counts through the same
-``float`` and ``int`` the row checks use, timestamps with numpy, and each
-distinct currency string once.  That is only a faster route to the row
-checks' result, so a chunk takes it only when every row passes every
-check and its timestamp has the exact shape ``YYYY-MM-DDTHH:MM:SS``.  A
-chunk with a short or blank record, a record spanning two lines, a
-timestamp of another shape (``Z``, an offset, a space, fractional
-seconds) or any row that fails a check goes through the row checks
-instead, row by row in file order, which give every rejection its
-reason and line.
+The pass reads the lines after the header ``_CHUNK_ROWS`` at a time.
+A chunk whose text is plain is split on its commas in one pass: every
+line ends in a line break, there is no ``"``, NUL or carriage return
+outside a CRLF ending, no line is longer than the csv field size limit,
+and every line holds exactly as many commas as the header.  For such text
+``csv.reader``'s records are exactly the comma split.  Any other chunk
+goes through ``csv.reader``, which may read past the chunk's last line to
+finish a quoted record.
+
+Either way a chunk is then converted a column at a time: prices and plot
+counts through the same ``float`` and ``int`` the row checks use,
+timestamps with numpy, and each distinct currency string once.  That is
+only a faster route to the row checks' result, so a chunk takes it only
+when every record is one line, every row passes every check and its
+timestamp has the exact shape ``YYYY-MM-DDTHH:MM:SS``.  A chunk with a
+short or blank record, a record spanning two lines, a timestamp of
+another shape (``Z``, an offset, a space, fractional seconds) or any row
+that fails a check goes through the row checks instead, row by row in
+file order, which give every rejection its reason and line.
 """
 
 from __future__ import annotations
@@ -39,14 +47,14 @@ import datetime as dt
 import math
 from array import array
 from dataclasses import dataclass, field, replace
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter
 
 import numpy as np
 
 from .errors import InsufficientDataError, SchemaError, ValidationError
 from .hedonic import TransactionTable
-from .series import TimeSeries, summary_stats, winsorize, write_csv
+from .series import TimeSeries, open_csv, summary_stats, winsorize, write_csv
 
 TRANSACTION_COLUMNS = ("timestamp", "native_price", "currency", "num_plots", "tx_id")
 PRICE_COLUMNS = ("date", "symbol", "usd_price")
@@ -57,8 +65,8 @@ STABLE_CURRENCIES = frozenset({"USDC", "USDT", "DAI"})
 _EPOCH = dt.datetime(1970, 1, 1)
 _MICROSECOND = dt.timedelta(microseconds=1)
 _MAX_PLOTS = 2**63 - 1       # the plot count column is int64
-#: records converted a column at a time; small, since a chunk's strings
-#: are all held at once
+#: file lines split and converted at a time; small, since a chunk's
+#: strings are all held at once
 _CHUNK_ROWS = 1024
 #: the byte range of each position of the YYYY-MM-DDTHH:MM:SS shape
 _STAMP_LO = np.frombuffer(b"0000-00-00T00:00:00", np.uint8)
@@ -161,40 +169,37 @@ def _parse_row(row, width, cols, currencies):
     return (ts - _EPOCH) // _MICROSECOND, price, plots, currency
 
 
-def _parse_columns(rows, width, cols, currencies, symbols):
-    """A chunk's columns as :func:`_parse_row` gives them row by row:
-    microseconds since 1970, prices, plot counts, and currencies as codes
-    into ``symbols``, which gains the chunk's new currencies in order of
-    first appearance.  None, with ``symbols`` untouched, unless every row
-    passes every check and has a timestamp of the exact shape
-    YYYY-MM-DDTHH:MM:SS."""
-    if min(map(len, rows)) < width:
-        return None
-    i_ts, i_price, i_currency, i_plots = cols
-    columns = tuple(zip(*rows))
-    text = "".join(columns[i_ts])
-    if set(map(len, columns[i_ts])) != {19} or not text.isascii():
+def _parse_columns(columns, currencies, symbols):
+    """A chunk's (timestamp, price, currency, plot count) text columns as
+    :func:`_parse_row` gives them row by row: microseconds since 1970,
+    prices, plot counts, and currencies as codes into ``symbols``, which
+    gains the chunk's new currencies in order of first appearance.  None,
+    with ``symbols`` untouched, unless every row passes every check and
+    has a timestamp of the exact shape YYYY-MM-DDTHH:MM:SS."""
+    stamps, prices, currency, plots = columns
+    n = len(stamps)
+    text = "".join(stamps)
+    if set(map(len, stamps)) != {19} or not text.isascii():
         return None
     stamps = np.frombuffer(text.encode("ascii"), "S19")
-    chars = stamps.view(np.uint8).reshape(len(rows), 19)
+    chars = stamps.view(np.uint8).reshape(n, 19)
     if not (np.all((chars >= _STAMP_LO) & (chars <= _STAMP_HI))
             and np.all(np.any(chars[:, :4] != ord("0"), axis=1))):     # no year 0
         return None
     try:
         stamps = stamps.astype("datetime64[us]").view(np.int64)
-        prices = np.fromiter(map(float, columns[i_price]), np.float64, len(rows))
-        plots = np.fromiter(map(int, columns[i_plots]), np.int64, len(rows))
+        prices = np.fromiter(map(float, prices), np.float64, n)
+        plots = np.fromiter(map(int, plots), np.int64, n)
     except (ValueError, OverflowError):         # OverflowError: a count past int64
         return None
     if not (np.all(prices > 0.0) and np.all(np.isfinite(prices)) and np.all(plots >= 1)):
         return None
-    names = {raw: raw.strip().upper() for raw in dict.fromkeys(columns[i_currency])}
+    names = {raw: raw.strip().upper() for raw in dict.fromkeys(currency)}
     if not all(names.values()) or (
             currencies is not None and not all(n in currencies for n in names.values())):
         return None
     code = {raw: symbols.setdefault(name, len(symbols)) for raw, name in names.items()}
-    return stamps, prices, plots, np.fromiter(map(code.__getitem__, columns[i_currency]),
-                                              np.int64, len(rows))
+    return stamps, prices, plots, np.fromiter(map(code.__getitem__, currency), np.int64, n)
 
 
 def _numbered(reader):
@@ -202,6 +207,54 @@ def _numbered(reader):
     record starts on the line after them and spans more than one line
     when a quoted field holds a line break."""
     return zip(map(attrgetter("line_num"), repeat(reader)), reader)
+
+
+def _plain_fields(text, width):
+    """The fields of ``text``'s lines, line after line, if ``csv.reader``
+    would split each of them into exactly ``width`` fields on its commas
+    alone; else None.
+
+    That holds when every line ends in a line break, there is no ``"``,
+    no NUL and no CR outside a CRLF ending, no line is longer than the
+    field size limit, and every line has ``width - 1`` commas.  Lines are
+    measured and their commas counted on the UTF-8 bytes: a line has at
+    least as many bytes as characters, and a multibyte sequence never
+    holds a comma or a line feed."""
+    if not text.endswith("\n") or '"' in text or "\0" in text:
+        return None
+    text = text.replace("\r\n", "\n")
+    if "\r" in text:
+        return None
+    data = np.frombuffer(text.encode(), np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    commas = np.searchsorted(np.flatnonzero(data == ord(",")), ends)
+    if (np.any(np.diff(commas, prepend=0) != width - 1)
+            or np.diff(ends, prepend=-1).max() > csv.field_size_limit()):
+        return None
+    return text[:-1].replace("\n", ",").split(",")
+
+
+def _tokenize(chunk, fh, width, cols):
+    """A chunk of file lines' (lines read, columns, records).
+
+    Plain text (:func:`_plain_fields`) is split on its commas; other text
+    goes through ``csv.reader``, which reads on in ``fh`` past the chunk
+    to finish a quoted record.  ``columns`` are the ``cols`` fields, a column each, or
+    None unless every record is one line with at least ``width`` fields.
+    ``records`` are (lines read before the record, fields) pairs."""
+    fields = _plain_fields("".join(chunk), width)
+    if fields is not None:
+        records = enumerate(fields[i:i + width] for i in range(0, len(fields), width))
+        return len(chunk), [fields[i::width] for i in cols], records
+    reader = csv.reader(chain(chunk, fh))
+    records = list(islice(_numbered(reader), len(chunk)))
+    columns = None
+    if reader.line_num == len(records):             # one line per record
+        rows = list(map(itemgetter(1), records))
+        if min(map(len, rows)) >= width:
+            rows = tuple(zip(*rows))
+            columns = [rows[i] for i in cols]
+    return reader.line_num, columns, records
 
 
 def load_transactions(path, currencies: frozenset[str] | None = None):
@@ -218,35 +271,33 @@ def load_transactions(path, currencies: frozenset[str] | None = None):
     prices = array("d")
     symbols: dict[str, int] = {}
     rejected: list[RejectedRow] = []
-    with open(path, newline="") as fh:
+    with open_csv(path) as fh:
         reader = csv.reader(fh)
         width, cols = _read_header(reader, path, TRANSACTION_COLUMNS, "transactions")
         cols = cols[:4]                             # tx_id is required but not kept
-        numbered = _numbered(reader)
-        while chunk := list(islice(numbered, _CHUNK_ROWS)):
-            first = chunk[0][0] + 1
-            parsed = None
-            if reader.line_num - first + 1 == len(chunk):    # one line per record
-                parsed = _parse_columns(list(map(itemgetter(1), chunk)), width, cols,
-                                        currencies, symbols)
+        first = reader.line_num + 1                 # the line the chunk starts on
+        while chunk := list(islice(fh, _CHUNK_ROWS)):
+            read, columns, records = _tokenize(chunk, fh, width, cols)
+            parsed = None if columns is None else _parse_columns(columns, currencies, symbols)
             if parsed is not None:
-                lines.frombytes(np.arange(first, reader.line_num + 1, dtype=np.int64).tobytes())
+                lines.frombytes(np.arange(first, first + read, dtype=np.int64).tobytes())
                 for buffer, column in zip((stamps, prices, plots, codes), parsed):
                     buffer.frombytes(column.tobytes())
             else:
-                for before, row in chunk:
+                for before, row in records:
                     parsed = _parse_row(row, width, cols, currencies)
                     if type(parsed) is str:
                         if any(f.strip() for f in row):     # blank lines are not rows
-                            rejected.append(RejectedRow(before + 1, parsed))
+                            rejected.append(RejectedRow(first + before, parsed))
                         continue
                     stamp, price, n_plots, currency = parsed
-                    lines.append(before + 1)
+                    lines.append(first + before)
                     stamps.append(stamp)
                     prices.append(price)
                     plots.append(n_plots)
                     codes.append(symbols.setdefault(currency, len(symbols)))
-            del chunk               # hold one chunk of records at a time, not two
+            first += read
+            del chunk, columns, records     # hold one chunk at a time, not two
     table = TransactionTable(
         timestamp=np.asarray(stamps, np.int64).view("datetime64[us]"),
         native_price=prices, num_plots=plots, currency=codes,
@@ -261,7 +312,7 @@ def load_daily_prices(path) -> FxTable:
     tables are reference data and must be unambiguous.
     """
     quotes: dict = {}
-    with open(path, newline="") as fh:
+    with open_csv(path) as fh:
         reader = csv.reader(fh)
         _, (i_date, i_symbol, i_price) = _read_header(reader, path, PRICE_COLUMNS, "price")
         for before, row in _numbered(reader):

@@ -28,6 +28,9 @@ Every file the package writes goes through :func:`write_csv` or
 * anything else is ``str(value)``.
 
 JSON files are indented by 2 with sorted keys and end in a newline.
+The transactions, prices and series files are read through
+:func:`open_csv`, which reports text that cannot be read as a
+:class:`SchemaError`.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import datetime as dt
 import json
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +96,20 @@ def write_csv(path, header, rows, comment: str | None = None) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([_cell(x) for x in row] for row in rows)
+
+
+@contextmanager
+def open_csv(path):
+    """Open ``path`` for ``csv.reader``; a field over the csv field size
+    limit or bytes the text encoding cannot decode, met while reading it,
+    raise :class:`SchemaError` naming the file."""
+    try:
+        with open(path, newline="") as fh:
+            yield fh
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not {exc.encoding} text: {exc.reason}") from exc
 
 
 def write_json(path, obj) -> None:
@@ -165,7 +183,7 @@ class TimeSeries:
     @classmethod
     def from_csv(cls, path, name: str, freq: str) -> "TimeSeries":
         dates, values = [], []
-        with open(path, newline="") as fh:
+        with open_csv(path) as fh:
             r = csv.reader(fh)
             header = next(r, None)
             if header is None or [h.strip() for h in header[:2]] != ["date", "value"]:

@@ -369,7 +369,9 @@ def load_transactions_oracle(path, currencies=None):
     currency, plot count) tuples of the accepted rows in file order, and
     ``rejected`` the (line, reason) pairs of the first check each other
     row fails.  A row's line is the file line its record starts on.
-    Blank lines are neither.
+    Blank lines are neither.  A plot count past int64 is a bad plot
+    count, and a time whose UTC falls outside years 1-9999 a bad
+    timestamp.
     """
     import csv
     import datetime as dt
@@ -398,7 +400,7 @@ def load_transactions_oracle(path, currencies=None):
                 continue
             try:
                 ts = parse_timestamp(row[idx["timestamp"]])
-            except ValueError:
+            except (ValueError, OverflowError):     # UTC outside years 1-9999
                 rejected.append((lineno, "bad timestamp"))
                 continue
             try:
@@ -416,6 +418,9 @@ def load_transactions_oracle(path, currencies=None):
                 continue
             if plots < 1:
                 rejected.append((lineno, "plot count < 1"))
+                continue
+            if plots >= 2**63:                      # past the int64 column
+                rejected.append((lineno, "bad plot count"))
                 continue
             currency = row[idx["currency"]].strip().upper()
             if not currency:

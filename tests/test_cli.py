@@ -106,6 +106,37 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+#: the end of a line csv.reader cannot read, and the error it gets
+UNREADABLE = {"long field": (b"x" * 131_073, "field larger than field limit"),
+              "not UTF-8": (b"\xff", "not utf-8 text")}
+
+
+@pytest.mark.parametrize("fault", UNREADABLE)
+@pytest.mark.parametrize("reader", ["transactions", "prices", "series"])
+def test_unreadable_input_text_exits_2(tmp_path, capsys, reader, fault):
+    tx, px, series = tmp_path / "tx.csv", tmp_path / "px.csv", tmp_path / "walk.csv"
+    shutil.copy(DEMO_CFG.parent / "transactions.csv", tx)
+    shutil.copy(DEMO_CFG.parent / "prices.csv", px)
+    gen_random_walk(60, seed=2).to_csv(series)
+    bad = {"transactions": tx, "prices": px, "series": series}[reader]
+    ending, message = UNREADABLE[fault]
+    with open(bad, "ab") as fh:       # a row that is plain text up to its last field
+        fh.write(b"2021-01-04T00:00:00,1.0,VOX,1,"[:{"transactions": 30, "prices": 15,
+                                                      "series": 11}[reader]] + ending + b"\r\n")
+    argv = (["bubble", "--series-file", str(series), "--r0", "25", "--n-rep", "200"]
+            if reader == "series" else ["hpi", "--transactions", str(tx), "--prices", str(px)])
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}" + (
+        " (131072)\n" if fault == "long field" else ": invalid start byte\n")
+
+
+def test_unreadable_config_file_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"seed = 3\n# caf\xe9\n")
+    assert main(["hpi", "--config", str(cfg)]) == 1
+    assert "cannot read config file" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -489,6 +520,20 @@ def test_pipeline_failure_writes_partial_report(tmp_path, capsys):
     assert report["status"] == "failed"
     assert report["failed_stage"] == "ingest"
     assert report["error"]
+    capsys.readouterr()
+
+
+def test_pipeline_reports_unreadable_transactions_as_failed(tmp_path, capsys):
+    fix = tmp_path / "fix"
+    _make_market_fixture(fix, weeks=20, seed=3)
+    with open(fix / "transactions.csv", "ab") as fh:
+        fh.write(b"2021-01-04T00:00:00,1.0,VOX,1,t\xff\r\n")
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(fix / "run.cfg"), "--out-dir", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "failed"
+    assert report["failed_stage"] == "ingest"
+    assert "transactions.csv: not utf-8 text" in report["error"]
     capsys.readouterr()
 
 

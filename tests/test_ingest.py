@@ -418,6 +418,9 @@ DIRTY_ROWS = ADVERSARIAL_ROWS[1:] + [
     "2021-01-04T12:00:0\u0663,1.0,ETH,1,bh,x",        # a non-ASCII digit
     '2021-01-05T12:00:00,1.0,DAI,1,"b\ni",x',          # spans two lines
     "2021-01-05T12:00:00,1.0,sand,1,bj,x",            # a currency first seen here
+    f"2021-01-05T12:00:00,1.0,ETH,{2**63},bk,x",      # a plot count past int64
+    "0001-01-01T00:00:00+01:00,1.0,ETH,1,bl,x",       # UTC before year 1
+    "9999-12-31T23:00:00-02:00,1.0,ETH,1,bm,x",       # UTC after year 9999
 ]
 
 
@@ -444,22 +447,81 @@ def test_chunk_size_changes_nothing(tmp_path, monkeypatch, chunk, currencies):
     _assert_matches_oracle(path, currencies)
 
 
-def test_clean_file_takes_the_column_pass_for_every_chunk(tmp_path, monkeypatch):
-    calls = []
+def _spy(monkeypatch, name):
+    """The results of every call of ingest's ``name`` from now on."""
+    results = []
+    real = getattr(ingest, name)
 
     def spy(*args):
-        calls.append(args)
-        return parse_row(*args)
+        results.append(real(*args))
+        return results[-1]
 
-    parse_row = ingest._parse_row
-    monkeypatch.setattr(ingest, "_parse_row", spy)
+    monkeypatch.setattr(ingest, name, spy)
+    return results
+
+
+def _quoted(record):
+    return ",".join(f'"{field}"' for field in record.split(","))
+
+
+def test_clean_file_takes_the_column_pass_for_every_chunk(tmp_path, monkeypatch):
+    rows, plain = _spy(monkeypatch, "_parse_row"), _spy(monkeypatch, "_plain_fields")
     records = [ADVERSARIAL_ROWS[0]] + _clean_rows(3000, seed=6)
-    _assert_matches_oracle(write(tmp_path, "clean.csv", "\n".join(records) + "\n"), None)
-    assert calls == []
+    n_chunks = -(-3000 // ingest._CHUNK_ROWS)
+    for name, text, n_plain in (
+            ("clean.csv", "\n".join(records) + "\n", n_chunks),
+            ("crlf.csv", "\r\n".join(records) + "\r\n", n_chunks),
+            # csv.reader splits these, and they still convert by column
+            ("quoted.csv", "\r\n".join(map(_quoted, records)) + "\r\n", 0)):
+        plain.clear()
+        _assert_matches_oracle(write(tmp_path, name, text), None)
+        assert rows == []
+        assert len(plain) == n_chunks
+        assert sum(fields is not None for fields in plain) == n_plain
     # one dirty row sends its chunk alone through the row checks
     records.insert(1500, "2021-01-04T12:00:00Z,2.0,ETH,1,a,x")
     _assert_matches_oracle(write(tmp_path, "one.csv", "\n".join(records) + "\n"), None)
-    assert len(calls) == ingest._CHUNK_ROWS
+    assert len(rows) == ingest._CHUNK_ROWS
+
+
+def _tokenizer_case(case):
+    """A file that puts one of csv.reader's rules to the test, among clean
+    rows and a rejected row after it that shows its line."""
+    clean = _clean_rows(12, seed=7)
+    late = "2021-01-04T12:00:00,1.0,ETH,0,late,x"          # plot count < 1
+    head = [ADVERSARIAL_ROWS[0]] + clean[:4]
+    tail = clean[4:] + [late]
+    if case == "lone CR":       # a blank line, then a record of 2 lines by csv.reader's count
+        return ("\n".join(head) + "\n\r2021-01-05T12:00:00,1.0,ETH\r1,cr,x,y\n"
+                + "\n".join(tail) + "\n")
+    if case == "no last line break":
+        return "\n".join(head + tail)
+    middle = {
+        # the first record's lines are the 5th to 7th after the header, so it
+        # runs past the end of a chunk of 1, 2, 3, 5 or 6 lines
+        "quoted line breaks": ['2021-01-05T12:00:00,1.0,DAI,1,"b\nc\nd",x',
+                               '2021-01-05T12:00:00,"2.0\n",ETH,1,e,x', clean[0],
+                               '"2021-01-05T12:00:00",1.0,ETH,1,"f\r\ng",x'],
+        "NUL": ["2021-01-05T12:00:00,1.0,ETH,1,a\0b,x", "2021-01-05T12:00:00,1.\x000,ETH,1,c,x"],
+        "form feed and line separator": ["2021-01-05T12:00:00,1.5\x0c,ETH,1,a\x0cb,x",
+                                         "2021-01-05T12:00:00,2.5,\u2028eth\u2028,1,c,x",
+                                         "2021-01-05T12:00:00,2.5,ETH,1,d\u2028\x0ce,x"],
+        # 4 and 6 commas: as many as two lines of the header's 5
+        "short beside long": ["2021-01-05T12:00:00,1.0,ETH,1,s",
+                              "2021-01-05T12:00:00,1.0,ETH,1,l,x,y"],
+    }[case]
+    return "\n".join(head + middle + tail) + "\n"
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 6, 1024])
+@pytest.mark.parametrize("case", ["lone CR", "no last line break", "quoted line breaks", "NUL",
+                                  "form feed and line separator", "short beside long"])
+def test_tokenizer_edges_match_the_oracle(tmp_path, monkeypatch, case, chunk):
+    p = tmp_path / "t.csv"
+    p.write_bytes(_tokenizer_case(case).encode())
+    monkeypatch.setattr(ingest, "_CHUNK_ROWS", chunk)
+    _assert_matches_oracle(p, None)
+    _assert_matches_oracle(p, frozenset({"ETH", "WETH", "USDC"}))
 
 
 def test_values_out_of_column_range_are_rejected(tmp_path):
@@ -470,6 +532,7 @@ def test_values_out_of_column_range_are_rejected(tmp_path):
     assert len(rows) == 0
     assert [(r.line, r.reason) for r in rejected] == [(2, "bad plot count"),
                                                       (3, "bad timestamp")]
+    _assert_matches_oracle(p, None)
 
 
 def test_ingest_memory_is_bounded(tmp_path):
