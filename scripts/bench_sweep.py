@@ -2,13 +2,15 @@
 the Granger table, the transactions ingest and the CLI import.
 
 Each figure is timed in pairs: one fresh process on the ``--parent`` tree and
-one on the ``--src`` tree, back to back, the pair's order alternating.  Every
-process is pinned to the same CPU, runs BLAS on one thread, times one figure
-and exits.  A figure's result is the change/parent ratio of each pair, as a
-median with its quartiles, beside each tree's median.  Pairing adjacent
-processes cancels most of the host's drift, which two runs minutes apart
-cannot: run the script on two copies of one tree first, and read a ratio as
-a change only where it lies outside that run's spread.
+one on the ``--src`` tree, set up one after the other, then timing their calls
+in turns, the order alternating from call to call and from pair to pair.
+Every process is pinned to the same CPU, runs BLAS on one thread and times one
+figure.  A pair's ratio is the median change/parent ratio of its turns, and a
+figure's result is the pairs' ratios as a median with its quartiles, beside
+each tree's median.  Calls a few milliseconds apart cancel the host's drift,
+which on a shared vCPU moves one process's own calls by tens of percent
+within seconds: run the script on two copies of one tree first, and read a
+ratio as a change only where it lies outside that run's spread.
 
 The figures, each in seconds unless its name says otherwise:
 
@@ -27,11 +29,13 @@ The figures, each in seconds unless its name says otherwise:
   ``p_max=3``, both specs (24 block F tests);
 * one ``f_tail_prob(2.3, 3, 50)`` call, in microseconds;
 * ``load_transactions`` on a ``simulate --kind hedonic`` file of 104 weeks
-  by 1,000 sales, as rows per second;
-* ``import landmetrics.cli``, timed inside the process that imports it.
+  by 1,000 sales, as rows per second, and on the same file with every
+  field quoted (the text that ``csv.reader`` splits);
+* ``import landmetrics.cli``, timed inside a fresh interpreter that the
+  figure's process starts for each call.
 
-A process times the median of several calls after an untimed one, or one
-call where a call takes seconds, or the first call alone for the peak RSS.
+A process makes an untimed call first where it times several, and reads
+the peak RSS once, at its set-up.
 The result is merged under ``--label`` into the ``--out`` JSON file, with
 the machine (nproc, CPU, Python, numpy and its BLAS build).
 
@@ -41,6 +45,8 @@ Usage:
 """
 
 import argparse
+import contextlib
+import csv
 import json
 import os
 import platform
@@ -57,27 +63,39 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 #: figure -> (calls timed per process, 0 for a peak RSS, then the shape it runs)
 FIGURES = {
     **{f"replication_T{T}_k{k}_s": (n, T, k)
-       for T, n in ((300, 15), (600, 9), (1456, 5), (3000, 3)) for k in (1, 3)},
+       for T, n in ((300, 31), (600, 31), (1456, 15), (3000, 9)) for k in (1, 3)},
     "bic_bsadf_series_T240_k3_s": (51, 240),
-    "bic_bsadf_series_T1456_k3_s": (5, 1456),
-    "precheck_null_T60_rep200_s": (15,),
-    "criterion10_null_T600_rep1000_s": (1,),
+    "bic_bsadf_series_T1456_k3_s": (15, 1456),
+    "precheck_null_T60_rep200_s": (31,),
+    "criterion10_null_T600_rep1000_s": (3,),
     "demo_null_rss_mb": (0, 420, 42, 1),
     "bic_stamp_null_rss_mb": (0, 240, 31, 3),
-    "granger_table_demo_s": (25,),
-    "f_tail_prob_us": (9,),
-    "load_transactions_rows_per_s": (5,),
-    "import_cli_s": (1,),
+    "granger_table_demo_s": (301,),
+    "f_tail_prob_us": (51,),
+    "load_transactions_rows_per_s": (9,),
+    "load_transactions_quoted_rows_per_s": (9,),
+    "import_cli_s": (9,),
 }
 
 
 def child(figure, data):
-    """Time one figure in this process and print its value."""
-    start = time.perf_counter()
-    import landmetrics.cli  # noqa: F401
-    imported = time.perf_counter() - start
-    if figure == "import_cli_s":
-        return imported
+    """Set up one figure in this process, on the input files in the
+    ``data`` directory, and print ``ready``; then, for each line read from
+    stdin, print the figure's value for one more timed call."""
+    measure = _figure(figure, data)
+    print("ready", flush=True)
+    for _ in sys.stdin:
+        print(measure(), flush=True)
+
+
+def _figure(figure, data):
+    """A function that gives the figure's value: for a timed figure, that
+    of one more call."""
+    if figure == "import_cli_s":        # in a fresh interpreter, timed inside it
+        code = ("import time; start = time.perf_counter(); import landmetrics.cli; "
+                "print(time.perf_counter() - start)")
+        return lambda: float(subprocess.run([sys.executable, "-c", code], check=True,
+                                            capture_output=True, text=True).stdout)
     import numpy as np
     from landmetrics import bubbles
     from landmetrics.ingest import load_transactions
@@ -93,7 +111,9 @@ def child(figure, data):
         T, r0, k = args
         before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         bubbles.mc_critical_values(T, r0, bubbles.AdfSpec(n_lags=k), n_rep=200, seed=0)
-        return (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024
+        rss = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024
+        return lambda: rss
+    per_second = 1.0
     if figure.startswith("replication"):
         T, k = args
         r0, spec, y = bubbles.default_min_window(T), bubbles.AdfSpec(n_lags=k), walk(T)
@@ -111,27 +131,43 @@ def child(figure, data):
     elif figure.startswith("f_tail"):
         fn = lambda: [f_tail_prob(2.3, 3, 50) for _ in range(1000)]  # noqa: E731
     else:
-        fn = lambda: load_transactions(data)  # noqa: E731
+        path = os.path.join(data, "quoted.csv" if "quoted" in figure else "transactions.csv")
+        fn = lambda: load_transactions(path)  # noqa: E731
+        per_second = len(fn()[0])
     if calls > 1:
         fn()
-    times = []
-    for _ in range(calls):
+
+    def measure():
         start = time.perf_counter()
         fn()
-        times.append(time.perf_counter() - start)
-    seconds = statistics.median(times)
-    if figure == "f_tail_prob_us":
-        return 1e3 * seconds
-    if figure == "load_transactions_rows_per_s":
-        return len(load_transactions(data)[0]) / seconds
-    return seconds
+        seconds = time.perf_counter() - start
+        if figure == "f_tail_prob_us":
+            return 1e3 * seconds
+        return per_second / seconds if figure.endswith("per_s") else seconds
+
+    return measure
 
 
-def run_child(src, figure, data, cpu):
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run([sys.executable, __file__, "--child", figure, "--data", data or "",
-                          "--cpu", str(cpu)], env=env, check=True, capture_output=True, text=True)
-    return float(out.stdout.split()[-1])
+def run_pair(srcs, figure, data, cpu):
+    """Each tree's values of ``figure``, in the order of ``srcs``: one
+    process per tree, set up in that order, then timing their calls in
+    turns, the first tree first on every other call."""
+    with contextlib.ExitStack() as stack:
+        procs = []
+        for src in srcs:
+            env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+            procs.append(stack.enter_context(subprocess.Popen(
+                [sys.executable, __file__, "--child", figure, "--data", data, "--cpu", str(cpu)],
+                env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)))
+            if procs[-1].stdout.readline() != "ready\n":     # set-ups never overlap
+                raise RuntimeError(f"{figure}: the process on {src} failed to set up")
+        values = ([], [])
+        for i in range(max(FIGURES[figure][0], 1)):
+            for k in (0, 1) if i % 2 == 0 else (1, 0):
+                procs[k].stdin.write("\n")
+                procs[k].stdin.flush()
+                values[k].append(float(procs[k].stdout.readline()))
+    return values
 
 
 def quartiles(values):
@@ -164,7 +200,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.child:
         os.sched_setaffinity(0, {args.cpu})
-        print(child(args.child, args.data))
+        child(args.child, args.data)
         return 0
     if not args.parent:
         ap.error("--parent is required")
@@ -176,15 +212,19 @@ def main(argv=None):
                         "--seed", "1", "--deltas", ",".join(["0"] + ["0.01"] * 103),
                         "--n-per-period", "1000", "--beta-plots", "0.9", "--noise", "0.3",
                         "--out-dir", tmp], env=env, check=True, capture_output=True)
-        data = os.path.join(tmp, "transactions.csv")
+        with open(os.path.join(tmp, "transactions.csv"), newline="") as fh, \
+                open(os.path.join(tmp, "quoted.csv"), "w", newline="") as out:
+            csv.writer(out, quoting=csv.QUOTE_ALL).writerows(csv.reader(fh))
         for figure in FIGURES:
-            runs = {"parent": [], "change": []}
+            ratios, runs = [], {"parent": [], "change": []}
             for i in range(args.pairs):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                for label in order:
-                    src = args.parent if label == "parent" else args.src
-                    runs[label].append(run_child(src, figure, data, cpu))
-            ratios = [c / p for c, p in zip(runs["change"], runs["parent"])]
+                if i % 2 == 0:
+                    parent, change = run_pair((args.parent, args.src), figure, tmp, cpu)
+                else:
+                    change, parent = run_pair((args.src, args.parent), figure, tmp, cpu)
+                ratios.append(statistics.median(c / p for c, p in zip(change, parent)))
+                runs["parent"].append(statistics.median(parent))
+                runs["change"].append(statistics.median(change))
             figures[figure] = {"ratio": quartiles(ratios),
                                "parent_median": statistics.median(runs["parent"]),
                                "change_median": statistics.median(runs["change"])}
