@@ -239,9 +239,10 @@ def _tokenize(chunk, fh, width, cols):
 
     Plain text (:func:`_plain_fields`) is split on its commas; other text
     goes through ``csv.reader``, which reads on in ``fh`` past the chunk
-    to finish a quoted record.  ``columns`` are the ``cols`` fields, a column each, or
-    None unless every record is one line with at least ``width`` fields.
-    ``records`` are (lines read before the record, fields) pairs."""
+    to finish a quoted record.  ``columns`` are the ``cols`` fields, a
+    column each, or None unless every record is one line with at least
+    ``width`` fields.  ``records`` are (lines read before the record,
+    fields) pairs."""
     fields = _plain_fields("".join(chunk), width)
     if fields is not None:
         records = enumerate(fields[i:i + width] for i in range(0, len(fields), width))
@@ -275,7 +276,7 @@ def load_transactions(path, currencies: frozenset[str] | None = None):
         reader = csv.reader(fh)
         width, cols = _read_header(reader, path, TRANSACTION_COLUMNS, "transactions")
         cols = cols[:4]                             # tx_id is required but not kept
-        first = reader.line_num + 1                 # the line the chunk starts on
+        first = reader.line_num + 1                 # the file line a chunk starts on
         while chunk := list(islice(fh, _CHUNK_ROWS)):
             read, columns, records = _tokenize(chunk, fh, width, cols)
             parsed = None if columns is None else _parse_columns(columns, currencies, symbols)
