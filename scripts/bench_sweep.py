@@ -1,5 +1,6 @@
 """Compare two source trees on the BSADF window sweep, its Monte-Carlo null,
-the Granger table, the transactions ingest and the CLI import.
+the Granger table, the transactions ingest, the land index's memory and the
+CLI import.
 
 Each figure is timed in pairs: one fresh process on the ``--parent`` tree and
 one on the ``--src`` tree, set up one after the other, then timing their calls
@@ -22,20 +23,25 @@ The figures, each in seconds unless its name says otherwise:
   ``min_window=59``, 200 replications;
 * acceptance criterion 10's null: ``mc_critical_values`` at T=600, 1000
   replications;
-* the peak RSS, in MB above the process's RSS before the call, of the demo
-  pipeline's null (T=420, r0=42, k=1, 200 replications) and of bic_stamp's
-  (T=240, r0=31, k=3);
+* the peak RSS, in MB above the process's RSS before the call (made after
+  one draw, which loads ``numpy.random``), of the demo pipeline's null
+  (T=420, r0=42, k=1, 200 replications) and of bic_stamp's (T=240, r0=31,
+  k=3);
 * one demo-sized ``granger_table``: 59 rows by 4 columns of white noise,
   ``p_max=3``, both specs (24 block F tests);
 * one ``f_tail_prob(2.3, 3, 50)`` call, in microseconds;
 * ``load_transactions`` on a ``simulate --kind hedonic`` file of 104 weeks
   by 1,000 sales, as rows per second, and on the same file with every
   field quoted (the text that ``csv.reader`` splits);
+* the peak RSS, in MB, of a fresh interpreter that imports
+  ``landmetrics.cli`` and runs ``hpi`` on that file, started for each call;
+* ``build_hpi``'s own peak of traced allocations (``tracemalloc``), in MB
+  of 10**6 bytes, on that file's sales converted to USD;
 * ``import landmetrics.cli``, timed inside a fresh interpreter that the
   figure's process starts for each call.
 
 A process makes an untimed call first where it times several, and reads
-the peak RSS once, at its set-up.
+the nulls' peak RSS and ``build_hpi``'s traced peak once, at its set-up.
 The result is merged under ``--label`` into the ``--out`` JSON file, with
 the machine (nproc, CPU, Python, numpy and its BLAS build).
 
@@ -56,11 +62,13 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-#: figure -> (calls timed per process, 0 for a peak RSS, then the shape it runs)
+#: figure -> (calls timed per process, 0 for a memory figure read once, then the
+#: shape it runs)
 FIGURES = {
     **{f"replication_T{T}_k{k}_s": (n, T, k)
        for T, n in ((300, 31), (600, 31), (1456, 15), (3000, 9)) for k in (1, 3)},
@@ -74,6 +82,8 @@ FIGURES = {
     "f_tail_prob_us": (51,),
     "load_transactions_rows_per_s": (9,),
     "load_transactions_quoted_rows_per_s": (9,),
+    "hpi_peak_rss_mb": (3,),
+    "build_hpi_transient_mb": (0,),
     "import_cli_s": (9,),
 }
 
@@ -91,14 +101,23 @@ def child(figure, data):
 def _figure(figure, data):
     """A function that gives the figure's value: for a timed figure, that
     of one more call."""
-    if figure == "import_cli_s":        # in a fresh interpreter, timed inside it
-        code = ("import time; start = time.perf_counter(); import landmetrics.cli; "
-                "print(time.perf_counter() - start)")
+    transactions, prices = (os.path.join(data, f"{n}.csv") for n in ("transactions", "prices"))
+    if figure in ("import_cli_s", "hpi_peak_rss_mb"):      # in a fresh interpreter
+        if figure == "import_cli_s":
+            code = ("import time; start = time.perf_counter(); import landmetrics.cli; "
+                    "print(time.perf_counter() - start)")
+        else:
+            argv = ["hpi", "--transactions", transactions, "--prices", prices,
+                    "--out-dir", tempfile.mkdtemp(dir=data)]
+            code = ("import resource, landmetrics.cli as cli\n"
+                    f"assert cli.main({argv!r}) == 0\n"
+                    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)")
         return lambda: float(subprocess.run([sys.executable, "-c", code], check=True,
                                             capture_output=True, text=True).stdout)
     import numpy as np
     from landmetrics import bubbles
-    from landmetrics.ingest import load_transactions
+    from landmetrics.hedonic import build_hpi
+    from landmetrics.ingest import load_daily_prices, load_transactions, to_usd
     from landmetrics.linreg import f_tail_prob
     from landmetrics.synthkit import stream
     from landmetrics.var_granger import Panel, granger_table
@@ -107,8 +126,16 @@ def _figure(figure, data):
         return np.concatenate([[0.0], np.cumsum(stream(0, 0).standard_normal(T - 1))])
 
     calls, *args = FIGURES[figure]
+    if figure == "build_hpi_transient_mb":
+        sales, _ = to_usd(load_transactions(transactions)[0], load_daily_prices(prices))
+        tracemalloc.start()
+        build_hpi(sales)
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+        tracemalloc.stop()
+        return lambda: peak
     if calls == 0:
         T, r0, k = args
+        walk(T)     # loads numpy.random, so that the reading is the null's own memory
         before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         bubbles.mc_critical_values(T, r0, bubbles.AdfSpec(n_lags=k), n_rep=200, seed=0)
         rss = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024
@@ -131,7 +158,7 @@ def _figure(figure, data):
     elif figure.startswith("f_tail"):
         fn = lambda: [f_tail_prob(2.3, 3, 50) for _ in range(1000)]  # noqa: E731
     else:
-        path = os.path.join(data, "quoted.csv" if "quoted" in figure else "transactions.csv")
+        path = os.path.join(data, "quoted.csv") if "quoted" in figure else transactions
         fn = lambda: load_transactions(path)  # noqa: E731
         per_second = len(fn()[0])
     if calls > 1:

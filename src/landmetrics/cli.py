@@ -28,7 +28,6 @@ command-line flag (flags win).  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import os
 import sys
@@ -276,6 +275,9 @@ def canonical_config(cfg: RunConfig) -> dict:
 
 
 def config_hash(cfg: RunConfig) -> str:
+    # only the pipeline report hashes: importing hashlib loads OpenSSL, about
+    # 3 MB of RSS that no other command needs
+    import hashlib
     canon = canonical_config(cfg)
     text = "\n".join(f"{k}={v}" for k, v in canon.items())
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

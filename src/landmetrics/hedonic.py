@@ -171,11 +171,21 @@ def _log(values) -> np.ndarray:
 
 
 def _log_by_value(values) -> np.ndarray:
-    """:func:`_log` of each value, taken once per distinct value.  A function
-    of its own, so that its index array is freed before the regression's
-    arrays are built and adds nothing to the peak."""
-    distinct, at = np.unique(values, return_inverse=True)
-    return _log(distinct)[at]
+    """:func:`_log` of each value, taken once per distinct value.  Each value
+    finds its distinct value by ``np.searchsorted``, which holds one index
+    array; ``np.unique``'s ``return_inverse`` holds a sort permutation and
+    its inverse besides."""
+    # asked for counts, np.unique sorts; asked for none, numpy >= 2.3 hashes
+    # and first imports numpy.ma (1.2 MB, 6 ms), which hpi otherwise never loads
+    distinct, _ = np.unique(values, return_counts=True)
+    return _log(distinct)[np.searchsorted(distinct, values)]
+
+
+def _controls(transactions, sample):
+    """The candidate controls of the ``sample`` rows, by name, built one at
+    a time."""
+    yield "log_num_plots", _log_by_value(transactions.num_plots[sample])
+    yield "weth_flag", transactions.paid_in_weth[sample].astype(np.float64)
 
 
 def _within(values, code, counts):
@@ -213,27 +223,29 @@ def build_hpi(
         )
     # a stable sort keeps each period's sales in input order
     sample = np.argsort(period, kind="stable")[np.repeat(estimable, counts)]
+    del period
     n_per = counts[estimable]
     code = np.repeat(np.arange(len(periods)), n_per)
     n = len(sample)
 
-    log_price = _log(usd_price[sample])
-    controls = {
-        "log_num_plots": _log_by_value(transactions.num_plots[sample]),
-        "weth_flag": transactions.paid_in_weth[sample].astype(np.float64),
-    }
-    kept = [name for name, x in controls.items() if np.ptp(x) > 0.0]
+    # each column is freed once demeaned, so the fit holds few at a time
+    y_mean, y_w = _within(_log(usd_price[sample]), code, n_per)
+    kept, scales = [], []
+    x_mean, x_w = np.empty((len(periods), 2)), np.empty((n, 2))
+    for name, x in _controls(transactions, sample):
+        if np.ptp(x) > 0.0:
+            j = len(kept)
+            kept.append(name)
+            scales.append(COLLINEAR_RTOL * float(np.sum((x - x.mean()) ** 2)))
+            x_mean[:, j], x_w[:, j] = _within(x, code, n_per)
+    del sample, code
     k = len(kept)
+    x_mean, x_w = np.ascontiguousarray(x_mean[:, :k]), np.ascontiguousarray(x_w[:, :k])
     if n < len(periods) + k:
         raise InsufficientDataError(f"{n} rows < {len(periods) + k} columns")
 
-    y_mean, y_w = _within(log_price, code, n_per)
-    x_mean = np.zeros((len(periods), k))
-    x_w = np.zeros((n, k))
-    for j, name in enumerate(kept):
-        x_mean[:, j], x_w[:, j] = _within(controls[name], code, n_per)
     q, r = np.linalg.qr(x_w)
-    _check_pivots(kept, controls, x_w, r)
+    _check_pivots(kept, scales, x_w, r)
 
     b = np.linalg.solve(r, q.T @ y_w)
     resid = y_w - x_w @ b
@@ -278,18 +290,17 @@ def build_hpi(
     return points, meta
 
 
-def _check_pivots(kept, controls, x_w, r) -> None:
+def _check_pivots(kept, scales, x_w, r) -> None:
     """Raise if a kept control is collinear with the period effects or the other control.
 
-    Both tests compare a pivot with the control's own centered sum of
-    squares.  A control's within-period sum of squares (its pivot when it
-    comes first) is (near) zero when it is constant inside every period.
-    The second pivot, ``r[1, 1]**2``, is what is left of the second
-    control once the period effects and the first control are removed.
+    Both tests compare a pivot with ``scales[j]``, ``COLLINEAR_RTOL`` times
+    the control's own centered sum of squares.  A control's within-period
+    sum of squares (its pivot when it comes first) is (near) zero when it
+    is constant inside every period.  The second pivot, ``r[1, 1]**2``, is
+    what is left of the second control once the period effects and the
+    first control are removed.
     """
-    for j, name in enumerate(kept):
-        x = controls[name]
-        scale = COLLINEAR_RTOL * float(np.sum((x - x.mean()) ** 2))
+    for j, (name, scale) in enumerate(zip(kept, scales)):
         if float(x_w[:, j] @ x_w[:, j]) <= scale:
             raise SingularDesignError(
                 f"{name} is collinear with the period effects", columns=(name,)

@@ -2,7 +2,8 @@
 a dead public function or class, a dead public method or property, or a
 dataclass field that nothing reads, and only ``series`` writes files.  The
 package imports exactly the third-party packages that ``pyproject.toml``
-declares, and a CLI run never loads scipy.
+declares, a CLI run never loads scipy, and ``hpi`` and ``summarize``
+load neither ``numpy.random`` nor ``hashlib``.
 
 No linter ships with the package's test dependencies, so this check
 parses each module with ``ast`` instead.
@@ -287,16 +288,30 @@ def test_runtime_imports_match_declared_dependencies():
     assert imported == declared
 
 
-def test_cli_run_never_imports_scipy(tmp_path):
+def _modules_after(commands, out_dir) -> set[str]:
+    """The modules loaded in a fresh interpreter after it imports
+    ``landmetrics.cli`` and runs each command on the demo config."""
     demo = ROOT / "fixtures" / "demo" / "run.cfg"
     code = ("import sys\n"
             "import landmetrics.cli as cli\n"
-            f"assert cli.main(['granger', '--config', {str(demo)!r},"
-            f" '--out-dir', {str(tmp_path)!r}]) == 0\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+            f"for command in {list(commands)!r}:\n"
+            f"    assert cli.main([command, '--config', {str(demo)!r},"
+            f" '--out-dir', {str(out_dir)!r}]) == 0\n"
+            "print(sorted(sys.modules))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return set(ast.literal_eval(done.stdout))
+
+
+def test_cli_run_never_imports_scipy(tmp_path):
+    modules = _modules_after(["granger"], tmp_path)
+    assert sorted(m for m in modules if m.partition(".")[0] == "scipy") == []
+
+
+def test_hpi_and_summarize_load_neither_numpy_random_nor_hashlib(tmp_path):
+    modules = _modules_after(["hpi", "summarize"], tmp_path)
+    assert "numpy.random" not in modules     # synthkit.stream loads it on the first draw
+    assert "hashlib" not in modules          # only the pipeline report hashes its config
