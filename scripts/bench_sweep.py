@@ -6,9 +6,14 @@ Each figure is timed in pairs: one fresh process on the ``--parent`` tree and
 one on the ``--src`` tree, set up one after the other, then timing their calls
 in turns, the order alternating from call to call and from pair to pair.
 Every process is pinned to the same CPU, runs BLAS on one thread and times one
-figure.  A pair's ratio is the median change/parent ratio of its turns, and a
-figure's result is the pairs' ratios as a median with its quartiles, beside
-each tree's median.  Calls a few milliseconds apart cancel the host's drift,
+figure.  Each process also gets a memory layout of its own: a padding
+variable of random length in its environment, which moves its stack, and a
+block of random size, allocated and held before the tree is imported, which
+moves its heap or its mappings.  A layout that happens to favour one tree
+then adds spread, which pairs average, instead of a bias to the ratio.  A
+pair's ratio is the median change/parent ratio of its turns, and a figure's
+result is the pairs' ratios as a median with its quartiles, beside each
+tree's median.  Calls a few milliseconds apart cancel the host's drift,
 which on a shared vCPU moves one process's own calls by tens of percent
 within seconds: run the script on two copies of one tree first, and read a
 ratio as a change only where it lies outside that run's spread.
@@ -23,6 +28,8 @@ The figures, each in seconds unless its name says otherwise:
   ``min_window=59``, 200 replications;
 * acceptance criterion 10's null: ``mc_critical_values`` at T=600, 1000
   replications;
+* the demo pipeline's null (``mc_critical_values`` at T=420, r0=42, k=1)
+  and bic_stamp's (T=240, r0=31, k=3), 200 replications each;
 * the peak RSS, in MB above the process's RSS before the call (made after
   one draw, which loads ``numpy.random``), of the demo pipeline's null
   (T=420, r0=42, k=1, 200 replications) and of bic_stamp's (T=240, r0=31,
@@ -56,6 +63,7 @@ import csv
 import json
 import os
 import platform
+import random
 import resource
 import statistics
 import subprocess
@@ -76,6 +84,8 @@ FIGURES = {
     "bic_bsadf_series_T1456_k3_s": (15, 1456),
     "precheck_null_T60_rep200_s": (31,),
     "criterion10_null_T600_rep1000_s": (3,),
+    "demo_null_T420_rep200_s": (9, 420, 42, 1),
+    "bic_stamp_null_T240_k3_rep200_s": (9, 240, 31, 3),
     "demo_null_rss_mb": (0, 420, 42, 1),
     "bic_stamp_null_rss_mb": (0, 240, 31, 3),
     "granger_table_demo_s": (301,),
@@ -152,6 +162,10 @@ def _figure(figure, data):
         fn = lambda: bubbles.mc_critical_values(60, 59, alphas=(0.05,), n_rep=200)  # noqa: E731
     elif figure.startswith("criterion10"):
         fn = lambda: bubbles.mc_critical_values(600, n_rep=1000, seed=1)  # noqa: E731
+    elif figure.startswith(("demo_null", "bic_stamp_null")):
+        T, r0, k = args
+        spec = bubbles.AdfSpec(n_lags=k)
+        fn = lambda: bubbles.mc_critical_values(T, r0, spec, n_rep=200)  # noqa: E731
     elif figure.startswith("granger"):
         panel = Panel(("x", "y", "c1", "c2"), stream(0, 0).standard_normal((59, 4)))
         fn = lambda: granger_table(panel, "x", "y", p_max=3, both_specs=True)  # noqa: E731
@@ -182,7 +196,8 @@ def run_pair(srcs, figure, data, cpu):
     with contextlib.ExitStack() as stack:
         procs = []
         for src in srcs:
-            env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+            env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
+                       LAYOUT_PAD="x" * random.randrange(1, 4097))
             procs.append(stack.enter_context(subprocess.Popen(
                 [sys.executable, __file__, "--child", figure, "--data", data, "--cpu", str(cpu)],
                 env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)))
@@ -227,6 +242,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.child:
         os.sched_setaffinity(0, {args.cpu})
+        # held in this frame while the figure runs: up to 256 KiB, on either
+        # side of glibc's 128 KiB mmap threshold
+        held = bytearray(random.randrange(1, 1 << 18))  # noqa: F841
         child(args.child, args.data)
         return 0
     if not args.parent:

@@ -18,17 +18,17 @@ fits windows from prefix sums of globally centered variables and their
 cross-products (the upper triangle only), in blocks of bands.  A band is
 a rectangle, consecutive end dates by every start the last of them
 admits, for a group of series side by side (the Monte-Carlo null's
-replications), so its windowed sums are one broadcast subtract; the starts
-that pad its earlier end dates are masked.  Each block is reduced to its
+replications), so its windowed sums are two slices of the prefix sums,
+the end dates' spread down the starts less the starts'; the starts that
+pad its earlier end dates are masked.  Each block is reduced to its
 per-date supremum before the next is built.  Each window's fit is
 elementwise, so no statistic or critical value depends on the blocks, the
 bands or the groups.  Per window, the intercept is partialled out and one
-pivot loop eliminates the regressors in turn, the lagged level last, so
-its t-ratio falls out of the last pivot.  With ``lag_selection="bic"``
-one elimination pass with the level first gives every candidate lag's
-residual sum of squares, and the lag is chosen per window.  A
-single-window ADF (:func:`adf_stat`) is a sweep whose only window is the
-whole sample.
+pivot loop eliminates the regressors in turn, a row of cross-products at
+a time, the lagged level last, so its t-ratio falls out of the last
+pivot.  With ``lag_selection="bic"`` one elimination pass with the level
+first gives every candidate lag's rss, and the lag is chosen per window.
+A single-window ADF (:func:`adf_stat`) is a sweep of the whole sample.
 The definitional reference, one OLS per window written out by hand,
 lives in the test suite (``tests/oracles.py``), not here.
 """
@@ -110,7 +110,7 @@ class CvTable:
 
     ``cv_by_t[i, j]`` is the alpha[j] empirical quantile of the null
     BSADF distribution at t = r0 + i.  Deterministic in
-    (T, r0, n_lags, n_rep, seed).
+    (T, r0, n_lags, n_rep, seed, alphas).
     """
 
     series_length: int
@@ -158,24 +158,13 @@ class CvTable:
             else:
                 fh.seek(0)
             r = csv.reader(fh)
-            header = next(r)
-            alphas = tuple(float(h[3:]) for h in header[1:])
-            ts, rows = [], []
-            for row in r:
-                if not row:
-                    continue
-                ts.append(int(row[0]))
-                rows.append([float(v) for v in row[1:]])
-        r0 = ts[0]
-        return cls(
-            series_length=meta.get("T", ts[-1] + 1),
-            min_window=meta.get("r0", r0),
-            alphas=alphas,
-            cv_by_t=np.array(rows),
-            n_rep=meta.get("n_rep", 0),
-            seed=meta.get("seed", 0),
-            n_lags=meta.get("n_lags", 1),
-        )
+            alphas = tuple(float(h[3:]) for h in next(r)[1:])
+            table = [row for row in r if row]
+        ts = [int(row[0]) for row in table]
+        return cls(series_length=meta.get("T", ts[-1] + 1), min_window=meta.get("r0", ts[0]),
+                   alphas=alphas, cv_by_t=np.array([[float(v) for v in row[1:]] for row in table]),
+                   n_rep=meta.get("n_rep", 0), seed=meta.get("seed", 0),
+                   n_lags=meta.get("n_lags", 1))
 
 
 @dataclass(frozen=True)
@@ -295,87 +284,97 @@ def _prefix_sums(y: np.ndarray, k: int, level_first: bool = False):
 def _window_fits(P, bands, buf, every_pivot=False):
     """OLS of d on [1, Z] over prefix slots (lo, hi] of every window.
 
-    ``bands`` lists (hi, lo) slot arrays, of shapes (B, 1) and (1, c) for a
-    rectangle of B x c windows, or both (B, 1) for B windows, each for
-    every series in ``P``; the windows lie band after band, each in C
-    order (series, B, c).  One pivot loop serves every regressor count m.
-    The intercept is partialled out of the windowed sums in closed form,
-    giving the upper triangle A of [Z, d]'s centered cross-products.  The
-    regressors are then eliminated one at a time, in row order
-    (Frisch-Waugh-Lovell): the pivot D_j of regressor j is its
+    ``bands`` lists rectangles (e, B, c), end slots e .. e + B - 1 by starts
+    0 .. c - 1, or windows gathered one by one as (hi, lo) slot arrays of
+    shape (w, 1), each for every series in ``P``; the windows lie band after
+    band, each in C order (series, B, c).  One pivot loop serves every
+    regressor count m.  The intercept is partialled out of the windowed
+    sums in closed form, giving the upper triangle A of [Z, d]'s centered
+    cross-products.  The regressors are then eliminated one at a time, in
+    row order (Frisch-Waugh-Lovell): the pivot D_j of regressor j is its
     cross-product left after the earlier ones are partialled out, and
     eliminating it lowers rss by c_j**2 / D_j, with c_j its partialled
-    cross-product with d.  A pivot is degenerate unless
-    D_j > 1e-14 * A_jj, the regressor's diagonal before elimination.
+    cross-product with d.  A pivot is degenerate unless D_j > 1e-14 * A_jj,
+    the regressor's diagonal before elimination.  Each step updates a whole
+    row of A in one call.  Windows with lo >= hi give meaningless values.
 
-    Returns (stat, rss, bad, Sdd, n) after the last pivot: the t-ratio
-    b/sqrt(sigma2/D) of the last regressor, with b = c/D, the rss, whether
-    any pivot was degenerate, the response sum of squares and the window's
-    regression rows hi - lo; with ``every_pivot``, (rss, bad) after each
-    pivot, shape (m, windows), and n.  The float arrays are views of
-    ``buf``, valid until the next fit: blocks reuse it rather than
-    allocating, freeing and page-faulting in their own.  Windows with
-    lo >= hi give meaningless values.
+    Returns (stat, rss, bad, cut, n) after the last pivot: the t-ratio
+    b/sqrt(sigma2/D) of the last regressor, b = c/D its multiplier, the rss,
+    whether any pivot was degenerate, the exact-fit floor 1e-12 * max(Sdd, 1)
+    of the raw response sum of squares and the regression rows hi - lo; with
+    ``every_pivot``, (rss, bad) after each pivot, shape (m, windows), and n.
+    The float arrays are views of ``buf``, valid until the next fit: blocks
+    reuse it rather than page-faulting in their own.  Past the sums its rows
+    are q means, then the elimination's products and the t-ratio's variance;
+    q for the centering's products, then the pivot floors; the kept rss; n;
+    cut; the multiplier, then the t-ratio.
     """
     R, G = P.shape[:2]
     q = (math.isqrt(9 + 8 * R) - 3) // 2  # R = q + q(q+1)/2 rows
     m, kept = q - 1, q - 1 if every_pivot else 0
-    shapes = [(G, hi.shape[0], lo.shape[1]) for hi, lo in bands]
-    w, edges = sum(map(math.prod, shapes)), np.cumsum([0, R, q, m, kept, 5]).tolist()
+    shapes = [(G,) + (band[1:] if len(band) == 3 else band[0].shape) for band in bands]
+    w, edges = sum(map(math.prod, shapes)), np.cumsum([0, q, R - q, q, q, kept, 3]).tolist()
     rows = buf[:edges[-1] * w].reshape(-1, w)
-    SA, mean, floor, rss, (n, Sdd, stat, f, tmp) = (rows[i:j] for i, j in zip(edges, edges[1:]))
-    S, A = SA[:q], SA[q:]
+    S, A, mean, floor, rss, (n, cut, f) = (rows[i:j] for i, j in zip(edges, edges[1:]))
     at = 0
-    for (hi, lo), shape in zip(bands, shapes):
-        X = SA[:, at:at + math.prod(shape)].reshape((R,) + shape)
-        # copying the starts' sums down the rows beats a broadcast subtract
-        X[...] = np.take(P, lo, axis=2)
-        np.subtract(np.take(P, hi, axis=2), X, out=X)
-        np.subtract(hi, lo, out=n[at:at + math.prod(shape)].reshape(shape))
+    for band, shape in zip(bands, shapes):
+        X = rows[:R, at:at + math.prod(shape)].reshape((R,) + shape)
+        N = n[at:at + math.prod(shape)].reshape(shape)
         at += math.prod(shape)
-    Sdd[:] = A[-1]
-    a = {}  # (r, c) -> row of A, in the row-major order _prefix_sums stores
-    bad = np.empty((kept, w), dtype=bool)
-    degenerate = np.zeros(w, dtype=bool)
+        if len(band) == 3:
+            # the end dates first: a subtract along the starts' rows outruns
+            # one of a spread end date by more than the spreading costs
+            e, B, c = band
+            X[...] = P[:, :, e:e + B, None]
+            X -= P[:, :, None, :c]
+            band = np.arange(e, e + B)[:, None], np.arange(c)
+        else:
+            X[...] = np.take(P, band[0], axis=2)
+            X -= np.take(P, band[1], axis=2)
+        np.subtract(*band, out=N[0])  # hi - lo, the same for every series
+        N[1:] = N[0]
+    # a[r][s - r] is (r, s), in the row-major order _prefix_sums stores
+    a = [A[r * q - r * (r - 1) // 2:][:q - r] for r in range(q)]
+    degenerate, bad = np.zeros(w, dtype=bool), np.empty((kept, w), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
+        if not every_pivot:
+            np.multiply(_RSS_RTOL, np.maximum(a[m][0], 1.0, out=cut), out=cut)
         np.divide(S, n, out=mean)
-        for x, (r, c) in enumerate((r, c) for r in range(q) for c in range(r, q)):
-            A[x] -= np.multiply(S[r], mean[c], out=tmp)
-            a[r, c] = A[x]
+        for r in range(q):
+            a[r] -= np.multiply(S[r], mean[r:], out=floor[:q - r])
         for p in range(m):
-            np.multiply(1e-14, a[p, p], out=floor[p])
+            np.multiply(1e-14, a[p][0], out=floor[p])
         for p in range(m):
-            D, c = a[p, p], a[p, m]
+            D = a[p][0]
             degenerate |= ~(D > floor[p])
             for r in range(p + 1, q):
-                np.divide(a[p, r], D, out=f)
-                for s in range(r, q):
-                    a[r, s] -= np.multiply(a[p, s], f, out=tmp)
+                np.divide(a[p][r - p], D, out=f)
+                a[r] -= np.multiply(a[p][r - p:], f, out=mean[:q - r])
             if every_pivot:
-                rss[p], bad[p] = a[m, m], degenerate
+                rss[p], bad[p] = a[m][0], degenerate
         if every_pivot:
             return rss, bad, n
-        np.divide(c, D, out=stat)
-        np.divide(a[m, m], np.subtract(n, m + 1, out=tmp), out=tmp)
-        tmp /= D
-        stat /= np.sqrt(tmp, out=tmp)
-    return stat, a[m, m], degenerate, Sdd, n
+        np.divide(a[m][0], np.subtract(n, m + 1, out=mean[0]), out=mean[0])
+        mean[0] /= D
+        f /= np.sqrt(mean[0], out=mean[0])
+    return f, a[m][0], degenerate, cut, n
 
 
 def _fixed_stats(P, bands, buf, min_n=0) -> np.ndarray:
     """Per-window t-ratios, a view of ``buf`` (see :func:`_window_fits`);
     -inf where the window is degenerate (a degenerate pivot or an exact fit)
     or has fewer than ``min_n`` regression rows."""
-    stat, rss, bad, Sdd, n = _window_fits(P, bands, buf)
-    floor = np.multiply(_RSS_RTOL, np.maximum(Sdd, 1.0, out=Sdd), out=Sdd)
-    stat[bad | ~(rss > floor) | ~np.isfinite(stat) | (n < min_n)] = -np.inf
+    stat, rss, bad, cut, n = _window_fits(P, bands, buf)
+    bad |= ~(rss > cut) | ~np.isfinite(stat) | (n < min_n)
+    np.copyto(stat, -np.inf, where=bad)
     return stat
 
 
 def _bic_stats(own, nested, bands, kmax, r0, buf):
     """Per-window t-ratios and lag counts, the lag chosen per window by BIC.
 
-    ``bands`` lists one series' windows as (r2, s1) rectangles.  Every
+    ``bands`` lists one series' windows as rectangles (a, B, c), the B end
+    dates r2 from a by the starts s1 in [0, c) (see :func:`_sweep`).  Every
     candidate k in [0, kmax] is fitted on the common sample of the kmax
     regression.  The candidates are nested, so one elimination pass over
     ``nested`` (the kmax columns with the level first, then dy[t-1],
@@ -388,7 +387,7 @@ def _bic_stats(own, nested, bands, kmax, r0, buf):
     accepts, or than r0 + 1 (the padding), or with no usable candidate,
     give -inf and lag -1.
     """
-    rss, singular, n = _window_fits(nested, [(e - kmax, s) for e, s in bands], buf, True)
+    rss, singular, n = _window_fits(nested, [(a - kmax, B, c) for a, B, c in bands], buf, True)
     # a window's length r2 - s1 + 1 is n + kmax + 1
     selecting = n >= max(2 * kmax + 4, kmax + 5, r0 + 1) - kmax - 1
     best_bic = np.full(n.shape, np.inf)
@@ -404,14 +403,14 @@ def _bic_stats(own, nested, bands, kmax, r0, buf):
             lag[take] = k
             selecting &= ~exact
     # each end date's first window, in the bands' flat order
-    row_at = np.cumsum([0] + [s.size for e, s in bands for _ in range(e.size)])
-    r2 = np.concatenate([e.ravel() for e, _ in bands])
+    row_at = np.cumsum([0] + [c for _, B, c in bands for _ in range(B)])
+    r2 = np.concatenate([np.arange(a, a + B) for a, B, _ in bands])
     stat = np.full(n.shape, -np.inf)
     for k in range(kmax + 1):
         at = lag == k
         won = np.count_nonzero(at)
         if 2 * won > at.size:
-            np.copyto(stat, _fixed_stats(own[k], [(e - k, s) for e, s in bands], buf), where=at)
+            np.copyto(stat, _fixed_stats(own[k], [(a - k, B, c) for a, B, c in bands], buf), where=at)
         elif won:  # the windows it won, located by end date and start
             i = np.flatnonzero(at)
             row = np.searchsorted(row_at, i, side="right") - 1
@@ -447,17 +446,17 @@ def _sweep(y, r0: int, spec: AdfSpec, first_r2: int, shape=None):
     prefix = 8 * sum((j + 2) * (j + 5) // 2 * (T - j) for j in ([*ks, k] if bic else ks))
     group = min(n, max(1, _BLOCK_BYTES // (8 * prefix)))
     cap = max(1, (_BLOCK_BYTES - group * prefix) // (8 * rows * group))  # windows per series
-    blocks, size, a = [[]], 0, first_r2  # blocks of bands [a, b) of end dates
+    blocks, size, a = [[]], 0, first_r2  # blocks of bands (a, B, c), end dates from a
     while a < T:
         c = a - r0
         b = a + max(1, min(T - a, max(16, c // 8), (math.isqrt(c * c + 4 * cap) - c) // 2))
         if size + (b - a) * (b - r0) > cap and blocks[-1]:
             blocks.append([])
             size = 0
-        blocks[-1].append((a, b))
+        blocks[-1].append((a, b - a, b - r0))
         size += (b - a) * (b - r0)
         a = b
-    buf = np.empty(rows * group * max(sum((b - a) * (b - r0) for a, b in bl) for bl in blocks))
+    buf = np.empty(rows * group * max(sum(B * c for _, B, c in bands) for bands in blocks))
     sup = np.empty((n, T - first_r2))
     first = np.empty(T - first_r2, dtype=np.int64)
     lag = np.full(T - first_r2, k, dtype=np.int64)
@@ -465,22 +464,21 @@ def _sweep(y, r0: int, spec: AdfSpec, first_r2: int, shape=None):
         ys = y[None] if one else y(range(g, min(g + group, n)))
         own = [_prefix_sums(ys, j) for j in ks]
         nested = _prefix_sums(ys, k, level_first=True) if bic else None
-        for block in blocks:
-            bands = [(np.arange(a, b)[:, None], np.arange(b - r0)[None]) for a, b in block]
+        for bands in blocks:
             if bic:
                 stat, lags = _bic_stats(own, nested, bands, k, r0, buf)
             else:
-                stat = _fixed_stats(own[0], [(e - k, s) for e, s in bands], buf, r0 - k)
+                stat = _fixed_stats(own[0], [(a - k, B, c) for a, B, c in bands], buf, r0 - k)
             at = 0
-            for a, b in block:
-                w = len(ys) * (b - a) * (b - r0)
-                band = stat[at:at + w].reshape(len(ys), b - a, b - r0)
-                i = slice(a - first_r2, b - first_r2)
+            for a, B, c in bands:
+                w = len(ys) * B * c
+                band = stat[at:at + w].reshape(len(ys), B, c)
+                i = slice(a - first_r2, a + B - first_r2)
                 band.max(axis=2, out=sup[g:g + len(ys), i])
                 if one:
                     first[i] = band[0].argmax(axis=1)
                     if bic:  # the lag of each row's first window attaining the sup
-                        lag[i] = lags[np.arange(at, at + w, b - r0) + first[i]]
+                        lag[i] = lags[np.arange(at, at + w, c) + first[i]]
                 at += w
     return (sup[0], first, lag) if one else sup
 

@@ -312,11 +312,14 @@ def test_bsadf_constant_series_has_no_valid_window():
 
 
 def _record_fits(monkeypatch):
-    """Log each window fit as (series side by side, [(rows, starts) per band])."""
+    """Log each window fit as (series side by side, [(rows, starts) per band]):
+    a rectangle (e, rows, starts), or gathered windows (hi, lo) of shape
+    (rows, 1)."""
     calls, fits = [], bubbles._window_fits
 
     def spy(P, bands, *args):
-        calls.append((P.shape[1], [(hi.shape[0], lo.shape[1]) for hi, lo in bands]))
+        calls.append((P.shape[1], [band[1:] if len(band) == 3 else band[0].shape
+                                   for band in bands]))
         return fits(P, bands, *args)
 
     monkeypatch.setattr(bubbles, "_window_fits", spy)
@@ -383,6 +386,29 @@ def test_block_budget_changes_no_bit(monkeypatch):
             assert np.array_equal(first, first0)
             assert np.array_equal(lag, lag0)
         assert np.array_equal(other[1], default[1])
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("every_pivot", [False, True])
+def test_rectangle_and_gathered_windows_give_the_same_bits(k, every_pivot):
+    """A band's window sums come from slices of the prefix sums when it is
+    a rectangle and from np.take when its windows are gathered one by one.
+    For three series side by side, end dates 40..47 by starts 0..42 (r0=5:
+    the earlier rows' last starts pad, and some give lo >= hi), every
+    output of both must be bitwise the same."""
+    P = bubbles._prefix_sums(np.array([walk(60, seed) for seed in (1, 2, 3)]), k, every_pivot)
+    e, B, c = 40 - k, 8, 48 - 5
+    hi, lo = np.meshgrid(np.arange(e, e + B), np.arange(c), indexing="ij")
+    q = k + 2
+    rows = 3 * q + q * (q + 1) // 2 + 4 + (q - 1) * every_pivot
+    rect = bubbles._window_fits(P, [(e, B, c)], np.empty(rows * 3 * B * c), every_pivot)
+    gathered = bubbles._window_fits(P, [(hi.reshape(-1, 1), lo.reshape(-1, 1))],
+                                    np.empty(rows * 3 * B * c), every_pivot)
+    assert np.any(hi <= lo)
+    assert len(rect) == len(gathered) == (3 if every_pivot else 5)
+    for x, y in zip(rect, gathered):
+        assert x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
 
 
 def test_last_point_of_the_truncated_series_matches_the_oracles():
