@@ -24,6 +24,8 @@ The figures, each in seconds unless its name says otherwise:
   minimum window) at T in {300, 600, 1456, 3000} and k in {1, 3};
 * a BIC ``bsadf_series`` (kmax=3) of a driftless walk at T=240 (the length
   of the ``bic_stamp`` benchmark series) and at T=1456;
+* a fixed-lag ``bsadf_series`` (k=1) of a driftless walk at T=1456, a data
+  sweep, which fits every window with the degenerate-window guards;
 * the stationarity pre-check's null: ``mc_critical_values`` at T=60 with
   ``min_window=59``, 200 replications;
 * acceptance criterion 10's null: ``mc_critical_values`` at T=600, 1000
@@ -82,6 +84,7 @@ FIGURES = {
        for T, n in ((300, 31), (600, 31), (1456, 15), (3000, 9)) for k in (1, 3)},
     "bic_bsadf_series_T240_k3_s": (51, 240),
     "bic_bsadf_series_T1456_k3_s": (15, 1456),
+    "fixed_bsadf_series_T1456_k1_s": (15, 1456),
     "precheck_null_T60_rep200_s": (31,),
     "criterion10_null_T600_rep1000_s": (3,),
     "demo_null_T420_rep200_s": (9, 420, 42, 1),
@@ -155,8 +158,9 @@ def _figure(figure, data):
         T, k = args
         r0, spec, y = bubbles.default_min_window(T), bubbles.AdfSpec(n_lags=k), walk(T)
         fn = lambda: bubbles._sweep(lambda reps: y[None], r0, spec, r0, shape=(1, T))  # noqa: E731
-    elif figure.startswith("bic_bsadf"):
-        y, spec = walk(*args), bubbles.AdfSpec(n_lags=3, lag_selection="bic")
+    elif figure.startswith(("bic_bsadf", "fixed_bsadf")):
+        y, selection = walk(*args), figure.split("_")[0]     # "bic" (kmax=3) or "fixed" (k=1)
+        spec = bubbles.AdfSpec(n_lags=3 if selection == "bic" else 1, lag_selection=selection)
         fn = lambda: bubbles.bsadf_series(y, spec=spec)  # noqa: E731
     elif figure.startswith("precheck"):
         fn = lambda: bubbles.mc_critical_values(60, 59, alphas=(0.05,), n_rep=200)  # noqa: E731

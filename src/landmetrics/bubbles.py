@@ -20,8 +20,9 @@ a rectangle, consecutive end dates by every start the last of them
 admits, for a group of series side by side (the Monte-Carlo null's
 replications), so its windowed sums are two slices of the prefix sums,
 the end dates' spread down the starts less the starts'; the starts that
-pad its earlier end dates are masked.  Each block is reduced to its
-per-date supremum before the next is built.  Each window's fit is
+pad its earlier end dates are set to -inf.  Each block is reduced to each
+date's first maximum before the next is built; the Monte-Carlo null checks
+the degenerate-window guards only there.  Each window's fit is
 elementwise, so no statistic or critical value depends on the blocks, the
 bands or the groups.  Per window, the intercept is partialled out and one
 pivot loop eliminates the regressors in turn, a row of cross-products at
@@ -281,7 +282,12 @@ def _prefix_sums(y: np.ndarray, k: int, level_first: bool = False):
     return P
 
 
-def _window_fits(P, bands, buf, every_pivot=False):
+def _row_edges(q: int, every_pivot: bool = False) -> list[int]:
+    """Row edges of a q-variable fit's buffer per window (:func:`_window_fits`)."""
+    return np.cumsum([0, q, q * (q + 1) // 2, q, q, (q - 1) * every_pivot, 3]).tolist()
+
+
+def _window_fits(P, bands, buf, every_pivot=False, guards=True):
     """OLS of d on [1, Z] over prefix slots (lo, hi] of every window.
 
     ``bands`` lists rectangles (e, B, c), end slots e .. e + B - 1 by starts
@@ -303,6 +309,8 @@ def _window_fits(P, bands, buf, every_pivot=False):
     whether any pivot was degenerate, the exact-fit floor 1e-12 * max(Sdd, 1)
     of the raw response sum of squares and the regression rows hi - lo; with
     ``every_pivot``, (rss, bad) after each pivot, shape (m, windows), and n.
+    ``guards=False`` (fixed lag) skips the floors and the flags, which no
+    t-ratio depends on: bad is all False and cut unset.
     The float arrays are views of ``buf``, valid until the next fit: blocks
     reuse it rather than page-faulting in their own.  Past the sums its rows
     are q means, then the elimination's products and the t-ratio's variance;
@@ -313,7 +321,7 @@ def _window_fits(P, bands, buf, every_pivot=False):
     q = (math.isqrt(9 + 8 * R) - 3) // 2  # R = q + q(q+1)/2 rows
     m, kept = q - 1, q - 1 if every_pivot else 0
     shapes = [(G,) + (band[1:] if len(band) == 3 else band[0].shape) for band in bands]
-    w, edges = sum(map(math.prod, shapes)), np.cumsum([0, q, R - q, q, q, kept, 3]).tolist()
+    w, edges = sum(map(math.prod, shapes)), _row_edges(q, every_pivot)
     rows = buf[:edges[-1] * w].reshape(-1, w)
     S, A, mean, floor, rss, (n, cut, f) = (rows[i:j] for i, j in zip(edges, edges[1:]))
     at = 0
@@ -337,16 +345,17 @@ def _window_fits(P, bands, buf, every_pivot=False):
     a = [A[r * q - r * (r - 1) // 2:][:q - r] for r in range(q)]
     degenerate, bad = np.zeros(w, dtype=bool), np.empty((kept, w), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if not every_pivot:
+        if guards and not every_pivot:
             np.multiply(_RSS_RTOL, np.maximum(a[m][0], 1.0, out=cut), out=cut)
         np.divide(S, n, out=mean)
         for r in range(q):
             a[r] -= np.multiply(S[r], mean[r:], out=floor[:q - r])
-        for p in range(m):
+        for p in range(m if guards else 0):
             np.multiply(1e-14, a[p][0], out=floor[p])
         for p in range(m):
             D = a[p][0]
-            degenerate |= ~(D > floor[p])
+            if guards:
+                degenerate |= ~(D > floor[p])
             for r in range(p + 1, q):
                 np.divide(a[p][r - p], D, out=f)
                 a[r] -= np.multiply(a[p][r - p:], f, out=mean[:q - r])
@@ -360,13 +369,13 @@ def _window_fits(P, bands, buf, every_pivot=False):
     return f, a[m][0], degenerate, cut, n
 
 
-def _fixed_stats(P, bands, buf, min_n=0) -> np.ndarray:
+def _fixed_stats(P, bands, buf, guards=True) -> np.ndarray:
     """Per-window t-ratios, a view of ``buf`` (see :func:`_window_fits`);
-    -inf where the window is degenerate (a degenerate pivot or an exact fit)
-    or has fewer than ``min_n`` regression rows."""
-    stat, rss, bad, cut, n = _window_fits(P, bands, buf)
-    bad |= ~(rss > cut) | ~np.isfinite(stat) | (n < min_n)
-    np.copyto(stat, -np.inf, where=bad)
+    with ``guards``, -inf where the window is degenerate: a degenerate
+    pivot, an exact fit or a t-ratio that is not finite."""
+    stat, rss, bad, cut, _ = _window_fits(P, bands, buf, guards=guards)
+    if guards:
+        np.copyto(stat, -np.inf, where=bad | ~(rss > cut) | ~np.isfinite(stat))
     return stat
 
 
@@ -436,13 +445,19 @@ def _sweep(y, r0: int, spec: AdfSpec, first_r2: int, shape=None):
     ``reps`` as rows, fitted side by side in groups whose prefix sums take
     an eighth of the budget, and only the suprema are returned, shape
     (n, T - first_r2).  No supremum depends on the blocks, bands or groups.
+
+    A fixed-lag group of ``shape`` rows is fitted unguarded, then each row's
+    first maximum again with guards, in one gathered fit.  A guard only sets
+    a t-ratio to -inf, so a winner that passes is also its guarded row's
+    first maximum and every supremum is exact.  A group with a failing
+    winner is swept again guarded, as data sweeps always are: flat runs
+    make degenerate windows common in data.
     """
     k, bic = spec.n_lags, spec.lag_selection == "bic"
     one = shape is None
     n, T = (1, y.shape[0]) if one else shape
     ks = range(k + 1) if bic else [k]
-    q = k + 2  # the widest fit's variables, and its float64 rows per window
-    rows = 3 * q + q * (q + 1) // 2 + 4 + (q - 1) * bic
+    rows = _row_edges(k + 2, bic)[-1]  # float64 rows per window of the widest fit
     prefix = 8 * sum((j + 2) * (j + 5) // 2 * (T - j) for j in ([*ks, k] if bic else ks))
     group = min(n, max(1, _BLOCK_BYTES // (8 * prefix)))
     cap = max(1, (_BLOCK_BYTES - group * prefix) // (8 * rows * group))  # windows per series
@@ -458,29 +473,39 @@ def _sweep(y, r0: int, spec: AdfSpec, first_r2: int, shape=None):
         a = b
     buf = np.empty(rows * group * max(sum(B * c for _, B, c in bands) for bands in blocks))
     sup = np.empty((n, T - first_r2))
-    first = np.empty(T - first_r2, dtype=np.int64)
+    first = np.empty((group, T - first_r2), dtype=np.int64)  # one group's winners
     lag = np.full(T - first_r2, k, dtype=np.int64)
     for g in range(0, n, group):
         ys = y[None] if one else y(range(g, min(g + group, n)))
+        G, wins = len(ys), first[:len(ys)]
         own = [_prefix_sums(ys, j) for j in ks]
         nested = _prefix_sums(ys, k, level_first=True) if bic else None
-        for bands in blocks:
-            if bic:
-                stat, lags = _bic_stats(own, nested, bands, k, r0, buf)
-            else:
-                stat = _fixed_stats(own[0], [(a - k, B, c) for a, B, c in bands], buf, r0 - k)
-            at = 0
-            for a, B, c in bands:
-                w = len(ys) * B * c
-                band = stat[at:at + w].reshape(len(ys), B, c)
-                i = slice(a - first_r2, a + B - first_r2)
-                band.max(axis=2, out=sup[g:g + len(ys), i])
-                if one:
-                    first[i] = band[0].argmax(axis=1)
+        for guards in (one or bic, True):  # a null group unguarded, then guarded if a winner fails
+            for bands in blocks:
+                if bic:
+                    stat, lags = _bic_stats(own, nested, bands, k, r0, buf)
+                else:
+                    stat = _fixed_stats(own[0], [(a - k, B, c) for a, B, c in bands], buf, guards)
+                at = 0
+                for a, B, c in bands:
+                    band = stat[at:at + G * B * c].reshape(G, B, c)
+                    for i in range(B - 1):  # row i's starts past a + i - r0
+                        band[:, i, c - B + 1 + i:] = -np.inf
+                    i = slice(a - first_r2, a + B - first_r2)
+                    wins[:, i] = won = band.argmax(axis=2)
+                    won += np.arange(at, at + G * B * c, c).reshape(G, B)  # its index in stat
+                    sup[g:g + G, i] = stat[won]
                     if bic:  # the lag of each row's first window attaining the sup
-                        lag[i] = lags[np.arange(at, at + w, c) + first[i]]
-                at += w
-    return (sup[0], first, lag) if one else sup
+                        lag[i] = lags[won[0]]
+                    at += G * B * c
+            if guards:
+                break
+            base = np.arange(0, G * (T - k), T - k)[:, None]  # slot 0 of each series, seen as one
+            hi, lo = (base + np.arange(first_r2 - k, T - k)).reshape(-1, 1), (base + wins).reshape(-1, 1)
+            checked = _fixed_stats(own[0].reshape(len(own[0]), 1, -1), [(hi, lo)], buf)
+            if np.array_equal(checked, sup[g:g + G].ravel()):  # NaN fails; an all -inf row is exact
+                break
+    return (sup[0], first[0], lag) if one else sup
 
 
 def _check_sweep(T: int, r0: int, k: int) -> None:

@@ -312,15 +312,16 @@ def test_bsadf_constant_series_has_no_valid_window():
 
 
 def _record_fits(monkeypatch):
-    """Log each window fit as (series side by side, [(rows, starts) per band]):
-    a rectangle (e, rows, starts), or gathered windows (hi, lo) of shape
-    (rows, 1)."""
+    """Log each block of rectangles (e, rows, starts) as (series side by
+    side, [(rows, starts) per band]).  Windows gathered one by one as (hi,
+    lo) slot arrays, the BIC refits and the null's check of its winners,
+    are fitted unlogged."""
     calls, fits = [], bubbles._window_fits
 
-    def spy(P, bands, *args):
-        calls.append((P.shape[1], [band[1:] if len(band) == 3 else band[0].shape
-                                   for band in bands]))
-        return fits(P, bands, *args)
+    def spy(P, bands, *args, **kwargs):
+        if len(bands[0]) == 3:
+            calls.append((P.shape[1], [band[1:] for band in bands]))
+        return fits(P, bands, *args, **kwargs)
 
     monkeypatch.setattr(bubbles, "_window_fits", spy)
     return calls
@@ -399,8 +400,7 @@ def test_rectangle_and_gathered_windows_give_the_same_bits(k, every_pivot):
     P = bubbles._prefix_sums(np.array([walk(60, seed) for seed in (1, 2, 3)]), k, every_pivot)
     e, B, c = 40 - k, 8, 48 - 5
     hi, lo = np.meshgrid(np.arange(e, e + B), np.arange(c), indexing="ij")
-    q = k + 2
-    rows = 3 * q + q * (q + 1) // 2 + 4 + (q - 1) * every_pivot
+    rows = bubbles._row_edges(k + 2, every_pivot)[-1]
     rect = bubbles._window_fits(P, [(e, B, c)], np.empty(rows * 3 * B * c), every_pivot)
     gathered = bubbles._window_fits(P, [(hi.reshape(-1, 1), lo.reshape(-1, 1))],
                                     np.empty(rows * 3 * B * c), every_pivot)
@@ -546,6 +546,46 @@ def test_replication_groups_change_nothing(monkeypatch):
     for cv, default_cv in zip(run(), grouped):
         assert np.array_equal(cv, default_cv)
     assert {g for g, _ in calls} == {1}
+
+
+def _held(y, start, stop):
+    y = y.copy()
+    y[start:stop] = y[start]
+    return y
+
+
+_NULL_INPUTS = {
+    "walks": (lambda: [walk(60, seed) for seed in range(8)], 12, False),
+    "flat_runs": (lambda: [_held(walk(60, seed), 20, 38) for seed in range(3)], 12, True),
+    "long_flat": (lambda: [_held(walk(120, seed), 10, 100) for seed in range(2)], 15, True),
+    "exact_fit": (lambda: [walk(60, 7), np.r_[walk(60, 8)[:30], 5 * 1.2 ** np.arange(30)],
+                           walk(60, 9)], 12, True),
+}
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("inputs", sorted(_NULL_INPUTS))
+def test_null_sweep_is_each_series_guarded_sweep(monkeypatch, inputs, k):
+    """A null fits its blocks unguarded and checks the guards only at each
+    (series, end date)'s first maximum.  Each row must be bitwise the sup
+    of that series' own sweep, which guards every window: on Gaussian walks
+    every winner passes and no group is swept again; a flat run (ROADMAP
+    item 4's walks, T=60 with y[20:38] held), a long flat stretch and an
+    exactly geometric segment give degenerate winners, and their group is
+    swept again with guards."""
+    make, r0, redone = _NULL_INPUTS[inputs]
+    ys, spec = np.array(make()), AdfSpec(n_lags=k)
+    fits, guarded_blocks = bubbles._fixed_stats, []
+
+    def spy(P, bands, buf, guards=True):
+        guarded_blocks.append(guards and len(bands[0]) == 3)
+        return fits(P, bands, buf, guards)
+
+    monkeypatch.setattr(bubbles, "_fixed_stats", spy)
+    null = bubbles._sweep(lambda reps: ys[list(reps)], r0, spec, r0, shape=ys.shape)
+    assert any(guarded_blocks) == redone
+    for y, row in zip(ys, null):
+        assert row.tobytes() == bubbles._sweep(y, r0, spec, r0)[0].tobytes()
 
 
 def test_cv_level_column(small_cv):
