@@ -36,10 +36,10 @@ lives in the test suite (``tests/oracles.py``), not here.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -146,26 +146,6 @@ class CvTable:
                   ([self.min_window + i, *row] for i, row in enumerate(self.cv_by_t)),
                   comment=f"T={self.series_length} r0={self.min_window} "
                           f"n_rep={self.n_rep} seed={self.seed} n_lags={self.n_lags}")
-
-    @classmethod
-    def from_csv(cls, path) -> "CvTable":
-        meta = {}
-        with open(path, newline="") as fh:
-            first = fh.readline()
-            if first.startswith("#"):
-                for tok in first[1:].split():
-                    k, _, v = tok.partition("=")
-                    meta[k] = int(v)
-            else:
-                fh.seek(0)
-            r = csv.reader(fh)
-            alphas = tuple(float(h[3:]) for h in next(r)[1:])
-            table = [row for row in r if row]
-        ts = [int(row[0]) for row in table]
-        return cls(series_length=meta.get("T", ts[-1] + 1), min_window=meta.get("r0", ts[0]),
-                   alphas=alphas, cv_by_t=np.array([[float(v) for v in row[1:]] for row in table]),
-                   n_rep=meta.get("n_rep", 0), seed=meta.get("seed", 0),
-                   n_lags=meta.get("n_lags", 1))
 
 
 @dataclass(frozen=True)
@@ -284,7 +264,7 @@ def _prefix_sums(y: np.ndarray, k: int, level_first: bool = False):
 
 def _row_edges(q: int, every_pivot: bool = False) -> list[int]:
     """Row edges of a q-variable fit's buffer per window (:func:`_window_fits`)."""
-    return np.cumsum([0, q, q * (q + 1) // 2, q, q, (q - 1) * every_pivot, 3]).tolist()
+    return list(accumulate([0, q, q * (q + 1) // 2, q, q, (q - 1) * every_pivot, 3]))
 
 
 def _window_fits(P, bands, buf, every_pivot=False, guards=True):

@@ -40,9 +40,8 @@ from .bubbles import AdfSpec, bsadf_series, datestamp, default_min_window, \
     mc_critical_values
 from .errors import InsufficientDataError, LandmetricsError, NumericalError, \
     ValidationError
-from .hedonic import build_hpi, hedonic_fit_to_json, hpi_points_to_csv, \
-    hpi_to_series
-from .ingest import Dataset, FxTable, load_daily_prices, load_transactions, \
+from .hedonic import build_hpi, hpi_points_to_csv, hpi_to_series
+from .ingest import FxTable, load_daily_prices, load_transactions, \
     prepare_dataset, rejections_to_csv, to_usd, PRICE_COLUMNS, TRANSACTION_COLUMNS
 from .series import SummaryStats, TimeSeries, _fmt, difference, \
     fill_gaps_loglinear, lead_lag_correlation, pairwise_correlation, \
@@ -335,13 +334,6 @@ def _stat_cells(stats: SummaryStats) -> list:
     return [getattr(stats, field) for field in _STAT_FIELDS]
 
 
-def _write_tx_summary(info: dict, path: str) -> None:
-    rows = [("n", info["n"]), ("pct_weth", info["pct_weth"])]
-    for label in ("usd_price", "num_plots"):
-        rows += [(f"{label}_{field}", getattr(info[label], field)) for field in _STAT_FIELDS]
-    write_csv(path, ["key", "value"], rows)
-
-
 def _write_return_summary(fx: FxTable, path: str) -> None:
     rows = []
     for symbol in fx.symbols:
@@ -384,17 +376,18 @@ class _Run:
         return load_daily_prices(_require_file(self.cfg.prices, "prices"))
 
     @cached_property
-    def dataset(self) -> Dataset:
-        """Validated transactions in USD; loading them writes rejections.csv."""
+    def dataset(self):
+        """(validated, winsorized transactions in USD, rejected rows);
+        loading them writes rejections.csv."""
         cfg = self.cfg
         tx_path = _require_file(cfg.transactions, "transactions")
         fx = self.fx
         rows, rejected = load_transactions(tx_path, frozenset(cfg.currencies) or None)
         converted, fx_rejected = to_usd(rows, fx)
-        dataset = prepare_dataset(converted, winsor_lo=cfg.winsor_lo, winsor_hi=cfg.winsor_hi,
-                                  metaverse=cfg.metaverse, rejected=rejected + fx_rejected)
-        rejections_to_csv(dataset.rejected, self.path("rejections.csv"))
-        return dataset
+        txs = prepare_dataset(converted, winsor_lo=cfg.winsor_lo, winsor_hi=cfg.winsor_hi)
+        rejected += fx_rejected
+        rejections_to_csv(rejected, self.path("rejections.csv"))
+        return txs, rejected
 
     @cached_property
     def index(self):
@@ -404,7 +397,7 @@ class _Run:
         ``fill = interpolate`` fills on the index's own grid.
         """
         cfg = self.cfg
-        points, fit = build_hpi(self.dataset.transactions, freq=cfg.freq,
+        points, fit = build_hpi(self.dataset[0], freq=cfg.freq,
                                 min_per_period=cfg.min_per_period)
         level = hpi_to_series(points, name="hpi", freq=cfg.freq)
         fill_applied = bool(fit.gap_periods) and cfg.fill == "interpolate"
@@ -437,18 +430,23 @@ def _ingest(run: _Run) -> dict:
     fragment: dict = {}
     # summarize may go without transactions; pipeline reports on them
     if run.cfg.transactions or run.args.command == "pipeline":
-        dataset = run.dataset
-        info = dataset.summary()
+        txs, rejected = run.dataset
+        pct_weth = 100.0 * int(np.count_nonzero(txs.paid_in_weth)) / len(txs)
+        rows = [("n", len(txs)), ("pct_weth", pct_weth)]
+        for label, values in (("usd_price", txs.usd_price),
+                              ("num_plots", txs.num_plots.astype(np.float64))):
+            stats = summary_stats(values)
+            rows += [(f"{label}_{field}", getattr(stats, field)) for field in _STAT_FIELDS]
         path = run.path("summary_transactions.csv")
-        _write_tx_summary(info, path)
-        _log(f"[ingest] {dataset.metaverse}: {info['n']} accepted, "
-             f"{len(dataset.rejected)} rejected -> {path}")
+        write_csv(path, ["key", "value"], rows)
+        _log(f"[ingest] {run.cfg.metaverse}: {len(txs)} accepted, "
+             f"{len(rejected)} rejected -> {path}")
+        day = txs.day
         fragment = {
-            "n_accepted": int(info["n"]),
-            "n_rejected": len(dataset.rejected),
-            "pct_weth": float(info["pct_weth"]),
-            "coverage": [dataset.coverage[0].isoformat(),
-                         dataset.coverage[1].isoformat()],
+            "n_accepted": len(txs),
+            "n_rejected": len(rejected),
+            "pct_weth": pct_weth,
+            "coverage": [day.min().item().isoformat(), day.max().item().isoformat()],
         }
     fx = run.fx
     path = run.path("summary_returns.csv")
@@ -460,24 +458,16 @@ def _ingest(run: _Run) -> dict:
 def _hpi(run: _Run) -> dict:
     points, fit, level, fill_applied = run.index
     hpi_points_to_csv(points, run.path("hpi.csv"))
-    hedonic_fit_to_json(fit, run.path("hpi_fit.json"))
+    fit_json = fit.to_json_dict()
+    write_json(run.path("hpi_fit.json"), fit_json)
     level.to_csv(run.path("hpi_series.csv"))
     _log(f"[hpi] {len(points)} periods, base {fit.base_period.isoformat()}, "
          f"n_obs {fit.n_obs}, fill_applied={fill_applied}")
     if fit.gap_periods:
         gaps = ", ".join(d.isoformat() for d in fit.gap_periods)
         _log(f"[hpi] gap periods (under {run.cfg.min_per_period} transactions): {gaps}")
-    return {
-        "n_periods": len(points),
-        "base_period": fit.base_period.isoformat(),
-        "gap_periods": [d.isoformat() for d in fit.gap_periods],
-        "fill_applied": fill_applied,
-        "beta_log_plots": fit.beta_log_plots,
-        "se_log_plots": fit.se_log_plots,
-        "beta_weth": fit.beta_weth,
-        "se_weth": fit.se_weth,
-        "n_obs": fit.n_obs,
-    }
+    del fit_json["rss"], fit_json["df_resid"]
+    return fit_json | {"n_periods": len(points), "fill_applied": fill_applied}
 
 
 def _stamp_one(cfg: RunConfig, series: TimeSeries, cv_cache: dict):

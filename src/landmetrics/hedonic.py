@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InsufficientDataError, SingularDesignError, ValidationError
-from .series import TimeSeries, grid_gaps, period_start, write_csv, write_json
+from .series import TimeSeries, grid_gaps, period_start, write_csv
 
 #: a kept control whose pivot falls below COLLINEAR_RTOL times its centered
 #: sum of squares is collinear with the rest of the design
@@ -326,7 +326,3 @@ def hpi_points_to_csv(points, path) -> None:
     """Write the index in the ``period,index,delta,n_transactions`` schema."""
     write_csv(path, ["period", "index", "delta", "n_transactions"],
               ((p.period, p.index, p.delta, p.n_transactions) for p in points))
-
-
-def hedonic_fit_to_json(fitmeta: HedonicFit, path) -> None:
-    write_json(path, fitmeta.to_json_dict())

@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, SchemaError, ValidationError
 from .hedonic import TransactionTable
-from .series import TimeSeries, open_csv, summary_stats, winsorize, write_csv
+from .series import TimeSeries, open_csv, winsorize, write_csv
 
 TRANSACTION_COLUMNS = ("timestamp", "native_price", "currency", "num_plots", "tx_id")
 PRICE_COLUMNS = ("date", "symbol", "usd_price")
@@ -103,24 +103,6 @@ class FxTable:
             dates=tuple(d for d, _ in items),
             values=np.array([v for _, v in items]),
         )
-
-
-@dataclass(frozen=True)
-class Dataset:
-    metaverse: str
-    transactions: TransactionTable
-    coverage: tuple[dt.date, dt.date]
-    rejected: tuple[RejectedRow, ...]
-
-    def summary(self) -> dict:
-        """Table-style descriptive stats of the accepted sample."""
-        txs = self.transactions
-        return {
-            "n": len(txs),
-            "usd_price": summary_stats(txs.usd_price),
-            "num_plots": summary_stats(txs.num_plots.astype(np.float64)),
-            "pct_weth": 100.0 * int(np.count_nonzero(txs.paid_in_weth)) / len(txs),
-        }
 
 
 def _read_header(reader, path, columns, what: str):
@@ -363,14 +345,9 @@ def to_usd(rows: TransactionTable, fx: FxTable):
     return replace(converted, usd_price=converted.native_price * rate[quoted]), rejected
 
 
-def prepare_dataset(
-    transactions: TransactionTable,
-    winsor_lo: float = 0.001,
-    winsor_hi: float = 0.999,
-    metaverse: str = "",
-    rejected=(),
-) -> Dataset:
-    """Winsorize USD prices over the full sample and assemble a Dataset.
+def prepare_dataset(transactions: TransactionTable, winsor_lo: float = 0.001,
+                    winsor_hi: float = 0.999) -> TransactionTable:
+    """Winsorize USD prices over the full sample.
 
     ``transactions`` is a table converted to USD (see :func:`to_usd`).
     Count, order, and dates are untouched; only prices outside the
@@ -380,14 +357,7 @@ def prepare_dataset(
     usd_price = transactions.usd_prices()
     if len(transactions) < 10:
         raise InsufficientDataError(f"need >= 10 transactions, got {len(transactions)}")
-    day = transactions.day
-    return Dataset(
-        metaverse=metaverse,
-        transactions=replace(transactions,
-                             usd_price=winsorize(usd_price, winsor_lo, winsor_hi)),
-        coverage=(day.min().item(), day.max().item()),
-        rejected=tuple(rejected),
-    )
+    return replace(transactions, usd_price=winsorize(usd_price, winsor_lo, winsor_hi))
 
 
 def rejections_to_csv(rejected, path) -> None:

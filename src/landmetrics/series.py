@@ -166,12 +166,6 @@ class TimeSeries:
     def step(self) -> dt.timedelta:
         return grid_step(self.freq)
 
-    def value_at(self, d: dt.date) -> float | None:
-        try:
-            return float(self.values[self.dates.index(d)])
-        except ValueError:
-            return None
-
     def rename(self, name: str) -> "TimeSeries":
         return TimeSeries(name, self.freq, self.dates, self.values)
 

@@ -239,8 +239,6 @@ class MarketSim:
     writes both row lists in the schemas ingest reads.
     """
 
-    metaverse: str
-    coin: str
     tx_rows: list
     price_rows: list
     truth: dict
@@ -339,6 +337,4 @@ def gen_market_dataset(
         "n_malformed_rows": 4,
         "seed": seed,
     }
-    return MarketSim(
-        metaverse=metaverse, coin=coin, tx_rows=tx_rows, price_rows=price_rows, truth=truth
-    )
+    return MarketSim(tx_rows=tx_rows, price_rows=price_rows, truth=truth)

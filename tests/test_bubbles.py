@@ -488,14 +488,13 @@ def test_cv_monotone_in_alpha(small_cv):
 def test_cv_csv_roundtrip(tmp_path, small_cv):
     p = tmp_path / "cv.csv"
     small_cv.to_csv(p)
-    back = CvTable.from_csv(p)
-    assert back.series_length == 60
-    assert back.min_window == 12
-    assert back.n_rep == 200
-    assert back.seed == 5
-    assert back.n_lags == 1
-    assert back.alphas == small_cv.alphas
-    assert np.array_equal(back.cv_by_t, small_cv.cv_by_t)
+    lines = p.read_text().splitlines()
+    assert lines[0] == "# T=60 r0=12 n_rep=200 seed=5 n_lags=1"
+    assert lines[1] == "t,cv_0.9,cv_0.95,cv_0.99"
+    rows = [line.split(",") for line in lines[2:]]
+    assert [int(row[0]) for row in rows] == list(range(12, 60))
+    back = np.array([[float(v) for v in row[1:]] for row in rows])
+    assert np.array_equal(back, small_cv.cv_by_t)
 
 
 def test_cv_validation():

@@ -18,10 +18,10 @@ from landmetrics.hedonic import (
     TransactionTable,
     _log,
     build_hpi,
-    hedonic_fit_to_json,
     hpi_points_to_csv,
     hpi_to_series,
 )
+from landmetrics.series import write_json
 from landmetrics.synthkit import gen_hedonic_panel
 
 from oracles import hedonic_refit_oracle, monday_of
@@ -457,7 +457,7 @@ def test_hpi_csv_schema(tmp_path):
 def test_hedonic_fit_json_roundtrip(tmp_path):
     points, fit = _three_week_panel()
     p = tmp_path / "fit.json"
-    hedonic_fit_to_json(fit, p)
+    write_json(p, fit.to_json_dict())
     data = json.loads(p.read_text())
     assert data["base_period"] == week(0).isoformat()
     assert data["n_obs"] == fit.n_obs

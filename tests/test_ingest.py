@@ -253,29 +253,28 @@ def _transactions(prices, start=dt.date(2021, 1, 4)):
 
 def test_prepare_identity_when_no_outliers():
     txs = _transactions(np.linspace(100.0, 200.0, 50))
-    ds = prepare_dataset(txs, winsor_lo=0.0, winsor_hi=1.0, metaverse="demo")
-    assert ds.transactions.usd_price.tolist() == txs.usd_price.tolist()
-    assert ds.metaverse == "demo"
-    assert ds.coverage == (dt.date(2021, 1, 4), dt.date(2021, 2, 2))
+    prepared = prepare_dataset(txs, winsor_lo=0.0, winsor_hi=1.0)
+    assert prepared.usd_price.tolist() == txs.usd_price.tolist()
+    assert prepared.timestamp.tolist() == txs.timestamp.tolist()
 
 
 def test_prepare_clamps_planted_outlier():
     prices = np.concatenate([np.linspace(100.0, 200.0, 99), [1e9]])
     txs = _transactions(prices)
-    ds = prepare_dataset(txs, winsor_lo=0.001, winsor_hi=0.999)
+    prepared = prepare_dataset(txs, winsor_lo=0.001, winsor_hi=0.999)
     expected = winsorize_oracle(prices.tolist(), 0.001, 0.999)
-    got = ds.transactions.usd_price.tolist()
+    got = prepared.usd_price.tolist()
     assert got == pytest.approx(expected, rel=1e-12)
     assert max(got) < 1e6
-    assert len(ds.transactions) == 100  # clamped, never dropped
+    assert len(prepared) == 100  # clamped, never dropped
 
 
 def test_prepare_is_fixed_point():
     rng = np.random.default_rng(44)
     txs = _transactions(rng.lognormal(5.0, 1.0, size=200))
-    once = prepare_dataset(txs, metaverse="m")
-    twice = prepare_dataset(once.transactions, metaverse="m")
-    assert once.transactions.usd_price.tolist() == twice.transactions.usd_price.tolist()
+    once = prepare_dataset(txs)
+    twice = prepare_dataset(once)
+    assert once.usd_price.tolist() == twice.usd_price.tolist()
 
 
 def test_prepare_needs_ten_transactions():
@@ -283,16 +282,31 @@ def test_prepare_needs_ten_transactions():
         prepare_dataset(_transactions([100.0] * 9))
 
 
-def test_dataset_summary_matches_stats():
-    txs = _transactions([100.0, 150.0, 200.0, 130.0] * 5)
-    ds = prepare_dataset(txs, winsor_lo=0.0, winsor_hi=1.0)
-    s = ds.summary()
-    direct = summary_stats(ds.transactions.usd_price)
-    assert s["n"] == 20
-    assert s["usd_price"].mean == direct.mean
-    assert s["usd_price"].p95 == direct.p95
-    assert s["pct_weth"] == 0.0
-    assert s["num_plots"].max == 1.0
+def test_dataset_summary_matches_stats(tmp_path):
+    # summarize writes the stats of the winsorized USD prices
+    assert main(["simulate", "--kind", "hedonic", "--seed", "3", "--deltas", "0,0.1,0.2",
+                 "--n-per-period", "20", "--beta-weth", "-0.05", "--noise", "0.3",
+                 "--out-dir", str(tmp_path)]) == 0
+    tx_path, prices_path = tmp_path / "transactions.csv", tmp_path / "prices.csv"
+    assert main(["summarize", "--transactions", str(tx_path), "--prices", str(prices_path),
+                 "--winsor-lo", "0.05", "--winsor-hi", "0.95",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "summary_transactions.csv").read_text().splitlines()
+    assert lines[0] == "key,value"
+    written = dict(line.split(",") for line in lines[1:])
+    rows, _ = load_transactions(tx_path)
+    txs, _ = to_usd(rows, load_daily_prices(prices_path))
+    prepared = prepare_dataset(txs, winsor_lo=0.05, winsor_hi=0.95)
+    assert int(written["n"]) == len(prepared) == 60
+    n_weth = np.count_nonzero(prepared.paid_in_weth)
+    assert float(written["pct_weth"]) == 100.0 * n_weth / len(prepared)
+    assert 0.0 < float(written["pct_weth"]) < 100.0
+    direct = summary_stats(prepared.usd_price)
+    assert direct.max < txs.usd_price.max()
+    for field in ("mean", "std_dev", "min", "p5", "p50", "p95", "max"):
+        assert float(written[f"usd_price_{field}"]) == getattr(direct, field)
+    plots = summary_stats(prepared.num_plots.astype(np.float64))
+    assert float(written["num_plots_max"]) == plots.max
 
 
 def test_rejections_csv(tmp_path, tx_file):
@@ -543,11 +557,11 @@ def test_ingest_memory_is_bounded(tmp_path):
     fx = load_daily_prices(tmp_path / "prices.csv")
     tracemalloc.start()
     try:
-        rows, rejected = load_transactions(tmp_path / "transactions.csv")
-        txs, fx_rejected = to_usd(rows, fx)
-        ds = prepare_dataset(txs, rejected=rejected + fx_rejected)
+        rows, _ = load_transactions(tmp_path / "transactions.csv")
+        txs, _ = to_usd(rows, fx)
+        prepared = prepare_dataset(txs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(ds.transactions) == 104_000
+    assert len(prepared) == 104_000
     assert peak < 16e6

@@ -91,12 +91,12 @@ def test_values_are_read_only():
         s.values[0] = 9.0
 
 
-def test_value_at_and_rename():
+def test_rename_keeps_dates_and_values():
     s = daily([1.0, 2.0, 3.0])
-    assert s.value_at(D0 + dt.timedelta(days=1)) == 2.0
-    assert s.value_at(dt.date(1999, 1, 1)) is None
-    assert s.rename("t").name == "t"
-    assert s.rename("t").value_at(D0) == 1.0
+    renamed = s.rename("t")
+    assert renamed.name == "t"
+    assert (renamed.freq, renamed.dates) == (s.freq, s.dates)
+    assert renamed.values.tolist() == [1.0, 2.0, 3.0]
 
 
 def test_csv_roundtrip_bit_exact(tmp_path):
@@ -506,9 +506,10 @@ def test_pairwise_matches_bruteforce_on_misaligned_dates():
     a = weekly(rng.normal(size=26), name="a")
     b = weekly(rng.normal(size=20), name="b", start=D0 + dt.timedelta(weeks=4))
     m = pairwise_correlation([a, b])
-    common = [d for d in a.dates if d in set(b.dates)]
-    av = [a.value_at(d) for d in common]
-    bv = [b.value_at(d) for d in common]
+    a_at, b_at = dict(zip(a.dates, a.values.tolist())), dict(zip(b.dates, b.values.tolist()))
+    common = [d for d in a.dates if d in b_at]
+    av = [a_at[d] for d in common]
+    bv = [b_at[d] for d in common]
     assert m[0, 1] == pytest.approx(pearson_oracle(av, bv), abs=1e-12)
 
 
