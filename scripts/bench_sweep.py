@@ -40,8 +40,9 @@ The figures, each in seconds unless its name says otherwise:
   ``p_max=3``, both specs (24 block F tests);
 * one ``f_tail_prob(2.3, 3, 50)`` call, in microseconds;
 * ``load_transactions`` on a ``simulate --kind hedonic`` file of 104 weeks
-  by 1,000 sales, as rows per second, and on the same file with every
-  field quoted (the text that ``csv.reader`` splits);
+  by 1,000 sales, as rows per second: as ``simulate`` writes it (CRLF line
+  endings), with LF endings (as exports often have), and with every field
+  quoted (the text that ``csv.reader`` splits);
 * the peak RSS, in MB, of a fresh interpreter that imports
   ``landmetrics.cli`` and runs ``hpi`` on that file, started for each call;
 * ``build_hpi``'s own peak of traced allocations (``tracemalloc``), in MB
@@ -94,6 +95,7 @@ FIGURES = {
     "granger_table_demo_s": (301,),
     "f_tail_prob_us": (51,),
     "load_transactions_rows_per_s": (9,),
+    "load_transactions_lf_rows_per_s": (9,),
     "load_transactions_quoted_rows_per_s": (9,),
     "hpi_peak_rss_mb": (3,),
     "build_hpi_transient_mb": (0,),
@@ -176,7 +178,9 @@ def _figure(figure, data):
     elif figure.startswith("f_tail"):
         fn = lambda: [f_tail_prob(2.3, 3, 50) for _ in range(1000)]  # noqa: E731
     else:
-        path = os.path.join(data, "quoted.csv") if "quoted" in figure else transactions
+        path = os.path.join(data, {"load_transactions_lf_rows_per_s": "lf.csv",
+                                   "load_transactions_quoted_rows_per_s": "quoted.csv"}
+                            .get(figure, "transactions.csv"))
         fn = lambda: load_transactions(path)  # noqa: E731
         per_second = len(fn()[0])
     if calls > 1:
@@ -264,6 +268,9 @@ def main(argv=None):
         with open(os.path.join(tmp, "transactions.csv"), newline="") as fh, \
                 open(os.path.join(tmp, "quoted.csv"), "w", newline="") as out:
             csv.writer(out, quoting=csv.QUOTE_ALL).writerows(csv.reader(fh))
+        with open(os.path.join(tmp, "transactions.csv"), newline="") as fh, \
+                open(os.path.join(tmp, "lf.csv"), "w", newline="") as out:
+            out.write(fh.read().replace("\r\n", "\n"))
         for figure in FIGURES:
             ratios, runs = [], {"parent": [], "change": []}
             for i in range(args.pairs):

@@ -49,7 +49,7 @@ from .errors import (
     SingularDesignError,
     ValidationError,
 )
-from .series import TimeSeries, write_csv
+from .series import TimeSeries, _fmt, write_csv
 from .synthkit import stream
 
 #: windows whose residual sum of squares falls below this relative floor
@@ -142,7 +142,7 @@ class CvTable:
         raise ValidationError(f"level {level} not among table alphas {self.alphas}")
 
     def to_csv(self, path) -> None:
-        write_csv(path, ["t"] + [f"cv_{a:g}" for a in self.alphas],
+        write_csv(path, ["t"] + [f"cv_{_fmt(a)}" for a in self.alphas],
                   ([self.min_window + i, *row] for i, row in enumerate(self.cv_by_t)),
                   comment=f"T={self.series_length} r0={self.min_window} "
                           f"n_rep={self.n_rep} seed={self.seed} n_lags={self.n_lags}")
@@ -431,7 +431,8 @@ def _sweep(y, r0: int, spec: AdfSpec, first_r2: int, shape=None):
     a t-ratio to -inf, so a winner that passes is also its guarded row's
     first maximum and every supremum is exact.  A group with a failing
     winner is swept again guarded, as data sweeps always are: flat runs
-    make degenerate windows common in data.
+    make degenerate windows common in data.  A group of one window per
+    series is swept guarded at once.
     """
     k, bic = spec.n_lags, spec.lag_selection == "bic"
     one = shape is None
@@ -460,7 +461,10 @@ def _sweep(y, r0: int, spec: AdfSpec, first_r2: int, shape=None):
         G, wins = len(ys), first[:len(ys)]
         own = [_prefix_sums(ys, j) for j in ks]
         nested = _prefix_sums(ys, k, level_first=True) if bic else None
-        for guards in (one or bic, True):  # a null group unguarded, then guarded if a winner fails
+        # a null group unguarded, then guarded if a winner fails; with one
+        # window per series (the stationarity pre-check's null) the winner
+        # check would fit every window again, so it is guarded at once
+        for guards in (one or bic or T - r0 == 1, True):
             for bands in blocks:
                 if bic:
                     stat, lags = _bic_stats(own, nested, bands, k, r0, buf)
@@ -469,7 +473,8 @@ def _sweep(y, r0: int, spec: AdfSpec, first_r2: int, shape=None):
                 at = 0
                 for a, B, c in bands:
                     band = stat[at:at + G * B * c].reshape(G, B, c)
-                    for i in range(B - 1):  # row i's starts past a + i - r0
+                    # row i's starts past a + i - r0 (_bic_stats gives them -inf)
+                    for i in range(0 if bic else B - 1):
                         band[:, i, c - B + 1 + i:] = -np.inf
                     i = slice(a - first_r2, a + B - first_r2)
                     wins[:, i] = won = band.argmax(axis=2)

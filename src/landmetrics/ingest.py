@@ -19,31 +19,34 @@ the 1-based file line their record starts on, and ``accepted + rejected
 column is required but not kept.  wETH settles at the ETH quote (1:1
 peg) and is the only currency that sets ``paid_in_weth``.
 
-The pass reads the lines after the header ``_CHUNK_ROWS`` at a time.
-A chunk whose text is plain is split on its commas in one pass: every
-line ends in a line break, there is no ``"``, NUL or carriage return
-outside a CRLF ending, no line is longer than the csv field size limit,
-and every line holds exactly as many commas as the header.  For such text
-``csv.reader``'s records are exactly the comma split.  Any other chunk
-goes through ``csv.reader``, which may read past the chunk's last line to
-finish a quoted record.
+The pass reads the text after the header in blocks of ``_BLOCK_CHARS``
+characters, each cut after its last line feed.  A block whose text is
+plain is converted from its bytes: it is ASCII, every line ends in a line
+break, there is no ``"``, NUL or carriage return outside a CRLF ending,
+no line is longer than the csv field size limit, and every line holds
+exactly as many commas as the header.  For such text ``csv.reader``'s
+records are exactly the comma split, and one scan of the commas and line
+feeds finds every field: timestamps are gathered into one fixed-width
+byte array and read as numbers, prices go through ``float`` and plot
+counts and currencies convert once per distinct field.  Any other block goes through
+``csv.reader``, which may read past the block's end to finish a quoted
+record, and its columns are converted as text.
 
-Either way a chunk is then converted a column at a time: prices and plot
-counts through the same ``float`` and ``int`` the row checks use,
-timestamps with numpy, and each distinct currency string once.  That is
-only a faster route to the row checks' result, so a chunk takes it only
-when every record is one line, every row passes every check and its
-timestamp has the exact shape ``YYYY-MM-DDTHH:MM:SS``.  A chunk with a
-short or blank record, a record spanning two lines, a timestamp of
-another shape (``Z``, an offset, a space, fractional seconds) or any row
-that fails a check goes through the row checks instead, row by row in
-file order, which give every rejection its reason and line.
+Either way the column conversion is only a faster route to the row
+checks' result, so a block takes it only when every record is one line,
+every row passes every check and its timestamp has the exact shape
+``YYYY-MM-DDTHH:MM:SS``.  A block with a short or blank record, a record
+spanning two lines, a timestamp of another shape (``Z``, an offset, a
+space, fractional seconds) or any row that fails a check goes through the
+row checks instead, row by row in file order, which give every rejection
+its reason and line.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
 from array import array
 from dataclasses import dataclass, field, replace
@@ -65,12 +68,14 @@ STABLE_CURRENCIES = frozenset({"USDC", "USDT", "DAI"})
 _EPOCH = dt.datetime(1970, 1, 1)
 _MICROSECOND = dt.timedelta(microseconds=1)
 _MAX_PLOTS = 2**63 - 1       # the plot count column is int64
-#: file lines split and converted at a time; small, since a chunk's
-#: strings are all held at once
-_CHUNK_ROWS = 1024
+#: characters read at a time; small, since a block's fields are all held
+#: at once
+_BLOCK_CHARS = 1 << 16
 #: the byte range of each position of the YYYY-MM-DDTHH:MM:SS shape
 _STAMP_LO = np.frombuffer(b"0000-00-00T00:00:00", np.uint8)
 _STAMP_HI = np.frombuffer(b"9999-99-99T99:99:99", np.uint8)
+#: the most days of each month by its two digits, 0 for the 88 that name none
+_MONTH_DAYS = np.array([0, 31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31] + [0] * 87)
 
 
 @dataclass(frozen=True)
@@ -151,37 +156,78 @@ def _parse_row(row, width, cols, currencies):
     return (ts - _EPOCH) // _MICROSECOND, price, plots, currency
 
 
-def _parse_columns(columns, currencies, symbols):
-    """A chunk's (timestamp, price, currency, plot count) text columns as
-    :func:`_parse_row` gives them row by row: microseconds since 1970,
-    prices, plot counts, and currencies as codes into ``symbols``, which
-    gains the chunk's new currencies in order of first appearance.  None,
-    with ``symbols`` untouched, unless every row passes every check and
-    has a timestamp of the exact shape YYYY-MM-DDTHH:MM:SS."""
-    stamps, prices, currency, plots = columns
-    n = len(stamps)
-    text = "".join(stamps)
-    if set(map(len, stamps)) != {19} or not text.isascii():
+def _parse_columns(stamps, prices, currency, plots, currencies, symbols):
+    """A block's columns as :func:`_parse_row` gives them row by row:
+    microseconds since 1970, prices, plot counts, and currencies as codes
+    into ``symbols``, which gains the block's new currencies in order of
+    first appearance.  ``stamps`` is an array of byte strings, ``prices`` a
+    list of fields, as text or as the bytes of ASCII text, and
+    ``currency`` and ``plots`` are :func:`_distinct` pairs, so they convert
+    once per distinct field.  None, with ``symbols`` untouched, unless
+    every row passes every check and has a timestamp of the exact shape
+    YYYY-MM-DDTHH:MM:SS.
+
+    ``float`` gives a price's bytes its text's value or fails: it strips
+    fewer spaces from bytes than from text (not the ASCII separators
+    0x1c-0x1f) and takes nothing else from them."""
+    if stamps.dtype != "S19":       # a shorter stamp is padded with NULs
         return None
-    stamps = np.frombuffer(text.encode("ascii"), "S19")
-    chars = stamps.view(np.uint8).reshape(n, 19)
-    if not (np.all((chars >= _STAMP_LO) & (chars <= _STAMP_HI))
-            and np.all(np.any(chars[:, :4] != ord("0"), axis=1))):     # no year 0
+    chars = stamps.view(np.uint8).reshape(len(stamps), 19)
+    if not np.all((chars >= _STAMP_LO) & (chars <= _STAMP_HI)):
+        return None
+    stamps = _stamp_micros(chars)
+    if stamps is None:
         return None
     try:
-        stamps = stamps.astype("datetime64[us]").view(np.int64)
-        prices = np.fromiter(map(float, prices), np.float64, n)
-        plots = np.fromiter(map(int, plots), np.int64, n)
-    except (ValueError, OverflowError):         # OverflowError: a count past int64
+        prices = np.array(list(map(float, prices)))
+        counts = [int(field.strip()) for field in plots[0]]
+    except ValueError:
         return None
-    if not (np.all(prices > 0.0) and np.all(np.isfinite(prices)) and np.all(plots >= 1)):
+    if not (np.all(prices > 0.0) and np.all(np.isfinite(prices))
+            and all(1 <= k <= _MAX_PLOTS for k in counts)):
         return None
-    names = {raw: raw.strip().upper() for raw in dict.fromkeys(currency)}
-    if not all(names.values()) or (
-            currencies is not None and not all(n in currencies for n in names.values())):
+    names = [field.strip().upper() for field in currency[0]]
+    if not all(names) or (currencies is not None and not all(n in currencies for n in names)):
         return None
-    code = {raw: symbols.setdefault(name, len(symbols)) for raw, name in names.items()}
-    return stamps, prices, plots, np.fromiter(map(code.__getitem__, currency), np.int64, n)
+    codes = [symbols.setdefault(name, len(symbols)) for name in names]
+    return (stamps, prices, np.array(counts, np.int64)[plots[1]],
+            np.array(codes, np.int64)[currency[1]])
+
+
+def _stamp_micros(chars):
+    """Microseconds since 1970 of stamps of the YYYY-MM-DDTHH:MM:SS shape,
+    an (n, 19) array of their characters, or None unless every one is a
+    time ``datetime`` takes: from year 1, on a day of its month, and up to
+    23:59:59.  The fields are read as numbers, not parsed by numpy, whose
+    parser takes a year 0 and crashes on an impossible date in a long
+    array."""
+    digits = (chars - np.uint8(ord("0"))).T
+    century, year, month, day, hour, minute, second = (
+        digits[[0, 2, 5, 8, 11, 14, 17]].astype(np.int64) * 10 + digits[[1, 3, 6, 9, 12, 15, 18]])
+    year += 100 * century
+    if not np.all((year >= 1) & (day >= 1) & (day <= _MONTH_DAYS[month])
+                  & (hour < 24) & (minute < 60) & (second < 60)):
+        return None
+    leap_day = year[(month == 2) & (day == 29)]
+    if np.any((leap_day % 4 != 0) | ((leap_day % 100 == 0) & (leap_day % 400 != 0))):
+        return None
+    months = (year - 1970) * 12 + month - 1
+    days = months.astype("datetime64[M]").astype("datetime64[D]").view(np.int64) + day - 1
+    return (((days * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000
+
+
+def _distinct(column):
+    """A column's distinct fields as text, in order of first appearance,
+    and the index of each row's field among them.  ``column`` is a
+    sequence of ``str`` or an array of ASCII byte strings."""
+    if isinstance(column, np.ndarray):
+        keys = column.astype("S8").view(np.uint64) if column.itemsize <= 8 else column
+        first, inverse = np.unique(keys, return_index=True, return_inverse=True)[1:]
+        order = np.argsort(first)
+        return column[first[order]].astype(str).tolist(), np.argsort(order)[inverse]
+    fields = list(dict.fromkeys(column))
+    index = {field: i for i, field in enumerate(fields)}
+    return fields, np.fromiter(map(index.__getitem__, column), np.int64, len(column))
 
 
 def _numbered(reader):
@@ -191,53 +237,111 @@ def _numbered(reader):
     return zip(map(attrgetter("line_num"), repeat(reader)), reader)
 
 
-def _plain_fields(text, width):
-    """The fields of ``text``'s lines, line after line, if ``csv.reader``
-    would split each of them into exactly ``width`` fields on its commas
-    alone; else None.
+def _text_blocks(fh):
+    """The text of ``fh`` from where it stands, in blocks of whole lines:
+    each block ends at the last line feed of ``_BLOCK_CHARS`` or more
+    characters read, and the last holds what follows the file's last line
+    feed."""
+    rest = ""
+    while text := fh.read(_BLOCK_CHARS):
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield rest + text[:cut]
+            rest = text[cut:]
+        else:
+            rest += text
+    if rest:
+        yield rest
 
-    That holds when every line ends in a line break, there is no ``"``,
-    no NUL and no CR outside a CRLF ending, no line is longer than the
-    field size limit, and every line has ``width - 1`` commas.  Lines are
-    measured and their commas counted on the UTF-8 bytes: a line has at
-    least as many bytes as characters, and a multibyte sequence never
-    holds a comma or a line feed."""
-    if not text.endswith("\n") or '"' in text or "\0" in text:
+
+def _plain_columns(block, width, cols):
+    """The ``cols`` columns of a block's lines for :func:`_parse_columns`,
+    of their bytes, if ``csv.reader`` would split each line into exactly
+    ``width`` fields on its commas alone; else None.
+
+    That holds when the block is ASCII text that ends in a line break,
+    there is no ``"``, no NUL and no CR outside a CRLF ending, no line is
+    longer than the field size limit, and every line has ``width - 1``
+    commas.  One scan of the commas and line feeds finds every field."""
+    if not block.endswith("\n") or not block.isascii() or '"' in block or "\0" in block:
         return None
-    text = text.replace("\r\n", "\n")
-    if "\r" in text:
+    data = block.encode("ascii")
+    chars = np.frombuffer(data, np.uint8)
+    at = np.flatnonzero(chars <= ord(","))     # every comma, CR and LF, and few others
+    ends = at[chars[at] == ord("\n")]
+    stops = at[(chars[at] == ord(",")) | (chars[at] == ord("\n"))]
+    longest = np.diff(ends, prepend=-1).max()
+    if (len(stops) != len(ends) * width or np.any(stops[width - 1::width] != ends)
+            or longest > csv.field_size_limit()):
         return None
-    data = np.frombuffer(text.encode(), np.uint8)
-    ends = np.flatnonzero(data == ord("\n"))
-    commas = np.searchsorted(np.flatnonzero(data == ord(",")), ends)
-    if (np.any(np.diff(commas, prepend=0) != width - 1)
-            or np.diff(ends, prepend=-1).max() > csv.field_size_limit()):
+    starts = np.concatenate(([0], stops[:-1] + 1)).reshape(len(ends), width)
+    stops = stops.reshape(len(ends), width)
+    if b"\r" in data:              # a CRLF ending's CR ends the last field
+        crlf = chars[ends - 1] == ord("\r")
+        if np.count_nonzero(crlf) != np.count_nonzero(chars[at] == ord("\r")):
+            return None
+        stops[:, -1] -= crlf
+    data += bytes(int(longest))     # every field's widest window lies inside
+    stamps, prices, currency, plots = (_gather(data, starts[:, i], stops[:, i]) for i in cols)
+    return stamps, prices.tolist(), _distinct(currency), _distinct(plots)
+
+
+def _gather(data, starts, stops):
+    """The byte strings ``data[start:stop]`` as an array of the longest
+    one's width; shorter ones are padded with NULs."""
+    lengths = stops - starts
+    width = max(int(lengths.max()), 1)
+    fields = np.ndarray((len(data) - width + 1,), f"S{width}", data, strides=(1,))[starts]
+    if np.any(lengths != width):
+        chars = fields.view(np.uint8).reshape(len(fields), width)
+        chars *= np.arange(width, dtype=np.int32) < lengths.astype(np.int32)[:, None]
+    return fields
+
+
+def _plain_records(block):
+    """(lines before the line, fields) pairs of a plain block's lines."""
+    yield from enumerate(line.split(",") for line in block.replace("\r\n", "\n")[:-1].split("\n"))
+
+
+def _lines(block):
+    """A block's lines as a file opened with ``newline=""`` reads them,
+    each ending in LF, CRLF or a lone CR.  ``str.splitlines`` gives them
+    faster where the block holds none of the other breaks it splits on."""
+    if block.isascii() and not any(c in block for c in "\v\f\x1c\x1d\x1e"):
+        return block.splitlines(keepends=True)
+    return io.StringIO(block, newline="").readlines()
+
+
+def _csv_records(block, blocks):
+    """As many records as a block has lines, as ``csv.reader`` reads them:
+    (lines read before the record, fields) pairs, with the lines read and
+    the text after the last record read.  Records that span lines are read
+    on into the ``blocks`` after it."""
+    lines = _lines(block)
+    later = io.StringIO()               # the block read on into, if any
+
+    def read_on():
+        nonlocal later
+        for later in map(io.StringIO, blocks, repeat("")):
+            yield from later
+
+    reader = csv.reader(chain(lines, read_on()))
+    records = list(islice(_numbered(reader), len(lines)))
+    return reader.line_num, records, later.read()
+
+
+def _csv_columns(records, read, width, cols):
+    """The ``cols`` columns of csv records for :func:`_parse_columns`, or
+    None unless every record is one line with at least ``width`` fields."""
+    rows = list(map(itemgetter(1), records))
+    if read != len(records) or min(map(len, rows)) < width:
         return None
-    return text[:-1].replace("\n", ",").split(",")
-
-
-def _tokenize(chunk, fh, width, cols):
-    """A chunk of file lines' (lines read, columns, records).
-
-    Plain text (:func:`_plain_fields`) is split on its commas; other text
-    goes through ``csv.reader``, which reads on in ``fh`` past the chunk
-    to finish a quoted record.  ``columns`` are the ``cols`` fields, a
-    column each, or None unless every record is one line with at least
-    ``width`` fields.  ``records`` are (lines read before the record,
-    fields) pairs."""
-    fields = _plain_fields("".join(chunk), width)
-    if fields is not None:
-        records = enumerate(fields[i:i + width] for i in range(0, len(fields), width))
-        return len(chunk), [fields[i::width] for i in cols], records
-    reader = csv.reader(chain(chunk, fh))
-    records = list(islice(_numbered(reader), len(chunk)))
-    columns = None
-    if reader.line_num == len(records):             # one line per record
-        rows = list(map(itemgetter(1), records))
-        if min(map(len, rows)) >= width:
-            rows = tuple(zip(*rows))
-            columns = [rows[i] for i in cols]
-    return reader.line_num, columns, records
+    columns = tuple(zip(*rows))
+    stamps, prices, currency, plots = (columns[i] for i in cols)
+    text = "".join(stamps)
+    if set(map(len, stamps)) != {19} or not text.isascii():
+        return None
+    return np.frombuffer(text.encode(), "S19"), prices, _distinct(currency), _distinct(plots)
 
 
 def load_transactions(path, currencies: frozenset[str] | None = None):
@@ -258,10 +362,17 @@ def load_transactions(path, currencies: frozenset[str] | None = None):
         reader = csv.reader(fh)
         width, cols = _read_header(reader, path, TRANSACTION_COLUMNS, "transactions")
         cols = cols[:4]                             # tx_id is required but not kept
-        first = reader.line_num + 1                 # the file line a chunk starts on
-        while chunk := list(islice(fh, _CHUNK_ROWS)):
-            read, columns, records = _tokenize(chunk, fh, width, cols)
-            parsed = None if columns is None else _parse_columns(columns, currencies, symbols)
+        first = reader.line_num + 1                 # the file line a block starts on
+        blocks = _text_blocks(fh)
+        block = next(blocks, "")
+        while block:
+            columns, rest = _plain_columns(block, width, cols), ""
+            if columns is not None:
+                read, records = len(columns[0]), _plain_records(block)
+            else:
+                read, records, rest = _csv_records(block, blocks)
+                columns = _csv_columns(records, read, width, cols)
+            parsed = None if columns is None else _parse_columns(*columns, currencies, symbols)
             if parsed is not None:
                 lines.frombytes(np.arange(first, first + read, dtype=np.int64).tobytes())
                 for buffer, column in zip((stamps, prices, plots, codes), parsed):
@@ -280,7 +391,8 @@ def load_transactions(path, currencies: frozenset[str] | None = None):
                     plots.append(n_plots)
                     codes.append(symbols.setdefault(currency, len(symbols)))
             first += read
-            del chunk, columns, records     # hold one chunk at a time, not two
+            del block, columns, records     # hold one block at a time, not two
+            block = rest or next(blocks, "")
     table = TransactionTable(
         timestamp=np.asarray(stamps, np.int64).view("datetime64[us]"),
         native_price=prices, num_plots=plots, currency=codes,

@@ -495,6 +495,11 @@ def test_cv_csv_roundtrip(tmp_path, small_cv):
     assert [int(row[0]) for row in rows] == list(range(12, 60))
     back = np.array([[float(v) for v in row[1:]] for row in rows])
     assert np.array_equal(back, small_cv.cv_by_t)
+    # each column is labelled with its alpha in full, not to 6 digits
+    close = CvTable(series_length=14, min_window=12, alphas=(0.95, 0.9999995),
+                    cv_by_t=[[1.0, 2.0], [1.5, 2.5]], n_rep=200, seed=5, n_lags=1)
+    close.to_csv(p)
+    assert p.read_text().splitlines()[1] == "t,cv_0.95,cv_0.9999995"
 
 
 def test_cv_validation():
@@ -585,6 +590,25 @@ def test_null_sweep_is_each_series_guarded_sweep(monkeypatch, inputs, k):
     assert any(guarded_blocks) == redone
     for y, row in zip(ys, null):
         assert row.tobytes() == bubbles._sweep(y, r0, spec, r0)[0].tobytes()
+
+
+def test_one_window_null_is_fitted_once(monkeypatch):
+    # the stationarity pre-check's null: one window per replication, fitted
+    # guarded in one pass, with no winner check fitting it again
+    fits, calls = bubbles._fixed_stats, []
+
+    def spy(P, bands, buf, guards=True):
+        calls.append((guards, len(bands[0]) == 3, P.shape[1]))
+        return fits(P, bands, buf, guards)
+
+    monkeypatch.setattr(bubbles, "_fixed_stats", spy)
+    cv = mc_critical_values(60, 59, alphas=(0.05,), n_rep=200)
+    # guarded sweeps of rectangles only, each replication in one of them
+    assert all(guards and swept for guards, swept, _ in calls)
+    assert sum(series for _, _, series in calls) == 200
+    stats = [adf_stat(np.concatenate([[0.0], np.cumsum(stream(0, rep).standard_normal(59))])).stat
+             for rep in range(200)]
+    assert cv.cv_by_t[0, 0] == np.quantile(stats, 0.05)
 
 
 def test_cv_level_column(small_cv):

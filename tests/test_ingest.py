@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landmetrics import ingest
 from landmetrics.cli import main
@@ -452,12 +454,14 @@ def _assert_matches_oracle(path, currencies):
 @pytest.mark.parametrize("chunk", [1, 3, 1024, None])
 @pytest.mark.parametrize("currencies", [None, frozenset({"ETH", "WETH", "USDC"})])
 def test_chunk_size_changes_nothing(tmp_path, monkeypatch, chunk, currencies):
-    # dirty rows in the first and third chunk of 1,024 records, none in the second
+    # blocks of at most a line, of about 20 lines and of the whole file, with
+    # dirty rows among the first 230 records and after the 2,500th
     clean = _clean_rows(3000, seed=5)
     records = ([ADVERSARIAL_ROWS[0]] + clean[:200] + DIRTY_ROWS[:30] + clean[200:2500]
                + DIRTY_ROWS[30:] + clean[2500:])
-    path = write(tmp_path, "mixed.csv", "\n".join(records) + "\n")
-    monkeypatch.setattr(ingest, "_CHUNK_ROWS", chunk or len(records))
+    text = "\n".join(records) + "\n"
+    path = write(tmp_path, "mixed.csv", text)
+    monkeypatch.setattr(ingest, "_BLOCK_CHARS", chunk or len(text))
     _assert_matches_oracle(path, currencies)
 
 
@@ -479,23 +483,33 @@ def _quoted(record):
 
 
 def test_clean_file_takes_the_column_pass_for_every_chunk(tmp_path, monkeypatch):
-    rows, plain = _spy(monkeypatch, "_parse_row"), _spy(monkeypatch, "_plain_fields")
+    rows, plain = _spy(monkeypatch, "_parse_row"), _spy(monkeypatch, "_plain_columns")
+    parsed = _spy(monkeypatch, "_parse_columns")
     records = [ADVERSARIAL_ROWS[0]] + _clean_rows(3000, seed=6)
-    n_chunks = -(-3000 // ingest._CHUNK_ROWS)
-    for name, text, n_plain in (
-            ("clean.csv", "\n".join(records) + "\n", n_chunks),
-            ("crlf.csv", "\r\n".join(records) + "\r\n", n_chunks),
+    for name, end, field_text, n_plain in (
+            ("clean.csv", "\n", str, None), ("crlf.csv", "\r\n", str, None),
             # csv.reader splits these, and they still convert by column
-            ("quoted.csv", "\r\n".join(map(_quoted, records)) + "\r\n", 0)):
+            ("quoted.csv", "\r\n", _quoted, 0)):
         plain.clear()
+        parsed.clear()
+        text = end.join(map(field_text, records)) + end
         _assert_matches_oracle(write(tmp_path, name, text), None)
+        # every read of the text after the header holds a line feed, so it makes a block
+        n_blocks = -(-(len(text) - text.index(end) - len(end)) // ingest._BLOCK_CHARS)
+        assert n_blocks > 2
         assert rows == []
-        assert len(plain) == n_chunks
-        assert sum(fields is not None for fields in plain) == n_plain
-    # one dirty row sends its chunk alone through the row checks
+        assert len(plain) == len(parsed) == n_blocks
+        assert not any(columns is None for columns in parsed)
+        assert sum(columns is not None for columns in plain) == (
+            n_blocks if n_plain is None else n_plain)
+    # one dirty row sends its block alone through the row checks
     records.insert(1500, "2021-01-04T12:00:00Z,2.0,ETH,1,a,x")
+    plain.clear()
+    parsed.clear()
     _assert_matches_oracle(write(tmp_path, "one.csv", "\n".join(records) + "\n"), None)
-    assert len(rows) == ingest._CHUNK_ROWS
+    failed = [i for i, columns in enumerate(parsed) if columns is None]
+    assert len(failed) == 1
+    assert len(rows) == len(plain[failed[0]][0]) > 1000
 
 
 def _tokenizer_case(case):
@@ -510,9 +524,11 @@ def _tokenizer_case(case):
                 + "\n".join(tail) + "\n")
     if case == "no last line break":
         return "\n".join(head + tail)
+    if case == "CRLF":
+        return "\r\n".join(head + tail) + "\r\n"
     middle = {
-        # the first record's lines are the 5th to 7th after the header, so it
-        # runs past the end of a chunk of 1, 2, 3, 5 or 6 lines
+        # records of several lines: with blocks of a few characters, every
+        # block holds about one line, and each of these runs past its block
         "quoted line breaks": ['2021-01-05T12:00:00,1.0,DAI,1,"b\nc\nd",x',
                                '2021-01-05T12:00:00,"2.0\n",ETH,1,e,x', clean[0],
                                '"2021-01-05T12:00:00",1.0,ETH,1,"f\r\ng",x'],
@@ -529,13 +545,72 @@ def _tokenizer_case(case):
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 6, 1024])
 @pytest.mark.parametrize("case", ["lone CR", "no last line break", "quoted line breaks", "NUL",
-                                  "form feed and line separator", "short beside long"])
+                                  "form feed and line separator", "short beside long", "CRLF"])
 def test_tokenizer_edges_match_the_oracle(tmp_path, monkeypatch, case, chunk):
     p = tmp_path / "t.csv"
     p.write_bytes(_tokenizer_case(case).encode())
-    monkeypatch.setattr(ingest, "_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(ingest, "_BLOCK_CHARS", chunk)
     _assert_matches_oracle(p, None)
     _assert_matches_oracle(p, frozenset({"ETH", "WETH", "USDC"}))
+
+
+def _cuts(case, body):
+    """Offsets into ``body``, the text after the header, that a first
+    read can end at to cut the ``case`` file at its edge."""
+    if case == "CRLF":                  # between a CR and its LF
+        return [i + 1 for i in range(len(body)) if body.startswith("\r\n", i)]
+    if case == "quoted line breaks":    # anywhere inside a quoted record of several lines
+        start = body.index('"b\n')
+        return list(range(start, body.index("\n", body.index('"f\r\n')) + 1))
+    return [len(body) - 1, len(body) - 2, body.rindex("\n"), body.rindex("\n") + 1]
+
+
+@pytest.mark.parametrize("case", ["CRLF", "quoted line breaks", "no last line break"])
+def test_block_cuts_at_the_edges_match_the_oracle(tmp_path, monkeypatch, case):
+    text = _tokenizer_case(case)
+    p = tmp_path / "t.csv"
+    p.write_bytes(text.encode())
+    cuts = _cuts(case, text[text.index("\n") + 1:])
+    assert len(cuts) >= 4
+    for cut in cuts:
+        monkeypatch.setattr(ingest, "_BLOCK_CHARS", cut)
+        _assert_matches_oracle(p, None)
+
+
+#: rows whose fields are not all ASCII, or hold ASCII that strips as
+#: space from text but not from bytes
+WIDE_ROWS = [
+    "2021-01-04T12:00:00,1.0,ETH,1,\u00e9,x",
+    "2021-01-04T12:00:00,2.5,\u00c9TH,1,a,x",
+    "2021-01-04T12:00:00,\u0661.5,ETH,1,b,x",     # an Arabic-Indic digit
+    "2021-01-04T12:00:00,1.5,ETH,\u0663,c,x",
+    "2021-01-04T12:00:00,1.5,\u00a0weth\u00a0,2,d,x",   # no-break spaces
+    "2021-01-04T12:00:00,\x1c1.5,ETH,1,e,x",
+    "2021-01-04T12:00:00,1.5,ETH,\x1f3,f,x",
+    "2021-01-04T12:00:00,1.5,\x1deth\x1e,1,g,x",
+    "2021-01-04T12:00:00,\x0b1.5\x0c,ETH,\t2 ,h,x",
+]
+MIXED_ROWS = (_clean_rows(24, seed=8) + list(map(_quoted, _clean_rows(4, seed=9)))
+              + DIRTY_ROWS + WIDE_ROWS)
+
+
+@given(rows=st.lists(st.tuples(st.sampled_from(MIXED_ROWS), st.sampled_from(["\n", "\r\n", "\r"])),
+                     min_size=1, max_size=40),
+       order=st.permutations(range(6)), last_break=st.booleans(), block=st.integers(1, 400),
+       currencies=st.sampled_from([None, frozenset({"ETH", "WETH", "DAI"})]))
+@settings(max_examples=200)
+def test_random_files_at_random_block_sizes_match_the_oracle(tmp_path_factory, rows, order,
+                                                             last_break, block, currencies):
+    def reorder(record):        # the columns in ``order``, if the record has all six
+        fields = record.split(",")
+        return ",".join(fields[i] for i in order) if len(fields) == 6 else record
+
+    text = "".join(reorder(row) + end for row, end in [(ADVERSARIAL_ROWS[0], "\n")] + rows)
+    p = tmp_path_factory.getbasetemp() / "random.csv"
+    p.write_bytes((text if last_break else text.rstrip("\r\n")).encode())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_BLOCK_CHARS", block)
+        _assert_matches_oracle(p, currencies)
 
 
 def test_values_out_of_column_range_are_rejected(tmp_path):
@@ -547,6 +622,20 @@ def test_values_out_of_column_range_are_rejected(tmp_path):
     assert [(r.line, r.reason) for r in rejected] == [(2, "bad plot count"),
                                                       (3, "bad timestamp")]
     _assert_matches_oracle(p, None)
+
+
+@pytest.mark.parametrize("stamp", [
+    "2021-02-30T12:00:00", "2100-02-29T12:00:00", "2021-13-04T12:00:00", "2021-00-04T12:00:00",
+    "2021-01-00T12:00:00", "2021-01-32T12:00:00", "2021-01-04T24:00:00", "2021-01-04T12:60:00",
+    "2021-01-04T12:00:60", "0000-01-04T12:00:00", "2000-02-29T12:00:00", "2024-02-29T23:59:59"])
+def test_stamps_of_the_shape_are_checked_as_dates_in_a_long_block(tmp_path, stamp):
+    # numpy 2.4's string parser crashed the process on an impossible date
+    # among a few hundred stamps of the right shape
+    records = [ADVERSARIAL_ROWS[0]] + _clean_rows(1000, seed=10)
+    records[500] = f"{stamp},1.0,ETH,1,t,x"
+    path = write(tmp_path, "t.csv", "\n".join(records) + "\n")
+    assert path.stat().st_size < ingest._BLOCK_CHARS       # one block
+    _assert_matches_oracle(path, None)
 
 
 def test_ingest_memory_is_bounded(tmp_path):
