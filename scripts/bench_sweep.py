@@ -50,6 +50,10 @@ The figures, each in seconds unless its name says otherwise:
 * ``import landmetrics.cli``, timed inside a fresh interpreter that the
   figure's process starts for each call.
 
+The interpreters that a process starts share a bytecode cache of their
+own (``PYTHONPYCACHEPREFIX``, an empty directory that an untimed call
+fills), so neither tree's ``__pycache__`` is read.
+
 A process makes an untimed call first where it times several, and reads
 the nulls' peak RSS and ``build_hpi``'s traced peak once, at its set-up.
 The result is merged under ``--label`` into the ``--out`` JSON file, with
@@ -58,6 +62,7 @@ the machine (nproc, CPU, Python, numpy and its BLAS build).
 Usage:
     python3 scripts/bench_sweep.py --parent ../parent/src --label change --out BENCH.json
     python3 scripts/bench_sweep.py --parent ../copy/src --src ../copy2/src --label spread
+    python3 scripts/bench_sweep.py --parent ../parent/src --figures import_cli_s,hpi_peak_rss_mb
 """
 
 import argparse
@@ -127,8 +132,16 @@ def _figure(figure, data):
             code = ("import resource, landmetrics.cli as cli\n"
                     f"assert cli.main({argv!r}) == 0\n"
                     "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)")
-        return lambda: float(subprocess.run([sys.executable, "-c", code], check=True,
-                                            capture_output=True, text=True).stdout)
+        # the bytecode cache is a directory of this process's own, filled by
+        # an untimed call, so no tree's __pycache__ is read
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=tempfile.mkdtemp(dir=data))
+
+        def measure():
+            return float(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                        capture_output=True, text=True).stdout)
+
+        measure()
+        return measure
     import numpy as np
     from landmetrics import bubbles
     from landmetrics.hedonic import build_hpi
@@ -244,6 +257,8 @@ def main(argv=None):
     ap.add_argument("--label", default="change")
     ap.add_argument("--out", default=None, help="JSON file to merge the result into")
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--figures", default=",".join(FIGURES),
+                    help="comma-separated figures to run (default: all)")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     ap.add_argument("--data", help=argparse.SUPPRESS)
     ap.add_argument("--cpu", type=int, help=argparse.SUPPRESS)
@@ -257,6 +272,9 @@ def main(argv=None):
         return 0
     if not args.parent:
         ap.error("--parent is required")
+    chosen = args.figures.split(",")
+    if not set(chosen) <= set(FIGURES):
+        ap.error(f"unknown figures: {', '.join(sorted(set(chosen) - set(FIGURES)))}")
     cpu = max(os.sched_getaffinity(0))
     figures = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -271,7 +289,7 @@ def main(argv=None):
         with open(os.path.join(tmp, "transactions.csv"), newline="") as fh, \
                 open(os.path.join(tmp, "lf.csv"), "w", newline="") as out:
             out.write(fh.read().replace("\r\n", "\n"))
-        for figure in FIGURES:
+        for figure in chosen:
             ratios, runs = [], {"parent": [], "change": []}
             for i in range(args.pairs):
                 if i % 2 == 0:

@@ -11,29 +11,28 @@ transactions do not enter the regression.  The index spans the first
 estimable period, the base (delta identically 0, index exactly 1), to
 the last.  Its gaps are ``series.grid_gaps`` of the index: the periods
 inside that span under ``min_per_period`` transactions, none included.
-Thin periods at either edge fall outside the index.
+A sale's period code is its count of grid steps from the first period.
 
-The period effects are absorbed rather than estimated as dummy columns
-(Frisch-Waugh-Lovell).  Log price and the K <= 2 controls are demeaned
-within each period, the controls' coefficients b come from least squares
-of demeaned price on the demeaned controls X~, and each period's effect
-is a_p = ybar_p - xbar_p . b, reported as delta_p = a_p - a_base.  The
-residuals are the demeaned ones, rss = e . e, and with
-sigma2 = rss / (n - P - K) over P periods and V = (X~' X~)^-1:
+The period effects are absorbed (Frisch-Waugh-Lovell): log price y and
+the K <= 2 controls are demeaned within each period, and modified
+Gram-Schmidt fits y~ on the demeaned controls X~.  The second control
+less its projection c on the first leaves the pivot D_2 (D_1 is the
+first's sum of squares); y~ less its projection on each in turn leaves
+the residuals e, rss = e . e.  Each period's effect a_p = ybar_p - xbar_p . b
+is reported as delta_p = a_p - a_base.  With sigma2 = rss / (n - P - K)
+over P periods and V = (X~' X~)^-1, these are the dummy regression's own
+estimates and classical standard errors, with no n x P design built:
 
     se(delta_p) = sqrt(sigma2 * (1/n_p + 1/n_base + d_p' V d_p)),
-    d_p = xbar_p - xbar_base,
+    d_p = xbar_p - xbar_base,  d' V d = d_1^2 / D_1 + (d_2 - c d_1)^2 / D_2,
     se(b_j) = sqrt(sigma2 * V_jj).
 
-These are the dummy regression's own estimates and classical standard
-errors; no n x P design is ever built.
-
-A control column that does not vary in the estimation sample (all
-single-plot sales, or no wETH sales at all) carries no information and
-is dropped; its coefficient is reported as ``None``.  A kept control
-that is collinear with the period effects (constant inside every
-period), or with the other control once the period effects are removed,
-raises a singular-design error naming the controls involved.
+Every sum over the sales is a ``np.bincount`` or an ``np.add.reduce``,
+in numpy's fixed order: no BLAS kernel or thread count moves a digit.
+A control that does not vary in the estimation sample is dropped and
+its coefficient reported as ``None``.  A kept control collinear with
+the period effects (constant inside every period), or with the other
+control once they are removed, raises a ``SingularDesignError``.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InsufficientDataError, SingularDesignError, ValidationError
-from .series import TimeSeries, grid_gaps, period_start, write_csv
+from .series import TimeSeries, grid_gaps, grid_step, period_start, write_csv
 
 #: a kept control whose pivot falls below COLLINEAR_RTOL times its centered
 #: sum of squares is collinear with the rest of the design
@@ -171,14 +170,14 @@ def _log(values) -> np.ndarray:
 
 
 def _log_by_value(values) -> np.ndarray:
-    """:func:`_log` of each value, taken once per distinct value.  Each value
-    finds its distinct value by ``np.searchsorted``, which holds one index
-    array; ``np.unique``'s ``return_inverse`` holds a sort permutation and
-    its inverse besides."""
-    # asked for counts, np.unique sorts; asked for none, numpy >= 2.3 hashes
-    # and first imports numpy.ma (1.2 MB, 6 ms), which hpi otherwise never loads
-    distinct, _ = np.unique(values, return_counts=True)
-    return _log(distinct)[np.searchsorted(distinct, values)]
+    """:func:`_log` of each value, taken once per distinct value through a
+    table indexed by value, unless a value exceeds the count of values."""
+    top = int(values.max())
+    if top > len(values):
+        return _log(values)
+    table, seen = np.zeros(top + 1), np.flatnonzero(np.bincount(values))
+    table[seen] = _log(seen)
+    return table[values]
 
 
 def _controls(transactions, sample):
@@ -192,6 +191,11 @@ def _within(values, code, counts):
     """Per-period means of ``values`` and the values less their period mean."""
     means = np.bincount(code, weights=values, minlength=counts.size) / counts
     return means, values - means[code]
+
+
+def _dot(a, b) -> float:
+    """``sum(a * b)`` in numpy's pairwise order, which no BLAS or thread count moves."""
+    return float(np.add.reduce(a * b))
 
 
 def build_hpi(
@@ -212,55 +216,73 @@ def build_hpi(
     if min_per_period < 1:
         raise ValidationError(f"min_per_period must be >= 1, got {min_per_period}")
     usd_price = transactions.usd_prices()
-    period = period_start(transactions.day, freq)
-    labels, counts = np.unique(period, return_counts=True)
+    step = grid_step(freq).days
+    slot = period_start(transactions.day, freq).view(np.int64)
+    first = slot.min(initial=np.iinfo(np.int64).max)      # an empty table has no slot
+    slot = (slot - first) // step
+    counts = np.bincount(slot)
     estimable = counts >= min_per_period
-    periods = labels[estimable].tolist()
+    periods = (first + step * np.flatnonzero(estimable)).astype("datetime64[D]").tolist()
     if len(periods) < 2:
-        raise InsufficientDataError(
-            f"need at least 2 periods with >= {min_per_period} transactions, "
-            f"found {len(periods)}"
-        )
-    # a stable sort keeps each period's sales in input order
-    sample = np.argsort(period, kind="stable")[np.repeat(estimable, counts)]
-    del period
+        raise InsufficientDataError(f"need at least 2 periods with >= {min_per_period} "
+                                    f"transactions, found {len(periods)}")
+    sample = estimable[slot]
+    code = (np.cumsum(estimable) - 1)[slot[sample]]
+    del slot
     n_per = counts[estimable]
-    code = np.repeat(np.arange(len(periods)), n_per)
-    n = len(sample)
+    n = len(code)
 
     # each column is freed once demeaned, so the fit holds few at a time
-    y_mean, y_w = _within(_log(usd_price[sample]), code, n_per)
-    kept, scales = [], []
-    x_mean, x_w = np.empty((len(periods), 2)), np.empty((n, 2))
-    for name, x in _controls(transactions, sample):
-        if np.ptp(x) > 0.0:
-            j = len(kept)
+    y_mean, y = _within(_log(usd_price[sample]), code, n_per)
+    kept, scales, x_mean, x = [], [], [], []
+    for name, column in _controls(transactions, sample):
+        if np.ptp(column) > 0.0:
             kept.append(name)
-            scales.append(COLLINEAR_RTOL * float(np.sum((x - x.mean()) ** 2)))
-            x_mean[:, j], x_w[:, j] = _within(x, code, n_per)
-    del sample, code
+            scales.append(COLLINEAR_RTOL * float(np.sum((column - column.mean()) ** 2)))
+            mean, column = _within(column, code, n_per)
+            x_mean.append(mean)
+            x.append(column)
+    del sample, code, column
     k = len(kept)
-    x_mean, x_w = np.ascontiguousarray(x_mean[:, :k]), np.ascontiguousarray(x_w[:, :k])
     if n < len(periods) + k:
         raise InsufficientDataError(f"{n} rows < {len(periods) + k} columns")
 
-    q, r = np.linalg.qr(x_w)
-    _check_pivots(kept, scales, x_w, r)
-
-    b = np.linalg.solve(r, q.T @ y_w)
-    resid = y_w - x_w @ b
-    rss = float(resid @ resid)
-    df_resid = n - len(periods) - k
-    alpha = y_mean - x_mean @ b
+    # modified Gram-Schmidt on [x_1, x_2, y]; a control is collinear when its
+    # sum of squares or pivot falls to COLLINEAR_RTOL times its centered one
+    pivots, coef = [], 0.0          # coef: the second control on the first
+    for j, column in enumerate(x):
+        pivots.append(_dot(column, column))
+        if pivots[j] <= scales[j]:
+            raise SingularDesignError(f"{kept[j]} is collinear with the period effects",
+                                      columns=(kept[j],))
+        if j:
+            coef = _dot(x[0], column) / pivots[0]
+            column -= coef * x[0]
+            pivots[j] = _dot(column, column)
+            if pivots[j] <= scales[j]:
+                raise SingularDesignError(f"{', '.join(kept)} are collinear once the "
+                                          "period effects are removed", columns=tuple(kept))
+    b = []
+    for column, pivot in zip(x, pivots):
+        b.append(_dot(column, y) / pivot)
+        y -= b[-1] * column
+    rss = _dot(y, y)
+    # fitted on x_1 and u_2 = x_2 - coef x_1, where V is diagonal: b and V_jj map
+    # back to x, d_p onto u
+    d = [mean - mean[0] for mean in x_mean]
+    v = [1.0 / pivot for pivot in pivots]
+    if k == 2:
+        b[0] -= coef * b[1]
+        d[1] -= coef * d[0]
+        v[0] += coef * coef / pivots[1]
+    alpha = y_mean - sum(b_j * mean for mean, b_j in zip(x_mean, b))
     delta = alpha - alpha[0]
+    df_resid = n - len(periods) - k
     if df_resid > 0:
         sigma2 = rss / df_resid
-        r_inv = np.linalg.inv(r)
-        v = r_inv @ r_inv.T
-        d = x_mean - x_mean[0]
-        quad = np.einsum("pi,ij,pj->p", d, v, d)
+        quad = sum(d_j * d_j / pivot for d_j, pivot in zip(d, pivots))
         delta_se = np.sqrt(sigma2 * (1.0 / n_per + 1.0 / n_per[0] + quad))
-        beta_se = np.sqrt(sigma2 * np.diag(v))
+        beta_se = [math.sqrt(sigma2 * v_j) for v_j in v]
     else:
         delta_se = beta_se = None
 
@@ -274,8 +296,8 @@ def build_hpi(
         )
         for i, p in enumerate(periods)
     ]
-    beta = {name: float(v) for name, v in zip(kept, b)}
-    se = {name: float(v) for name, v in zip(kept, beta_se)} if beta_se is not None else {}
+    beta = dict(zip(kept, b))
+    se = dict(zip(kept, beta_se)) if beta_se is not None else {}
     meta = HedonicFit(
         beta_log_plots=beta.get("log_num_plots"),
         se_log_plots=se.get("log_num_plots"),
@@ -288,28 +310,6 @@ def build_hpi(
         gap_periods=tuple(grid_gaps(hpi_to_series(points, freq=freq))),
     )
     return points, meta
-
-
-def _check_pivots(kept, scales, x_w, r) -> None:
-    """Raise if a kept control is collinear with the period effects or the other control.
-
-    Both tests compare a pivot with ``scales[j]``, ``COLLINEAR_RTOL`` times
-    the control's own centered sum of squares.  A control's within-period
-    sum of squares (its pivot when it comes first) is (near) zero when it
-    is constant inside every period.  The second pivot, ``r[1, 1]**2``, is
-    what is left of the second control once the period effects and the
-    first control are removed.
-    """
-    for j, (name, scale) in enumerate(zip(kept, scales)):
-        if float(x_w[:, j] @ x_w[:, j]) <= scale:
-            raise SingularDesignError(
-                f"{name} is collinear with the period effects", columns=(name,)
-            )
-        if j == 1 and float(r[1, 1]) ** 2 <= scale:
-            raise SingularDesignError(
-                f"{', '.join(kept)} are collinear once the period effects are removed",
-                columns=tuple(kept),
-            )
 
 
 def hpi_to_series(points, name: str = "hpi", freq: str = "weekly") -> TimeSeries:

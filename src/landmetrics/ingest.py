@@ -160,16 +160,16 @@ def _parse_columns(stamps, prices, currency, plots, currencies, symbols):
     """A block's columns as :func:`_parse_row` gives them row by row:
     microseconds since 1970, prices, plot counts, and currencies as codes
     into ``symbols``, which gains the block's new currencies in order of
-    first appearance.  ``stamps`` is an array of byte strings, ``prices`` a
-    list of fields, as text or as the bytes of ASCII text, and
-    ``currency`` and ``plots`` are :func:`_distinct` pairs, so they convert
-    once per distinct field.  None, with ``symbols`` untouched, unless
-    every row passes every check and has a timestamp of the exact shape
+    first appearance.  ``stamps`` is an array of byte strings, ``prices``
+    text fields or an array of ASCII bytes without NULs, and ``currency``
+    and ``plots`` are :func:`_distinct` pairs, so they convert once per
+    distinct field.  None, with ``symbols`` untouched, unless every row
+    passes every check and has a timestamp of the exact shape
     YYYY-MM-DDTHH:MM:SS.
 
-    ``float`` gives a price's bytes its text's value or fails: it strips
-    fewer spaces from bytes than from text (not the ASCII separators
-    0x1c-0x1f) and takes nothing else from them."""
+    numpy's conversion of a price field to float64 gives ``float``'s value
+    or fails where it fails; bytes lose fewer spaces than text (not the
+    ASCII separators 0x1c-0x1f).  A string array drops trailing NULs."""
     if stamps.dtype != "S19":       # a shorter stamp is padded with NULs
         return None
     chars = stamps.view(np.uint8).reshape(len(stamps), 19)
@@ -179,7 +179,7 @@ def _parse_columns(stamps, prices, currency, plots, currencies, symbols):
     if stamps is None:
         return None
     try:
-        prices = np.array(list(map(float, prices)))
+        prices = np.asarray(prices, dtype=np.float64)
         counts = [int(field.strip()) for field in plots[0]]
     except ValueError:
         return None
@@ -283,7 +283,7 @@ def _plain_columns(block, width, cols):
         stops[:, -1] -= crlf
     data += bytes(int(longest))     # every field's widest window lies inside
     stamps, prices, currency, plots = (_gather(data, starts[:, i], stops[:, i]) for i in cols)
-    return stamps, prices.tolist(), _distinct(currency), _distinct(plots)
+    return stamps, prices, _distinct(currency), _distinct(plots)
 
 
 def _gather(data, starts, stops):

@@ -319,6 +319,20 @@ def monday_of(date):
     return date - dt.timedelta(days=date.weekday())
 
 
+def _estimable_sales(transactions, freq, min_per_period):
+    """(estimable periods, [(period, (usd, num_plots, paid_in_weth))]): the
+    sales of the periods with at least ``min_per_period`` of them, period by
+    period and in input order inside each, as plain Python values."""
+    buckets = {}
+    sales = zip(transactions.day.tolist(), transactions.usd_price.tolist(),
+                transactions.num_plots.tolist(), transactions.paid_in_weth.tolist())
+    for date, usd, num_plots, paid_in_weth in sales:
+        key = monday_of(date) if freq == "weekly" else date
+        buckets.setdefault(key, []).append((usd, num_plots, paid_in_weth))
+    periods = [p for p in sorted(buckets) if len(buckets[p]) >= min_per_period]
+    return periods, [(p, t) for p in periods for t in buckets[p]]
+
+
 def hedonic_refit_oracle(transactions, freq="weekly", min_per_period=3):
     """Materialize the dummy design by hand and solve the normal equations.
 
@@ -330,14 +344,7 @@ def hedonic_refit_oracle(transactions, freq="weekly", min_per_period=3):
     the table's ``day``, ``usd_price``, ``num_plots`` and ``paid_in_weth``
     columns as plain Python values.
     """
-    buckets = {}
-    sales = zip(transactions.day.tolist(), transactions.usd_price.tolist(),
-                transactions.num_plots.tolist(), transactions.paid_in_weth.tolist())
-    for date, usd, num_plots, paid_in_weth in sales:
-        key = monday_of(date) if freq == "weekly" else date
-        buckets.setdefault(key, []).append((usd, num_plots, paid_in_weth))
-    periods = [p for p in sorted(buckets) if len(buckets[p]) >= min_per_period]
-    sample = [(p, t) for p in periods for t in buckets[p]]
+    periods, sample = _estimable_sales(transactions, freq, min_per_period)
     plots = [math.log(num_plots) for _, (_, num_plots, _) in sample]
     weth = [1.0 if paid_in_weth else 0.0 for _, (_, _, paid_in_weth) in sample]
     has_plots = max(plots) > min(plots)
@@ -355,6 +362,50 @@ def hedonic_refit_oracle(transactions, freq="weekly", min_per_period=3):
     df = len(rows) - len(rows[0])
     se = [math.sqrt(rss / df * d) for d in diag] if df > 0 else None
     return periods, beta, se, rss
+
+
+def hedonic_fsum_oracle(transactions, freq="weekly", min_per_period=3):
+    """The absorbed fit's control coefficients, their standard errors and
+    rss, with every sum over the sales correctly rounded.
+
+    Returns (beta, se or None, rss), beta and se listing whichever of log
+    plot count and wrapped-payment flag vary in the kept sample, in that
+    order.  Log price and those controls are demeaned within each
+    estimable period by ``math.fsum`` means; X~'X~ and X~'y~ are
+    ``math.fsum`` sums of the rounded products, solved and inverted in
+    exact rationals; rss is the ``math.fsum`` of the squared residuals,
+    each residual itself an ``fsum``.
+    """
+    periods, sample = _estimable_sales(transactions, freq, min_per_period)
+    columns = [[math.log(usd) for _, (usd, _, _) in sample],
+               [math.log(num_plots) for _, (_, num_plots, _) in sample],
+               [1.0 if paid_in_weth else 0.0 for _, (_, _, paid_in_weth) in sample]]
+    columns = [columns[0]] + [c for c in columns[1:] if max(c) > min(c)]
+    spans = {}          # each period's rows, which lie together in ``sample``
+    for i, (p, _) in enumerate(sample):
+        spans.setdefault(p, [i, i])[1] = i + 1
+    demeaned = []
+    for column in columns:
+        out = []
+        for lo, hi in spans.values():
+            mean = math.fsum(column[lo:hi]) / (hi - lo)
+            out += [v - mean for v in column[lo:hi]]
+        demeaned.append(out)
+    y, x = demeaned[0], demeaned[1:]
+    k = len(x)
+    g = [[Fraction(math.fsum(a * b for a, b in zip(u, v))) for v in x] for u in x]
+    t = [Fraction(math.fsum(a * c for a, c in zip(u, y))) for u in x]
+    if k == 2:
+        det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+        inv = [[g[1][1] / det, -g[0][1] / det], [-g[1][0] / det, g[0][0] / det]]
+    else:
+        inv = [[1 / g[0][0]]] if k else []
+    beta = [float(sum(inv[i][j] * t[j] for j in range(k))) for i in range(k)]
+    rss = math.fsum(math.fsum([c] + [-b * v[r] for b, v in zip(beta, x)]) ** 2
+                    for r, c in enumerate(y))
+    df = len(y) - len(periods) - k
+    se = [math.sqrt(rss / df * float(inv[j][j])) for j in range(k)] if df > 0 else None
+    return beta, se, rss
 
 
 # ---------------------------------------------------------------------------

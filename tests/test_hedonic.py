@@ -3,12 +3,17 @@
 import datetime as dt
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from landmetrics.cli import main
 from landmetrics.errors import (
     InsufficientDataError,
     SingularDesignError,
@@ -24,7 +29,7 @@ from landmetrics.hedonic import (
 from landmetrics.series import write_json
 from landmetrics.synthkit import gen_hedonic_panel
 
-from oracles import hedonic_refit_oracle, monday_of
+from oracles import hedonic_fsum_oracle, hedonic_refit_oracle, monday_of
 
 D0 = dt.date(2021, 1, 4)  # a Monday
 
@@ -154,32 +159,35 @@ def test_single_period_is_insufficient():
 
 
 def test_coefficients_match_materialized_dummy_oracle():
-    rng = np.random.default_rng(31)
-    deltas = [0.0, 0.3, -0.2]
-    txs = []
-    for w, d in enumerate(deltas):
-        for j in range(6):
-            plots = int(rng.integers(1, 9))
-            weth = bool(rng.integers(0, 2))
-            z = rng.normal()
-            usd = math.exp(math.log(500.0) + d + 0.9 * math.log(plots)
-                           - 0.1 * weth + 0.05 * z)
-            txs.append(tx(week(w), usd, plots=plots, weth=weth))
-    points, fit = build_hpi(table(txs))
-    periods, beta, se, rss = _oracle_refit(table(txs))
+    # 18 sales: plot counts in thousands exceed the count of sales, so
+    # their logs are not taken through a table indexed by plot count
+    for plot_unit in (1, 1000):
+        rng = np.random.default_rng(31)
+        deltas = [0.0, 0.3, -0.2]
+        txs = []
+        for w, d in enumerate(deltas):
+            for j in range(6):
+                plots = int(rng.integers(1, 9)) * plot_unit
+                weth = bool(rng.integers(0, 2))
+                z = rng.normal()
+                usd = math.exp(math.log(500.0) + d + 0.9 * math.log(plots)
+                               - 0.1 * weth + 0.05 * z)
+                txs.append(tx(week(w), usd, plots=plots, weth=weth))
+        points, fit = build_hpi(table(txs))
+        periods, beta, se, rss = _oracle_refit(table(txs))
 
-    assert [p.period for p in points] == periods
-    # oracle layout: [const, dummy_1, dummy_2, log_plots, weth]
-    for i, p in enumerate(points[1:], start=1):
-        assert p.delta == pytest.approx(beta[i], abs=1e-9)
-        assert p.index == pytest.approx(math.exp(beta[i]), rel=1e-9)
-        assert p.delta_se == pytest.approx(se[i], abs=1e-9)
-    assert fit.beta_log_plots == pytest.approx(beta[3], abs=1e-9)
-    assert fit.beta_weth == pytest.approx(beta[4], abs=1e-9)
-    assert fit.se_log_plots == pytest.approx(se[3], abs=1e-9)
-    assert fit.se_weth == pytest.approx(se[4], abs=1e-9)
-    assert fit.rss == pytest.approx(rss, abs=1e-9)
-    assert fit.df_resid == 18 - 5
+        assert [p.period for p in points] == periods
+        # oracle layout: [const, dummy_1, dummy_2, log_plots, weth]
+        for i, p in enumerate(points[1:], start=1):
+            assert p.delta == pytest.approx(beta[i], abs=1e-9)
+            assert p.index == pytest.approx(math.exp(beta[i]), rel=1e-9)
+            assert p.delta_se == pytest.approx(se[i], abs=1e-9)
+        assert fit.beta_log_plots == pytest.approx(beta[3], abs=1e-9)
+        assert fit.beta_weth == pytest.approx(beta[4], abs=1e-9)
+        assert fit.se_log_plots == pytest.approx(se[3], abs=1e-9)
+        assert fit.se_weth == pytest.approx(se[4], abs=1e-9)
+        assert fit.rss == pytest.approx(rss, abs=1e-9)
+        assert fit.df_resid == 18 - 5
 
 
 def test_planted_coefficients_recovered_without_noise():
@@ -377,19 +385,65 @@ def test_weth_only_panel_matches_oracle():
     assert fit.beta_weth is not None
 
 
-def test_build_hpi_memory_is_bounded():
-    # 104 weeks x 1,000 sales: a dense dummy design alone would be 88 MB; the
-    # fit's traced peak is about eight float columns of 0.83 MB
+def _wide_panel():
+    """104 weeks x 1,000 sales, the shape of the hpi_wide benchmark."""
     deltas = [0.0] + [0.002 * k for k in range(1, 104)]
-    txs, _ = gen_hedonic_panel(deltas, n_per_period=1000, beta_plots=0.9,
-                               beta_weth=-0.05, noise=0.3, seed=1)
+    return gen_hedonic_panel(deltas, n_per_period=1000, beta_plots=0.9,
+                             beta_weth=-0.05, noise=0.3, seed=1)[0]
+
+
+def test_build_hpi_memory_is_bounded():
+    # a dense dummy design alone would be 88 MB; the fit's traced peak is
+    # 5.11 MB, about six float columns of 0.83 MB
+    txs = _wide_panel()
     tracemalloc.start()
     try:
         build_hpi(txs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9e6
+    assert peak < 5.6e6
+
+
+#: relative errors of the thin-QR fit that build_hpi used before, on the
+#: wide panel against hedonic_fsum_oracle, the smaller of one and two
+#: OpenBLAS threads rounded up (numpy 2.4.6, OpenBLAS 0.3.31):
+#: beta_log_plots, beta_weth, se_log_plots, se_weth, rss
+QR_ERRORS = (6.8e-15, 2.0e-15, 1.6e-16, 0.0, 0.0)
+
+
+def test_fit_is_as_close_to_correctly_rounded_sums_as_the_qr_fit():
+    txs = _wide_panel()
+    _, fit = build_hpi(txs)
+    beta, se, rss = hedonic_fsum_oracle(txs)
+    got = (fit.beta_log_plots, fit.beta_weth, fit.se_log_plots, fit.se_weth, fit.rss)
+    for value, want, bound in zip(got, beta + se + [rss], QR_ERRORS):
+        assert abs(value - want) <= bound * abs(want)
+
+
+def test_hpi_files_do_not_depend_on_blas(tmp_path):
+    # 26,000 sales: long enough that OpenBLAS splits its products over two
+    # threads, and its kernels for another CPU round them differently
+    deltas = ",".join(["0"] + ["0.01"] * 51)
+    assert main(["simulate", "--kind", "hedonic", "--seed", "1", "--deltas", deltas,
+                 "--n-per-period", "500", "--beta-plots", "0.9", "--beta-weth", "-0.05",
+                 "--noise", "0.3", "--out-dir", str(tmp_path)]) == 0
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    files = []
+    for i, blas in enumerate([{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"},
+                              {"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Prescott"}]):
+        out = tmp_path / f"out{i}"
+        done = subprocess.run(
+            [sys.executable, "-m", "landmetrics.cli", "hpi", "--transactions",
+             str(tmp_path / "transactions.csv"), "--prices", str(tmp_path / "prices.csv"),
+             "--out-dir", str(out)], env={**env, **blas}, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        files.append([(out / name).read_bytes()
+                      for name in ("hpi_fit.json", "hpi.csv", "hpi_series.csv")])
+    assert files[1] == files[0]
+    assert files[2] == files[0]
 
 
 def test_log_holds_one_value_at_a_time():

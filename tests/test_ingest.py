@@ -532,7 +532,8 @@ def _tokenizer_case(case):
         "quoted line breaks": ['2021-01-05T12:00:00,1.0,DAI,1,"b\nc\nd",x',
                                '2021-01-05T12:00:00,"2.0\n",ETH,1,e,x', clean[0],
                                '"2021-01-05T12:00:00",1.0,ETH,1,"f\r\ng",x'],
-        "NUL": ["2021-01-05T12:00:00,1.0,ETH,1,a\0b,x", "2021-01-05T12:00:00,1.\x000,ETH,1,c,x"],
+        "NUL": ["2021-01-05T12:00:00,1.0,ETH,1,a\0b,x", "2021-01-05T12:00:00,1.\x000,ETH,1,c,x",
+                "2021-01-05T12:00:00,2.0\0,ETH,1,d,x"],
         "form feed and line separator": ["2021-01-05T12:00:00,1.5\x0c,ETH,1,a\x0cb,x",
                                          "2021-01-05T12:00:00,2.5,\u2028eth\u2028,1,c,x",
                                          "2021-01-05T12:00:00,2.5,ETH,1,d\u2028\x0ce,x"],
@@ -592,6 +593,39 @@ WIDE_ROWS = [
 ]
 MIXED_ROWS = (_clean_rows(24, seed=8) + list(map(_quoted, _clean_rows(4, seed=9)))
               + DIRTY_ROWS + WIDE_ROWS)
+
+
+#: price fields near the edges of ``float``'s grammar
+PRICE_FIELDS = st.one_of(
+    st.floats().map(repr),
+    st.from_regex(r"\s*[+-]?[0-9_]*\.?[0-9_]*([eE][+-]?[0-9_]*)?\s*", fullmatch=True),
+    st.sampled_from(["inf", "-Infinity", "iNfInItY", "nan", "-nan", "nan(1)", "1e400", "1e-400",
+                     "0x10", "0x1p3", "1_000", "1__0", "_1", "\u0661.5", "\u0966\u0967",
+                     "\xa01.5\u2003", "\x1c1.5", "1.5\x1f", "\x0b1.5\x0c", "1.5\r\n", ""]),
+    st.text(st.characters(blacklist_characters="\0"), max_size=12),
+)
+
+
+@given(fields=st.lists(PRICE_FIELDS, min_size=1, max_size=6), as_bytes=st.booleans())
+@settings(max_examples=300)
+def test_price_cast_follows_float(fields, as_bytes):
+    # _parse_columns converts a block's price fields, a tuple of text or an
+    # array of ASCII bytes, in one numpy call; that must give float's values
+    # or fail where it fails
+    fields = tuple(fields)
+    if as_bytes:
+        fields = np.array([field.encode("ascii", "ignore") for field in fields])
+    try:
+        want = np.array([float(field) for field in fields])
+    except ValueError:
+        want = None
+    try:
+        got = np.asarray(fields, dtype=np.float64)
+    except ValueError:
+        got = None
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 @given(rows=st.lists(st.tuples(st.sampled_from(MIXED_ROWS), st.sampled_from(["\n", "\r\n", "\r"])),
