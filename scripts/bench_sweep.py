@@ -62,7 +62,6 @@ the machine (nproc, CPU, Python, numpy and its BLAS build).
 Usage:
     python3 scripts/bench_sweep.py --parent ../parent/src --label change --out BENCH.json
     python3 scripts/bench_sweep.py --parent ../copy/src --src ../copy2/src --label spread
-    python3 scripts/bench_sweep.py --parent ../parent/src --figures import_cli_s,hpi_peak_rss_mb
 """
 
 import argparse
@@ -257,8 +256,6 @@ def main(argv=None):
     ap.add_argument("--label", default="change")
     ap.add_argument("--out", default=None, help="JSON file to merge the result into")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--figures", default=",".join(FIGURES),
-                    help="comma-separated figures to run (default: all)")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     ap.add_argument("--data", help=argparse.SUPPRESS)
     ap.add_argument("--cpu", type=int, help=argparse.SUPPRESS)
@@ -272,9 +269,6 @@ def main(argv=None):
         return 0
     if not args.parent:
         ap.error("--parent is required")
-    chosen = args.figures.split(",")
-    if not set(chosen) <= set(FIGURES):
-        ap.error(f"unknown figures: {', '.join(sorted(set(chosen) - set(FIGURES)))}")
     cpu = max(os.sched_getaffinity(0))
     figures = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -289,7 +283,7 @@ def main(argv=None):
         with open(os.path.join(tmp, "transactions.csv"), newline="") as fh, \
                 open(os.path.join(tmp, "lf.csv"), "w", newline="") as out:
             out.write(fh.read().replace("\r\n", "\n"))
-        for figure in chosen:
+        for figure in FIGURES:
             ratios, runs = [], {"parent": [], "change": []}
             for i in range(args.pairs):
                 if i % 2 == 0:

@@ -11,7 +11,8 @@ transactions do not enter the regression.  The index spans the first
 estimable period, the base (delta identically 0, index exactly 1), to
 the last.  Its gaps are ``series.grid_gaps`` of the index: the periods
 inside that span under ``min_per_period`` transactions, none included.
-A sale's period code is its count of grid steps from the first period.
+A sale's period code is its count of grid steps from the first period,
+or its rank among the periods with sales where a count exceeds the sales.
 
 The period effects are absorbed (Frisch-Waugh-Lovell): log price y and
 the K <= 2 controls are demeaned within each period, and modified
@@ -220,9 +221,12 @@ def build_hpi(
     slot = period_start(transactions.day, freq).view(np.int64)
     first = slot.min(initial=np.iinfo(np.int64).max)      # an empty table has no slot
     slot = (slot - first) // step
+    top = int(slot.max(initial=-1))     # past the sale count only for a far-off date
+    seen, slot = (np.unique(slot, return_inverse=True) if top > len(slot)
+                  else (np.arange(top + 1), slot))
     counts = np.bincount(slot)
     estimable = counts >= min_per_period
-    periods = (first + step * np.flatnonzero(estimable)).astype("datetime64[D]").tolist()
+    periods = (first + step * seen[estimable]).astype("datetime64[D]").tolist()
     if len(periods) < 2:
         raise InsufficientDataError(f"need at least 2 periods with >= {min_per_period} "
                                     f"transactions, found {len(periods)}")
@@ -286,16 +290,10 @@ def build_hpi(
     else:
         delta_se = beta_se = None
 
-    points = [
-        HpiPoint(
-            period=p,
-            index=math.exp(delta[i]),
-            delta=float(delta[i]),
-            delta_se=float(delta_se[i]) if i and delta_se is not None else None,
-            n_transactions=int(n_per[i]),
-        )
-        for i, p in enumerate(periods)
-    ]
+    points = [HpiPoint(period=p, index=math.exp(delta[i]), delta=float(delta[i]),
+                       delta_se=float(delta_se[i]) if i and delta_se is not None else None,
+                       n_transactions=int(n_per[i]))
+              for i, p in enumerate(periods)]
     beta = dict(zip(kept, b))
     se = dict(zip(kept, beta_se)) if beta_se is not None else {}
     meta = HedonicFit(

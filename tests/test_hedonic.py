@@ -405,6 +405,22 @@ def test_build_hpi_memory_is_bounded():
     assert peak < 5.6e6
 
 
+
+def test_far_dates_leave_the_memory_bounded_by_the_sales():
+    # at a slot a day, 0001-01-01 to 9999-12-31 are 3.65 million slots: 29 MB
+    # for one int64 table over them
+    near = [tx(D0 + dt.timedelta(days=i % 4), 100.0 + i, plots=1 + i % 3) for i in range(16)]
+    far = [tx(dt.date(1, 1, 1), 50.0), tx(dt.date(9999, 12, 31), 70.0, plots=2)]
+    sales = table(far[:1] + near + far[1:])
+    tracemalloc.start()
+    try:
+        points, fit = build_hpi(sales, freq="daily", min_per_period=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000 * len(sales)
+    assert (points, fit) == build_hpi(table(near), freq="daily", min_per_period=2)
+
 #: relative errors of the thin-QR fit that build_hpi used before, on the
 #: wide panel against hedonic_fsum_oracle, the smaller of one and two
 #: OpenBLAS threads rounded up (numpy 2.4.6, OpenBLAS 0.3.31):
