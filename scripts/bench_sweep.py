@@ -43,6 +43,8 @@ The figures, each in seconds unless its name says otherwise:
   by 1,000 sales, as rows per second: as ``simulate`` writes it (CRLF line
   endings), with LF endings (as exports often have), and with every field
   quoted (the text that ``csv.reader`` splits);
+* ``to_usd`` of that file's sales, as ``load_transactions`` reads them,
+  at its quotes;
 * the peak RSS, in MB, of a fresh interpreter that imports
   ``landmetrics.cli`` and runs ``hpi`` on that file, started for each call;
 * ``build_hpi``'s own peak of traced allocations (``tracemalloc``), in MB
@@ -101,6 +103,7 @@ FIGURES = {
     "load_transactions_rows_per_s": (9,),
     "load_transactions_lf_rows_per_s": (9,),
     "load_transactions_quoted_rows_per_s": (9,),
+    "to_usd_s": (31,),
     "hpi_peak_rss_mb": (3,),
     "build_hpi_transient_mb": (0,),
     "import_cli_s": (9,),
@@ -189,6 +192,9 @@ def _figure(figure, data):
         fn = lambda: granger_table(panel, "x", "y", p_max=3, both_specs=True)  # noqa: E731
     elif figure.startswith("f_tail"):
         fn = lambda: [f_tail_prob(2.3, 3, 50) for _ in range(1000)]  # noqa: E731
+    elif figure == "to_usd_s":
+        sales, fx = load_transactions(transactions)[0], load_daily_prices(prices)
+        fn = lambda: to_usd(sales, fx)  # noqa: E731
     else:
         path = os.path.join(data, {"load_transactions_lf_rows_per_s": "lf.csv",
                                    "load_transactions_quoted_rows_per_s": "quoted.csv"}

@@ -49,7 +49,7 @@ from .errors import (
     SingularDesignError,
     ValidationError,
 )
-from .series import TimeSeries, _fmt, write_csv
+from .series import TimeSeries, _fmt, _quantiles, write_csv
 from .synthkit import stream
 
 #: windows whose residual sum of squares falls below this relative floor
@@ -316,9 +316,11 @@ def _window_fits(P, bands, buf, every_pivot=False, guards=True):
             X[...] = P[:, :, e:e + B, None]
             X -= P[:, :, None, :c]
             band = np.arange(e, e + B)[:, None], np.arange(c)
-        else:
-            X[...] = np.take(P, band[0], axis=2)
-            X -= np.take(P, band[1], axis=2)
+        else:  # a row at a time, through the free row f, so no R-row temporary
+            F = f[at - math.prod(shape):at].reshape(shape)
+            for x, p in zip(X, P):
+                np.take(p, band[0], axis=1, out=x, mode="clip")   # "raise" would buffer
+                x -= np.take(p, band[1], axis=1, out=F, mode="clip")
         np.subtract(*band, out=N[0])  # hi - lo, the same for every series
         N[1:] = N[0]
     # a[r][s - r] is (r, s), in the row-major order _prefix_sums stores
@@ -568,7 +570,7 @@ def mc_critical_values(
     stats = _sweep(walks, min_window, spec, min_window, shape=(n_rep, T))
     if not np.all(np.isfinite(stats)):
         raise NoValidWindowError("a null replication produced no valid window")
-    cv = np.quantile(stats, alphas, axis=0).T.copy()
+    cv = np.array(_quantiles(stats, alphas)).T.copy()
     return CvTable(
         series_length=T,
         min_window=min_window,

@@ -41,6 +41,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -51,6 +52,9 @@ from .series import TimeSeries, grid_gaps, grid_step, period_start, write_csv
 #: sum of squares is collinear with the rest of the design
 COLLINEAR_RTOL = 1e-16
 
+
+#: values :func:`_log` turns into Python floats at a time
+_LOG_BLOCK = 1 << 14
 
 #: the table's columns and their dtypes
 _COLUMNS = {"timestamp": "datetime64[us]", "native_price": np.float64, "num_plots": np.int64,
@@ -166,8 +170,11 @@ class HedonicFit:
 
 
 def _log(values) -> np.ndarray:
-    """``math.log`` of each value: np.log can differ from it in the last bit."""
-    return np.fromiter(map(math.log, values), np.float64, len(values))
+    """``math.log`` of each value: np.log can differ from it in the last bit.
+    Python floats go through it faster than numpy scalars; they are made
+    ``_LOG_BLOCK`` values at a time, so the whole column is never a list."""
+    blocks = (values[i:i + _LOG_BLOCK].tolist() for i in range(0, len(values), _LOG_BLOCK))
+    return np.fromiter(map(math.log, chain.from_iterable(blocks)), np.float64, len(values))
 
 
 def _log_by_value(values) -> np.ndarray:

@@ -26,11 +26,15 @@ break, there is no ``"``, NUL or carriage return outside a CRLF ending,
 no line is longer than the csv field size limit, and every line holds
 exactly as many commas as the header.  For such text ``csv.reader``'s
 records are exactly the comma split, and one scan of the commas and line
-feeds finds every field: timestamps are gathered into one fixed-width
-byte array and read as numbers, prices go through ``float`` and plot
-counts and currencies convert once per distinct field.  Any other block goes through
-``csv.reader``, which may read past the block's end to finish a quoted
-record, and its columns are converted as text.
+feeds finds every field.  Each column is gathered into one fixed-width
+byte array: timestamps are read as numbers from their digits, prices go
+through ``float``, plot counts are read from their digits when every one
+is 1-18 ASCII digits, and a currency is coded by comparing its bytes with
+the symbols seen so far.  A column of other plot counts, or with a
+currency not yet seen as those exact bytes, converts once per distinct
+field as text.  Any other block goes through ``csv.reader``, which may
+read past the block's end to finish a quoted record, and its columns are
+converted as text.
 
 Either way the column conversion is only a faster route to the row
 checks' result, so a block takes it only when every record is one line,
@@ -160,11 +164,11 @@ def _parse_columns(stamps, prices, currency, plots, currencies, symbols):
     """A block's columns as :func:`_parse_row` gives them row by row:
     microseconds since 1970, prices, plot counts, and currencies as codes
     into ``symbols``, which gains the block's new currencies in order of
-    first appearance.  ``stamps`` is an array of byte strings, ``prices``
-    text fields or an array of ASCII bytes without NULs, and ``currency``
-    and ``plots`` are :func:`_distinct` pairs, so they convert once per
-    distinct field.  None, with ``symbols`` untouched, unless every row
-    passes every check and has a timestamp of the exact shape
+    first appearance.  ``stamps`` is an array of byte strings, and
+    ``prices``, ``currency`` and ``plots`` are text fields or arrays of
+    ASCII bytes without NULs (see :func:`_plot_counts` and
+    :func:`_currency_codes`).  None, with ``symbols`` untouched, unless
+    every row passes every check and has a timestamp of the exact shape
     YYYY-MM-DDTHH:MM:SS.
 
     numpy's conversion of a price field to float64 gives ``float``'s value
@@ -180,18 +184,58 @@ def _parse_columns(stamps, prices, currency, plots, currencies, symbols):
         return None
     try:
         prices = np.asarray(prices, dtype=np.float64)
-        counts = [int(field.strip()) for field in plots[0]]
     except ValueError:
         return None
-    if not (np.all(prices > 0.0) and np.all(np.isfinite(prices))
-            and all(1 <= k <= _MAX_PLOTS for k in counts)):
+    if not (np.all(prices > 0.0) and np.all(np.isfinite(prices))):
         return None
-    names = [field.strip().upper() for field in currency[0]]
+    counts = _plot_counts(plots)
+    if counts is None:
+        return None
+    codes = _currency_codes(currency, currencies, symbols)
+    return None if codes is None else (stamps, prices, counts, codes)
+
+
+def _plot_counts(plots):
+    """A column's plot counts, or None unless every one is an integer from
+    1 to ``_MAX_PLOTS``.  An array of fields that are all 1-18 ASCII digits
+    is read from its bytes, as :func:`_stamp_micros` reads timestamps; any
+    other column goes through ``int(field.strip())`` once per distinct
+    field."""
+    if isinstance(plots, np.ndarray):
+        chars = plots.view(np.uint8).reshape(len(plots), plots.itemsize)
+        digits, pad = chars - np.uint8(ord("0")), chars == 0     # a NUL pads a short field
+        if plots.itemsize <= 18 and np.all((digits < 10) | pad):     # an empty one reads 0
+            counts = np.zeros(len(plots), np.int64)
+            for digit, end in zip(digits.T, pad.T):
+                counts = np.where(end, counts, counts * 10 + digit)
+            return counts if np.all(counts >= 1) else None
+        plots = plots.astype(str).tolist()
+    fields, index = _distinct(plots)
+    try:
+        counts = [int(field.strip()) for field in fields]
+    except ValueError:
+        return None
+    return np.array(counts, np.int64)[index] if all(1 <= k <= _MAX_PLOTS for k in counts) else None
+
+
+def _currency_codes(currency, currencies, symbols):
+    """A column's currencies as codes into ``symbols``, or None, with
+    ``symbols`` untouched, if one is blank or outside ``currencies``.  An
+    array of ASCII fields whose bytes all equal a symbol is coded by
+    comparing them; any other column converts once per distinct field, and
+    ``symbols`` gains its new currencies in order of first appearance."""
+    if isinstance(currency, np.ndarray):
+        codes = np.full(len(currency), -1)
+        for name, code in symbols.items():
+            codes[currency == name.encode()] = code
+        if codes.min(initial=0) >= 0:
+            return codes
+        currency = currency.astype(str).tolist()
+    fields, index = _distinct(currency)
+    names = [field.strip().upper() for field in fields]
     if not all(names) or (currencies is not None and not all(n in currencies for n in names)):
         return None
-    codes = [symbols.setdefault(name, len(symbols)) for name in names]
-    return (stamps, prices, np.array(counts, np.int64)[plots[1]],
-            np.array(codes, np.int64)[currency[1]])
+    return np.array([symbols.setdefault(name, len(symbols)) for name in names], np.int64)[index]
 
 
 def _stamp_micros(chars):
@@ -217,14 +261,8 @@ def _stamp_micros(chars):
 
 
 def _distinct(column):
-    """A column's distinct fields as text, in order of first appearance,
-    and the index of each row's field among them.  ``column`` is a
-    sequence of ``str`` or an array of ASCII byte strings."""
-    if isinstance(column, np.ndarray):
-        keys = column.astype("S8").view(np.uint64) if column.itemsize <= 8 else column
-        first, inverse = np.unique(keys, return_index=True, return_inverse=True)[1:]
-        order = np.argsort(first)
-        return column[first[order]].astype(str).tolist(), np.argsort(order)[inverse]
+    """A column's distinct text fields, in order of first appearance, and
+    the index of each row's field among them."""
     fields = list(dict.fromkeys(column))
     index = {field: i for i, field in enumerate(fields)}
     return fields, np.fromiter(map(index.__getitem__, column), np.int64, len(column))
@@ -282,8 +320,7 @@ def _plain_columns(block, width, cols):
             return None
         stops[:, -1] -= crlf
     data += bytes(int(longest))     # every field's widest window lies inside
-    stamps, prices, currency, plots = (_gather(data, starts[:, i], stops[:, i]) for i in cols)
-    return stamps, prices, _distinct(currency), _distinct(plots)
+    return tuple(_gather(data, starts[:, i], stops[:, i]) for i in cols)
 
 
 def _gather(data, starts, stops):
@@ -341,7 +378,7 @@ def _csv_columns(records, read, width, cols):
     text = "".join(stamps)
     if set(map(len, stamps)) != {19} or not text.isascii():
         return None
-    return np.frombuffer(text.encode(), "S19"), prices, _distinct(currency), _distinct(plots)
+    return np.frombuffer(text.encode(), "S19"), prices, currency, plots
 
 
 def load_transactions(path, currencies: frozenset[str] | None = None):
@@ -439,18 +476,28 @@ def to_usd(rows: TransactionTable, fx: FxTable):
     """Convert a table to USD; returns (converted table, rejected).
 
     wETH uses the ETH quote.  ``STABLE_CURRENCIES`` convert at exactly 1.0.
-    Quotes are looked up once per distinct (currency, day).  Rows whose
-    (day, currency) has no quote are rejected with reason
-    ``"no fx for date"``.
+    A currency's days are found by counting its sales per day, and each
+    day's quote, looked up once, is read through a table indexed by the
+    day; ``np.unique`` finds them instead where a far-off date makes the
+    span exceed the sales.  Rows whose (day, currency) has no quote are
+    rejected with reason ``"no fx for date"``.
     """
-    rate, day = np.ones(len(rows)), rows.day
+    rate, day = np.ones(len(rows)), rows.day.view(np.int64)
+    first = int(day.min(initial=0))
     for code, currency in enumerate(rows.symbols):
         if currency not in STABLE_CURRENCIES:
             at = np.flatnonzero(rows.currency == code)
-            days, inverse = np.unique(day[at], return_inverse=True)
+            offset = day[at] - first
+            if offset.max(initial=-1) > len(offset):
+                days, offset = np.unique(offset, return_inverse=True)
+                table, seen = np.empty(len(days)), slice(None)
+            else:
+                seen = np.bincount(offset) > 0
+                days, table = np.flatnonzero(seen), np.empty(len(seen))
             symbol = "ETH" if currency == "WETH" else currency
-            quotes = [fx.quote(d, symbol) for d in days.tolist()]
-            rate[at] = np.array(quotes, dtype=np.float64)[inverse]     # no quote: nan
+            dates = (first + days).astype("datetime64[D]").tolist()
+            table[seen] = [fx.quote(d, symbol) for d in dates]     # no quote: nan
+            rate[at] = table[offset]
     quoted = ~np.isnan(rate)
     rejected = [RejectedRow(line, "no fx for date") for line in rows.line[~quoted].tolist()]
     converted = rows if quoted.all() else rows[quoted]     # no copy when all are quoted

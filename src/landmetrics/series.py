@@ -217,6 +217,22 @@ class SummaryStats:
     p95: float
 
 
+def _quantiles(x, qs) -> list:
+    """Type-7 quantiles of ``x`` along its first axis at each q in ``qs``,
+    bit for bit ``np.quantile``'s, which imports ``numpy.ma`` through
+    ``np.unique``: ``x`` is partitioned at numpy's positions, so even zeros
+    of either sign land where numpy puts them, and numpy's interpolation is
+    redone, g counting from i = -1 where (n - 1) q reaches the last value."""
+    last = len(x) - 1
+    at = [(h, math.floor(h) if h < last else -1) for h in (last * q for q in qs)]
+    x = np.partition(x, sorted({0, -1, *(i for _, i in at), *(i + (i >= 0) for _, i in at)}), axis=0)
+    out = []
+    for h, i in at:
+        a, b, g = x[i], x[i + (i >= 0)], h - i
+        out.append(b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g)
+    return out
+
+
 def summary_stats(values) -> SummaryStats:
     """Compute :class:`SummaryStats` for a non-empty sequence of finite values."""
     x = np.asarray(values, dtype=np.float64)
@@ -241,7 +257,7 @@ def summary_stats(values) -> SummaryStats:
     else:
         skewness = None
         kurtosis = None
-    p5, p50, p95 = (float(np.quantile(x, q)) for q in (0.05, 0.50, 0.95))
+    p5, p50, p95 = map(float, _quantiles(x, (0.05, 0.50, 0.95)))
     return SummaryStats(
         n=n,
         mean=mean,

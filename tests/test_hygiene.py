@@ -319,3 +319,8 @@ def test_hpi_and_summarize_load_neither_numpy_random_nor_hashlib(tmp_path):
     modules = _modules_after(["hpi", "summarize"], tmp_path)
     assert "numpy.random" not in modules     # synthkit.stream loads it on the first draw
     assert "hashlib" not in modules          # only the pipeline report hashes its config
+
+
+def test_bubble_never_imports_numpy_ma(tmp_path):
+    # np.quantile calls np.unique, whose first call imports numpy.ma
+    assert "numpy.ma" not in _modules_after(["bubble"], tmp_path)

@@ -238,6 +238,66 @@ def test_usd_conversion_is_linear_in_fx(tx_file, fx):
     assert scaled.usd_price == pytest.approx(3.0 * base.usd_price, rel=1e-12)
 
 
+#: stablecoins, wETH at the ETH quote, and two coins with quotes of their own
+TO_USD_SYMBOLS = ("ETH", "WETH", "USDC", "DAI", "USDT", "SAND")
+#: days around the quotes, and far off at either end of the calendar
+TO_USD_DAYS = st.one_of(
+    st.integers(0, 40).map(lambda i: dt.date(2021, 1, 4) + dt.timedelta(days=i)),
+    st.sampled_from([dt.date(1, 1, 1), dt.date(1, 1, 2), dt.date(9999, 12, 31)]))
+
+
+def _usd_case(sales):
+    """(table, oracle rows) of (day, hour, currency code, price) sales."""
+    stamps = [dt.datetime(d.year, d.month, d.day, hour) for d, hour, _, _ in sales]
+    codes = [code for _, _, code, _ in sales]
+    prices = [price for _, _, _, price in sales]
+    rows = TransactionTable(
+        timestamp=np.array(stamps, "datetime64[us]"), native_price=prices,
+        num_plots=np.ones(len(sales)), currency=codes, symbols=TO_USD_SYMBOLS,
+        line=np.arange(1, len(sales) + 1))
+    oracle_rows = [(i + 1, ts, price, TO_USD_SYMBOLS[code], 1)
+                   for i, (ts, code, price) in enumerate(zip(stamps, codes, prices))]
+    return rows, oracle_rows
+
+
+def _assert_usd_matches_oracle(rows, oracle_rows, quotes):
+    txs, rejected = to_usd(rows, FxTable(quotes=quotes))
+    want_txs, want_rejected = to_usd_oracle(oracle_rows, quotes, STABLE_CURRENCIES)
+    assert [(r.line, r.reason) for r in rejected] == want_rejected
+    assert list(zip(txs.line.tolist(), txs.usd_price.tolist(),
+                    txs.paid_in_weth.tolist())) == want_txs
+
+
+@given(sales=st.lists(st.tuples(TO_USD_DAYS, st.integers(0, 23),
+                                st.integers(0, len(TO_USD_SYMBOLS) - 1),
+                                st.floats(1e-3, 1e3)), max_size=40),
+       quoted=st.dictionaries(st.tuples(TO_USD_DAYS, st.sampled_from(["ETH", "SAND"])),
+                              st.floats(1e-2, 1e5), max_size=30))
+@settings(max_examples=200)
+def test_to_usd_matches_the_oracle(sales, quoted):
+    rows, oracle_rows = _usd_case(sales)
+    _assert_usd_matches_oracle(rows, oracle_rows, quoted)
+
+
+def test_far_dates_leave_to_usd_memory_bounded_by_the_sales():
+    # 0001-01-01 to 9999-12-31 are 3.65 million days: 29 MB for one float64
+    # table over them
+    near = [(dt.date(2021, 1, 4) + dt.timedelta(days=i % 4), 12, i % 2, 1.0 + i)
+            for i in range(16)]
+    far = [(dt.date(1, 1, 1), 0, 0, 2.0), (dt.date(9999, 12, 31), 23, 1, 3.0)]
+    rows, oracle_rows = _usd_case(far[:1] + near + far[1:])
+    quotes = {(dt.date(2021, 1, 4) + dt.timedelta(days=i), "ETH"): 1000.0 + i for i in range(3)}
+    quotes[(dt.date(9999, 12, 31), "ETH")] = 5.0
+    tracemalloc.start()
+    try:
+        to_usd(rows, FxTable(quotes=quotes))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000 * len(rows)
+    _assert_usd_matches_oracle(rows, oracle_rows, quotes)
+
+
 # ---------------------------------------------------------------------------
 # prepare_dataset
 # ---------------------------------------------------------------------------
@@ -645,6 +705,51 @@ def test_random_files_at_random_block_sizes_match_the_oracle(tmp_path_factory, r
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_BLOCK_CHARS", block)
         _assert_matches_oracle(p, currencies)
+
+
+#: plain lines whose plot count or currency is not the digits or the
+#: symbol the column pass codes from its bytes
+PLAIN_EDGE_ROWS = [
+    "2021-01-04T12:00:00,1.0,ETH,05,p1,x",
+    "2021-01-04T12:00:00,1.0,ETH,+5,p2,x",
+    "2021-01-04T12:00:00,1.0,ETH, 5,p3,x",
+    "2021-01-04T12:00:00,1.0,ETH,1_0,p4,x",
+    "2021-01-04T12:00:00,1.0,ETH,0,p5,x",
+    "2021-01-04T12:00:00,1.0,ETH,1000000000000000000,p6,x",       # 19 digits
+    "2021-01-04T12:00:00,1.0,ETH,9999999999999999999,p7,x",       # 19 digits, past int64
+    "2021-01-04T12:00:00,1.0,ETH,999999999999999999,p8,x",        # 18 digits
+    "2021-01-04T12:00:00,1.0,eth,1,c1,x",
+    "2021-01-04T12:00:00,1.0, ETH ,1,c2,x",
+    "2021-01-04T12:00:00,1.0,Weth ,1,c3,x",
+]
+
+
+def _plain_rows(n, seed, symbols=("ETH", "WETH")):
+    """``n`` plain rows that pass every check, with digit plot counts."""
+    rng = np.random.default_rng(seed)
+    return [f"2021-01-{4 + i % 20:02d}T12:00:00,{p!r},{c},{k},r{i},x" for i, (p, c, k) in
+            enumerate(zip(rng.lognormal(0.0, 1.0, n).tolist(), rng.choice(symbols, n).tolist(),
+                          rng.integers(1, 10**int(rng.integers(1, 4)), n).tolist()))]
+
+
+@pytest.mark.parametrize("chunk", [64, 1024, None])
+@pytest.mark.parametrize("edge", PLAIN_EDGE_ROWS)
+@pytest.mark.parametrize("currencies", [None, frozenset({"ETH", "WETH", "SAND"})])
+def test_plain_block_edges_match_the_oracle(tmp_path, monkeypatch, chunk, edge, currencies):
+    # the edge row among plain ones; then SAND first seen in a late plain
+    # block, and DOGE first seen in a block that a bad price sends to the
+    # row checks, both coded from their bytes in the blocks after
+    records = ([ADVERSARIAL_ROWS[0]] + _plain_rows(100, 1) + [edge] + _plain_rows(100, 2)
+               + ["2021-01-05T12:00:00,2.0,SAND,3,s1,x"] + _plain_rows(50, 3)
+               + ["2021-01-05T12:00:00,abc,ETH,1,d1,x", "2021-01-05T12:00:00,2.0,DOGE,4,d2,x"]
+               + _plain_rows(100, 4, ("ETH", "WETH", "SAND", "DOGE")))
+    text = "\n".join(records) + "\n"
+    path = write(tmp_path, "plain.csv", text)
+    monkeypatch.setattr(ingest, "_BLOCK_CHARS", chunk or len(text))
+    parsed = _spy(monkeypatch, "_parse_columns")
+    _assert_matches_oracle(path, currencies)
+    if chunk == 1024:       # most blocks take the column pass
+        assert 2 * sum(columns is not None for columns in parsed) > len(parsed)
 
 
 def test_values_out_of_column_range_are_rejected(tmp_path):

@@ -16,6 +16,7 @@ from landmetrics.errors import (
 )
 from landmetrics.series import (
     TimeSeries,
+    _quantiles,
     difference,
     fill_gaps_loglinear,
     grid_gaps,
@@ -206,6 +207,42 @@ def test_summary_normal_sample_kurtosis_near_three():
     assert st_.kurtosis == pytest.approx(3.0, abs=0.15)
     assert st_.skewness == pytest.approx(0.0, abs=0.1)
     assert st_.mean == pytest.approx(0.0, abs=0.05)
+
+
+#: samples with ties, both zeros and values far apart, as well as plain ones
+QUANTILE_VALUES = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                            st.floats(-1e300, 1e300))
+QUANTILE_QS = st.lists(st.one_of(st.sampled_from([0.0, 1.0, 0.5, 0.05, 0.95]),
+                                 st.floats(0.0, 1.0)), min_size=1, max_size=4)
+
+
+def _bits(values):
+    return np.asarray(values, np.float64).tobytes()
+
+
+@given(st.lists(QUANTILE_VALUES, min_size=1, max_size=50), QUANTILE_QS)
+@settings(max_examples=300)
+def test_quantiles_match_numpy_bit_for_bit(xs, qs):
+    x = np.array(xs)
+    assert _bits(_quantiles(x, qs)) == _bits(np.quantile(x, qs))
+    for q in qs:        # a scalar q, as summary_stats asks numpy
+        assert _bits(_quantiles(x, (q,))) == _bits(np.quantile(x, q))
+
+
+@given(st.integers(1, 30), st.integers(1, 6), QUANTILE_QS, st.data())
+@settings(max_examples=200)
+def test_quantiles_of_a_table_match_numpy_bit_for_bit(n, dates, qs, data):
+    # replications by dates, as mc_critical_values holds its null
+    x = np.array(data.draw(st.lists(QUANTILE_VALUES, min_size=n * dates, max_size=n * dates)))
+    x = x.reshape(n, dates)
+    assert _bits(_quantiles(x, qs)) == _bits(np.quantile(x, qs, axis=0))
+
+
+def test_quantiles_of_one_value_and_at_the_ends():
+    x = np.array([[2.5, -0.0]])
+    assert _bits(_quantiles(x, (0.0, 1.0))) == _bits(np.quantile(x, (0.0, 1.0), axis=0))
+    y = np.array([3.0, -0.0, 0.0, 1.0])
+    assert _bits(_quantiles(y, (0.0, 1.0))) == _bits(np.quantile(y, (0.0, 1.0)))
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60),
