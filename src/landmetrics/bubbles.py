@@ -316,11 +316,12 @@ def _window_fits(P, bands, buf, every_pivot=False, guards=True):
             X[...] = P[:, :, e:e + B, None]
             X -= P[:, :, None, :c]
             band = np.arange(e, e + B)[:, None], np.arange(c)
-        else:  # a row at a time, through the free row f, so no R-row temporary
-            F = f[at - math.prod(shape):at].reshape(shape)
-            for x, p in zip(X, P):
-                np.take(p, band[0], axis=1, out=x, mode="clip")   # "raise" would buffer
-                x -= np.take(p, band[1], axis=1, out=F, mode="clip")
+        else:  # the lo sums through the rows past R, which are free here: no temporary
+            np.take(P, band[0], axis=2, out=X, mode="clip")     # "raise" would buffer
+            free = rows[R:, at - math.prod(shape):at].reshape((-1,) + shape)
+            for r in range(0, R, len(free)):
+                X[r:r + len(free)] -= np.take(P[r:r + len(free)], band[1], axis=2,
+                                              out=free[:R - r], mode="clip")
         np.subtract(*band, out=N[0])  # hi - lo, the same for every series
         N[1:] = N[0]
     # a[r][s - r] is (r, s), in the row-major order _prefix_sums stores
