@@ -41,8 +41,9 @@ The figures, each in seconds unless its name says otherwise:
 * one ``f_tail_prob(2.3, 3, 50)`` call, in microseconds;
 * ``load_transactions`` on a ``simulate --kind hedonic`` file of 104 weeks
   by 1,000 sales, as rows per second: as ``simulate`` writes it (CRLF line
-  endings), with LF endings (as exports often have), and with every field
-  quoted (the text that ``csv.reader`` splits);
+  endings), with LF endings (as exports often have), with every field
+  quoted (the text that ``csv.reader`` splits), and with 0.5% of its price
+  fields, at seeded positions, set to ``n/a`` (rows the checks reject);
 * ``to_usd`` of that file's sales, as ``load_transactions`` reads them,
   at its quotes;
 * the peak RSS, in MB, of a fresh interpreter that imports
@@ -103,6 +104,7 @@ FIGURES = {
     "load_transactions_rows_per_s": (9,),
     "load_transactions_lf_rows_per_s": (9,),
     "load_transactions_quoted_rows_per_s": (9,),
+    "load_transactions_dirty_rows_per_s": (9,),
     "to_usd_s": (31,),
     "hpi_peak_rss_mb": (3,),
     "build_hpi_transient_mb": (0,),
@@ -197,10 +199,11 @@ def _figure(figure, data):
         fn = lambda: to_usd(sales, fx)  # noqa: E731
     else:
         path = os.path.join(data, {"load_transactions_lf_rows_per_s": "lf.csv",
-                                   "load_transactions_quoted_rows_per_s": "quoted.csv"}
+                                   "load_transactions_quoted_rows_per_s": "quoted.csv",
+                                   "load_transactions_dirty_rows_per_s": "dirty.csv"}
                             .get(figure, "transactions.csv"))
         fn = lambda: load_transactions(path)  # noqa: E731
-        per_second = len(fn()[0])
+        per_second = sum(map(len, fn()))       # rows read: accepted and rejected
     if calls > 1:
         fn()
 
@@ -289,6 +292,21 @@ def main(argv=None):
         with open(os.path.join(tmp, "transactions.csv"), newline="") as fh, \
                 open(os.path.join(tmp, "lf.csv"), "w", newline="") as out:
             out.write(fh.read().replace("\r\n", "\n"))
+        with open(os.path.join(tmp, "transactions.csv"), newline="") as fh, \
+                open(os.path.join(tmp, "dirty.csv"), "w", newline="") as out:
+            # a row at a time: a child's peak RSS starts at this process's
+            # peak, which must stay below the nulls' peaks
+            n = sum(1 for _ in fh) - 1
+            fh.seek(0)
+            dirty = set(random.Random(25).sample(range(1, n + 1), n // 200))
+            reader, writer = csv.reader(fh), csv.writer(out)
+            header = next(reader)
+            writer.writerow(header)
+            price = header.index("native_price")
+            for i, row in enumerate(reader, 1):
+                if i in dirty:
+                    row[price] = "n/a"
+                writer.writerow(row)
         for figure in FIGURES:
             ratios, runs = [], {"parent": [], "change": []}
             for i in range(args.pairs):

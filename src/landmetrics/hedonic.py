@@ -38,9 +38,10 @@ control once they are removed, raises a ``SingularDesignError``.
 
 from __future__ import annotations
 
+import copy
 import datetime as dt
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -69,10 +70,11 @@ class TransactionTable:
     ``symbols``, and ``line`` is the sale's 1-based line in the file it
     was read from (0 for sales built in memory).  ``usd_price`` is
     ``None`` until the table is converted to USD.  Each column is checked
-    once, on construction: prices are positive and finite, plot counts are
-    at least 1, and every currency code names a non-empty symbol.  The
-    table is the only in-memory form of a sale; indexing it gives a
-    sub-table.
+    once, when it enters a table: prices are positive and finite, plot
+    counts are at least 1, and every currency code names a non-empty
+    symbol.  A table derived with :meth:`with_columns` checks only the
+    columns it replaces.  The table is the only in-memory form of a sale;
+    indexing it gives a sub-table.
     """
 
     timestamp: np.ndarray
@@ -84,22 +86,39 @@ class TransactionTable:
     usd_price: np.ndarray | None = None
 
     def __post_init__(self):
+        self._check(_COLUMNS)
+
+    def _check(self, names):
+        """Convert the ``names`` columns to their dtypes and check them, and
+        every column's length."""
         n = len(self.timestamp)
         for name, dtype in _COLUMNS.items():
-            if getattr(self, name) is not None:
-                column = np.asarray(getattr(self, name), dtype)
-                if column.shape != (n,):
-                    raise ValidationError("transaction columns must be 1-D and of equal length")
+            column = getattr(self, name)
+            if name in names and column is not None:
+                column = np.asarray(column, dtype)
                 object.__setattr__(self, name, column)
+            if column is not None and column.shape != (n,):
+                raise ValidationError("transaction columns must be 1-D and of equal length")
         for name in ("usd_price", "native_price"):
             x = getattr(self, name)
-            if x is not None and not np.all((x > 0.0) & np.isfinite(x)):
+            if name in names and x is not None and not np.all((x > 0.0) & np.isfinite(x)):
                 raise ValidationError(f"{name} must be > 0")
-        if not np.all(self.num_plots >= 1):
+        if "num_plots" in names and not np.all(self.num_plots >= 1):
             raise ValidationError("num_plots must be an integer >= 1")
-        coded = np.all((self.currency >= 0) & (self.currency < len(self.symbols)))
-        if not (coded and all(self.symbols)):
-            raise ValidationError("currency codes must index non-empty symbols")
+        if "currency" in names or "symbols" in names:
+            coded = np.all((self.currency >= 0) & (self.currency < len(self.symbols)))
+            if not (coded and all(self.symbols)):
+                raise ValidationError("currency codes must index non-empty symbols")
+
+    def with_columns(self, **columns) -> "TransactionTable":
+        """This table with ``columns`` replaced; only they are checked."""
+        unknown = columns.keys() - _COLUMNS.keys() - {"symbols"}
+        if unknown:
+            raise TypeError(f"not a transaction column: {', '.join(sorted(unknown))}")
+        table = copy.copy(self)
+        table.__dict__.update(columns)
+        table._check(columns)
+        return table
 
     def __len__(self) -> int:
         return len(self.timestamp)
@@ -116,8 +135,8 @@ class TransactionTable:
 
     def __getitem__(self, key) -> "TransactionTable":
         """The sub-table at ``key``: a slice, a mask or positions."""
-        return replace(self, **{name: getattr(self, name)[key] for name in _COLUMNS
-                                if getattr(self, name) is not None})
+        return self.with_columns(**{name: getattr(self, name)[key] for name in _COLUMNS
+                                    if getattr(self, name) is not None})
 
     def usd_prices(self) -> np.ndarray:
         """The USD price column; a table not yet converted has none."""

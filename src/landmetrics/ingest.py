@@ -20,30 +20,33 @@ column is required but not kept.  wETH settles at the ETH quote (1:1
 peg) and is the only currency that sets ``paid_in_weth``.
 
 The pass reads the text after the header in blocks of ``_BLOCK_CHARS``
-characters, each cut after its last line feed.  A block whose text is
-plain is converted from its bytes: it is ASCII, every line ends in a line
-break, there is no ``"``, NUL or carriage return outside a CRLF ending,
-no line is longer than the csv field size limit, and every line holds
-exactly as many commas as the header.  For such text ``csv.reader``'s
-records are exactly the comma split, and one scan of the commas and line
-feeds finds every field.  Each column is gathered into one fixed-width
-byte array: timestamps are read as numbers from their digits, prices go
-through ``float``, plot counts are read from their digits when every one
-is 1-18 ASCII digits, and a currency is coded by comparing its bytes with
-the symbols seen so far.  A column of other plot counts, or with a
-currency not yet seen as those exact bytes, converts once per distinct
-field as text.  Any other block goes through ``csv.reader``, which may
-read past the block's end to finish a quoted record, and its columns are
-converted as text.
+(256 Ki) characters, each cut after its last line feed.  A block whose
+text is plain is converted from its bytes: it is ASCII, every line ends
+in a line break, there is no ``"``, NUL or carriage return outside a CRLF
+ending, and no line is longer than the csv field size limit.  For such
+text ``csv.reader``'s records are exactly the comma split, and one scan
+of the commas and line feeds finds every field of the lines that hold as
+many commas as the header.  Each column of those lines is gathered into
+one fixed-width byte array: timestamps are read as numbers from their
+digits, prices go through ``float``, plot counts are read from their
+digits, and a currency is coded by comparing its bytes with the symbols
+seen so far, or else converted once per distinct field as text.  Any
+other block goes through ``csv.reader``, which may read past the block's
+end to finish a quoted record, and its columns are converted as text.
 
 Either way the column conversion is only a faster route to the row
-checks' result, so a block takes it only when every record is one line,
-every row passes every check and its timestamp has the exact shape
-``YYYY-MM-DDTHH:MM:SS``.  A block with a short or blank record, a record
-spanning two lines, a timestamp of another shape (``Z``, an offset, a
-space, fractional seconds) or any row that fails a check goes through the
-row checks instead, row by row in file order, which give every rejection
-its reason and line.
+checks' result.  In a plain block it converts a line when the line has
+the header's field count, its timestamp has the exact shape
+``YYYY-MM-DDTHH:MM:SS`` and is a date, its price casts to a float > 0
+and finite, its plot count is 1-18 ASCII digits and not 0, and its
+currency is neither blank nor unknown.  Each check runs on the whole
+column first and finds the lines that fail it only when one does.  A
+line that fails one (a short or blank record, a ``Z``, offset, space or
+fractional second in a timestamp, a ``+5`` plot count, or any row that
+fails a check) goes alone through the row checks, in file order, which
+give every rejection its reason and line.  A block that ``csv.reader``
+reads converts only when every record is one line and passes all of
+these checks; otherwise every record of it takes the row checks.
 """
 
 from __future__ import annotations
@@ -53,9 +56,9 @@ import datetime as dt
 import io
 import math
 from array import array
-from dataclasses import dataclass, field, replace
-from itertools import chain, islice, repeat
-from operator import attrgetter, itemgetter
+from dataclasses import dataclass, field
+from itertools import chain, compress, islice, repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -74,7 +77,10 @@ _MICROSECOND = dt.timedelta(microseconds=1)
 _MAX_PLOTS = 2**63 - 1       # the plot count column is int64
 #: characters read at a time; small, since a block's fields are all held
 #: at once
-_BLOCK_CHARS = 1 << 16
+_BLOCK_CHARS = 1 << 18
+#: characters of a block ``csv.reader`` reads at a time: its records are
+#: Python objects, several times the size of their text
+_CSV_CHARS = 1 << 16
 #: the byte range of each position of the YYYY-MM-DDTHH:MM:SS shape
 _STAMP_LO = np.frombuffer(b"0000-00-00T00:00:00", np.uint8)
 _STAMP_HI = np.frombuffer(b"9999-99-99T99:99:99", np.uint8)
@@ -161,103 +167,158 @@ def _parse_row(row, width, cols, currencies):
 
 
 def _parse_columns(stamps, prices, currency, plots, currencies, symbols):
-    """A block's columns as :func:`_parse_row` gives them row by row:
+    """A block's columns as :func:`_parse_row` gives them row by row, for
+    the rows that pass every check and have a timestamp of the exact shape
+    YYYY-MM-DDTHH:MM:SS: (converted, columns), where ``converted`` masks
+    those rows, or is None when it is every row, and ``columns`` are their
     microseconds since 1970, prices, plot counts, and currencies as codes
-    into ``symbols``, which gains the block's new currencies in order of
-    first appearance.  ``stamps`` is an array of byte strings, and
-    ``prices``, ``currency`` and ``plots`` are text fields or arrays of
-    ASCII bytes without NULs (see :func:`_plot_counts` and
-    :func:`_currency_codes`).  None, with ``symbols`` untouched, unless
-    every row passes every check and has a timestamp of the exact shape
-    YYYY-MM-DDTHH:MM:SS.
+    into ``symbols``, which gains their new currencies in order of first
+    appearance.  ``stamps`` is an array of byte strings, and ``prices``,
+    ``currency`` and ``plots`` are text fields or arrays of ASCII bytes
+    without NULs (see :func:`_plot_counts` and :func:`_currency_codes`).
+    A row that fails a check is left out of the later ones; the currency
+    check comes last, so ``symbols`` gains only currencies of rows that
+    pass every check."""
+    micros, ok = _stamp_micros(stamps)
+    converted, (prices, currency, plots) = _narrow(None, ok, prices, currency, plots)
+    prices, ok = _prices(prices)
+    converted, (micros, currency, plots) = _narrow(converted, ok, micros, currency, plots)
+    counts, ok = _plot_counts(plots)
+    converted, (micros, prices, currency) = _narrow(converted, ok, micros, prices, currency)
+    codes, ok = _currency_codes(currency, currencies, symbols)
+    converted, (micros, prices, counts) = _narrow(converted, ok, micros, prices, counts)
+    return converted, (micros, prices, counts, codes)
 
-    numpy's conversion of a price field to float64 gives ``float``'s value
-    or fails where it fails; bytes lose fewer spaces than text (not the
-    ASCII separators 0x1c-0x1f).  A string array drops trailing NULs."""
-    if stamps.dtype != "S19":       # a shorter stamp is padded with NULs
-        return None
-    chars = stamps.view(np.uint8).reshape(len(stamps), 19)
-    if not np.all((chars >= _STAMP_LO) & (chars <= _STAMP_HI)):
-        return None
-    stamps = _stamp_micros(chars)
-    if stamps is None:
-        return None
+
+def _narrow(converted, ok, *columns):
+    """A mask of rows, ``converted`` (None: every row), narrowed to those
+    of its rows that ``ok`` keeps, and ``columns``, one entry per row of
+    ``converted``, narrowed to those rows.  ``ok`` None keeps every row."""
+    if ok is None:
+        return converted, columns
+    if converted is None:
+        converted = ok
+    else:
+        converted[converted] = ok
+    return converted, tuple(c[ok] if isinstance(c, np.ndarray) else list(compress(c, ok))
+                            for c in columns)
+
+
+def _prices(prices):
+    """The prices that cast to a float > 0 and finite, and a mask of them,
+    or None when it is every one.  numpy's conversion of a price field to
+    float64 gives ``float``'s value or fails where it fails; bytes lose
+    fewer spaces than text (not the ASCII separators 0x1c-0x1f).  Where it
+    fails on a field, each field goes through ``float`` instead."""
     try:
-        prices = np.asarray(prices, dtype=np.float64)
+        values = np.asarray(prices, dtype=np.float64)
     except ValueError:
-        return None
-    if not (np.all(prices > 0.0) and np.all(np.isfinite(prices))):
-        return None
-    counts = _plot_counts(plots)
-    if counts is None:
-        return None
-    codes = _currency_codes(currency, currencies, symbols)
-    return None if codes is None else (stamps, prices, counts, codes)
+        fields = prices.tolist() if isinstance(prices, np.ndarray) else prices
+        values = np.fromiter(map(_float, fields), np.float64, len(fields))
+    ok = (values > 0.0) & np.isfinite(values)
+    return (values, None) if ok.all() else (values[ok], ok)
+
+
+def _float(field):
+    """``float(field)``, or NaN where it fails."""
+    try:
+        return float(field)
+    except ValueError:
+        return math.nan
 
 
 def _plot_counts(plots):
-    """A column's plot counts, or None unless every one is an integer from
-    1 to ``_MAX_PLOTS``.  An array of fields that are all 1-18 ASCII digits
-    is read from its bytes, as :func:`_stamp_micros` reads timestamps; any
-    other column goes through ``int(field.strip())`` once per distinct
-    field."""
+    """The plot counts that are integers from 1 to ``_MAX_PLOTS``, and a
+    mask of them, or None when it is every one.  In an array of fields only
+    those of 1-18 ASCII digits pass, read from their bytes as
+    :func:`_stamp_micros` reads timestamps; text fields go through
+    ``int(field.strip())`` once per distinct field."""
+    ok = None
     if isinstance(plots, np.ndarray):
         chars = plots.view(np.uint8).reshape(len(plots), plots.itemsize)
         digits, pad = chars - np.uint8(ord("0")), chars == 0     # a NUL pads a short field
-        if plots.itemsize <= 18 and np.all((digits < 10) | pad):     # an empty one reads 0
-            counts = np.zeros(len(plots), np.int64)
-            for digit, end in zip(digits.T, pad.T):
-                counts = np.where(end, counts, counts * 10 + digit)
-            return counts if np.all(counts >= 1) else None
-        plots = plots.astype(str).tolist()
-    fields, index = _distinct(plots)
+        plain = (digits < 10) | pad
+        if plots.itemsize > 18 or not plain.all():
+            ok = plain.all(axis=1) & ~chars[:, 18:].any(axis=1)
+            digits, pad = digits[ok, :18], pad[ok, :18]
+        counts = np.zeros(len(digits), np.int64)
+        for digit, end in zip(digits.T, pad.T):
+            counts = np.where(end, counts, counts * 10 + digit)
+    else:
+        fields, index = _distinct(plots)
+        counts = np.array(list(map(_count, fields)), np.int64)[index]
+    positive = counts >= 1          # an empty field reads 0, a field int fails 0
+    if positive.all():
+        return counts, ok
+    ok, (counts,) = _narrow(ok, positive, counts)
+    return counts, ok
+
+
+def _count(field):
+    """``int(field.strip())`` if it is from 1 to ``_MAX_PLOTS``, else 0."""
     try:
-        counts = [int(field.strip()) for field in fields]
+        count = int(field.strip())
     except ValueError:
-        return None
-    return np.array(counts, np.int64)[index] if all(1 <= k <= _MAX_PLOTS for k in counts) else None
+        return 0
+    return count if 1 <= count <= _MAX_PLOTS else 0
 
 
 def _currency_codes(currency, currencies, symbols):
-    """A column's currencies as codes into ``symbols``, or None, with
-    ``symbols`` untouched, if one is blank or outside ``currencies``.  An
-    array of ASCII fields whose bytes all equal a symbol is coded by
-    comparing them; any other column converts once per distinct field, and
-    ``symbols`` gains its new currencies in order of first appearance."""
+    """The codes into ``symbols`` of the currencies that are neither blank
+    nor outside ``currencies``, and a mask of them, or None when it is
+    every one; ``symbols`` gains their new currencies in order of first
+    appearance.  In an array of ASCII fields, those whose bytes equal a
+    symbol are coded by comparing them; the others, and text fields,
+    convert once per distinct field."""
     if isinstance(currency, np.ndarray):
         codes = np.full(len(currency), -1)
         for name, code in symbols.items():
             codes[currency == name.encode()] = code
-        if codes.min(initial=0) >= 0:
-            return codes
-        currency = currency.astype(str).tolist()
-    fields, index = _distinct(currency)
+        rest = np.flatnonzero(codes < 0)
+        if not len(rest):
+            return codes, None
+        fields = currency[rest].astype(str).tolist()
+    else:
+        codes, rest, fields = np.empty(len(currency), np.int64), slice(None), currency
+    fields, index = _distinct(fields)
     names = [field.strip().upper() for field in fields]
-    if not all(names) or (currencies is not None and not all(n in currencies for n in names)):
-        return None
-    return np.array([symbols.setdefault(name, len(symbols)) for name in names], np.int64)[index]
+    codes[rest] = np.array([symbols.setdefault(name, len(symbols))
+                            if name and (currencies is None or name in currencies) else -1
+                            for name in names], np.int64)[index]
+    ok = codes >= 0
+    return (codes, None) if ok.all() else (codes[ok], ok)
 
 
-def _stamp_micros(chars):
-    """Microseconds since 1970 of stamps of the YYYY-MM-DDTHH:MM:SS shape,
-    an (n, 19) array of their characters, or None unless every one is a
-    time ``datetime`` takes: from year 1, on a day of its month, and up to
-    23:59:59.  The fields are read as numbers, not parsed by numpy, whose
-    parser takes a year 0 and crashes on an impossible date in a long
-    array."""
+def _stamp_micros(stamps):
+    """Microseconds since 1970 of the stamps, an array of byte strings, of
+    the YYYY-MM-DDTHH:MM:SS shape that are a time ``datetime`` takes: from
+    year 1, on a day of its month, and up to 23:59:59; and a mask of those
+    stamps, or None when it is every one.  The fields are read as numbers,
+    not parsed by numpy, whose parser takes a year 0 and crashes on an
+    impossible date in a long array."""
+    ok = None
+    if stamps.dtype != "S19":       # a shorter stamp is padded with NULs
+        ok = np.char.str_len(stamps) == 19
+        stamps = stamps[ok].astype("S19")
+    chars = stamps.view(np.uint8).reshape(len(stamps), 19)
+    shaped = (chars >= _STAMP_LO) & (chars <= _STAMP_HI)
+    if not shaped.all():
+        ok, (chars,) = _narrow(ok, shaped.all(axis=1), chars)
     digits = (chars - np.uint8(ord("0"))).T
     century, year, month, day, hour, minute, second = (
         digits[[0, 2, 5, 8, 11, 14, 17]].astype(np.int64) * 10 + digits[[1, 3, 6, 9, 12, 15, 18]])
     year += 100 * century
-    if not np.all((year >= 1) & (day >= 1) & (day <= _MONTH_DAYS[month])
-                  & (hour < 24) & (minute < 60) & (second < 60)):
-        return None
-    leap_day = year[(month == 2) & (day == 29)]
-    if np.any((leap_day % 4 != 0) | ((leap_day % 100 == 0) & (leap_day % 400 != 0))):
-        return None
+    valid = ((year >= 1) & (day >= 1) & (day <= _MONTH_DAYS[month])
+             & (hour < 24) & (minute < 60) & (second < 60))
+    leap_day = np.flatnonzero((month == 2) & (day == 29))
+    leap_year = year[leap_day]
+    valid[leap_day[(leap_year % 4 != 0) | ((leap_year % 100 == 0) & (leap_year % 400 != 0))]] = False
+    if not valid.all():
+        ok, (year, month, day, hour, minute, second) = _narrow(
+            ok, valid, year, month, day, hour, minute, second)
     months = (year - 1970) * 12 + month - 1
     days = months.astype("datetime64[M]").astype("datetime64[D]").view(np.int64) + day - 1
-    return (((days * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000
+    return (((days * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000, ok
 
 
 def _distinct(column):
@@ -293,14 +354,17 @@ def _text_blocks(fh):
 
 
 def _plain_columns(block, width, cols):
-    """The ``cols`` columns of a block's lines for :func:`_parse_columns`,
-    of their bytes, if ``csv.reader`` would split each line into exactly
-    ``width`` fields on its commas alone; else None.
+    """The line feeds of a plain block, a mask of the lines ``csv.reader``
+    would split into exactly ``width`` fields on their commas alone, or
+    None when it is every line, and those lines' ``cols`` columns of their
+    bytes for :func:`_parse_columns`, or None when there are none; or None
+    if the block is not plain.
 
-    That holds when the block is ASCII text that ends in a line break,
-    there is no ``"``, no NUL and no CR outside a CRLF ending, no line is
-    longer than the field size limit, and every line has ``width - 1``
-    commas.  One scan of the commas and line feeds finds every field."""
+    A block is plain when it is ASCII text that ends in a line break, there
+    is no ``"``, no NUL and no CR outside a CRLF ending, and no line is
+    longer than the field size limit.  Such a line splits into ``width``
+    fields when it has ``width - 1`` commas.  One scan of the commas and
+    line feeds finds every field."""
     if not block.endswith("\n") or not block.isascii() or '"' in block or "\0" in block:
         return None
     data = block.encode("ascii")
@@ -309,18 +373,26 @@ def _plain_columns(block, width, cols):
     ends = at[chars[at] == ord("\n")]
     stops = at[(chars[at] == ord(",")) | (chars[at] == ord("\n"))]
     longest = np.diff(ends, prepend=-1).max()
-    if (len(stops) != len(ends) * width or np.any(stops[width - 1::width] != ends)
-            or longest > csv.field_size_limit()):
+    if longest > csv.field_size_limit():
         return None
-    starts = np.concatenate(([0], stops[:-1] + 1)).reshape(len(ends), width)
-    stops = stops.reshape(len(ends), width)
+    crlf = None
     if b"\r" in data:              # a CRLF ending's CR ends the last field
         crlf = chars[ends - 1] == ord("\r")
         if np.count_nonzero(crlf) != np.count_nonzero(chars[at] == ord("\r")):
             return None
+    starts, split = np.concatenate(([0], stops[:-1] + 1)), None
+    if len(stops) != len(ends) * width or np.any(stops[width - 1::width] != ends):
+        line = np.searchsorted(ends, stops)     # the line of each comma and line feed
+        split = np.bincount(line, minlength=len(ends)) == width
+        if not split.any():
+            return ends, split, None
+        starts, stops = starts[split[line]], stops[split[line]]
+        crlf = None if crlf is None else crlf[split]
+    starts, stops = starts.reshape(-1, width), stops.reshape(-1, width)
+    if crlf is not None:
         stops[:, -1] -= crlf
     data += bytes(int(longest))     # every field's widest window lies inside
-    return tuple(_gather(data, starts[:, i], stops[:, i]) for i in cols)
+    return ends, split, tuple(_gather(data, starts[:, i], stops[:, i]) for i in cols)
 
 
 def _gather(data, starts, stops):
@@ -335,9 +407,12 @@ def _gather(data, starts, stops):
     return fields
 
 
-def _plain_records(block):
-    """(lines before the line, fields) pairs of a plain block's lines."""
-    yield from enumerate(line.split(",") for line in block.replace("\r\n", "\n")[:-1].split("\n"))
+def _plain_records(block, ends, lines):
+    """(lines before the line, fields) pairs of a plain block's ``lines``,
+    positions among its lines, whose line feeds lie at ``ends``."""
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    for line, start, end in zip(lines.tolist(), starts[lines].tolist(), ends[lines].tolist()):
+        yield line, block[start:end].removesuffix("\r").split(",")
 
 
 def _lines(block):
@@ -350,28 +425,38 @@ def _lines(block):
 
 
 def _csv_records(block, blocks):
-    """As many records as a block has lines, as ``csv.reader`` reads them:
-    (lines read before the record, fields) pairs, with the lines read and
-    the text after the last record read.  Records that span lines are read
-    on into the ``blocks`` after it."""
-    lines = _lines(block)
-    later = io.StringIO()               # the block read on into, if any
+    """As many records as the first ``_CSV_CHARS`` characters of a block,
+    cut after a line feed, have lines, as ``csv.reader`` reads them: the
+    lines read, the records, (lines read before the record, record) pairs
+    of them, and the text after the last record read.  Records that span
+    lines are read on into the rest of the block and the ``blocks`` after
+    it, and only then are the records read again to count their lines."""
+    cut = len(block)
+    if cut >= 2 * _CSV_CHARS:           # leave no short piece behind
+        cut = block.rfind("\n", 0, _CSV_CHARS) + 1 or cut
+    lines, rest = _lines(block[:cut]), block[cut:]
+    later, extra = None, []             # the text read on into, if any, and its lines read
 
     def read_on():
         nonlocal later
-        for later in map(io.StringIO, blocks, repeat("")):
-            yield from later
+        for later in map(io.StringIO, chain((rest,), blocks), repeat("")):
+            for line in later:
+                extra.append(line)
+                yield line
 
     reader = csv.reader(chain(lines, read_on()))
-    records = list(islice(_numbered(reader), len(lines)))
-    return reader.line_num, records, later.read()
+    rows = list(islice(reader, len(lines)))
+    records = enumerate(rows)
+    if reader.line_num != len(rows):   # some record spans lines
+        records = list(islice(_numbered(csv.reader(chain(lines, extra))), len(lines)))
+    return reader.line_num, rows, records, rest if later is None else later.read()
 
 
-def _csv_columns(records, read, width, cols):
-    """The ``cols`` columns of csv records for :func:`_parse_columns`, or
-    None unless every record is one line with at least ``width`` fields."""
-    rows = list(map(itemgetter(1), records))
-    if read != len(records) or min(map(len, rows)) < width:
+def _csv_columns(rows, read, width, cols):
+    """The ``cols`` columns of the ``rows`` of csv records for
+    :func:`_parse_columns`, or None unless every record is one line, for
+    ``read`` lines, with at least ``width`` fields."""
+    if read != len(rows) or min(map(len, rows)) < width:
         return None
     columns = tuple(zip(*rows))
     stamps, prices, currency, plots = (columns[i] for i in cols)
@@ -395,6 +480,7 @@ def load_transactions(path, currencies: frozenset[str] | None = None):
     prices = array("d")
     symbols: dict[str, int] = {}
     rejected: list[RejectedRow] = []
+    shuffled = recode = False       # see the end
     with open_csv(path) as fh:
         reader = csv.reader(fh)
         width, cols = _read_header(reader, path, TRANSACTION_COLUMNS, "transactions")
@@ -403,18 +489,28 @@ def load_transactions(path, currencies: frozenset[str] | None = None):
         blocks = _text_blocks(fh)
         block = next(blocks, "")
         while block:
-            columns, rest = _plain_columns(block, width, cols), ""
-            if columns is not None:
-                read, records = len(columns[0]), _plain_records(block)
+            known, plain, records, rest = len(symbols), _plain_columns(block, width, cols), (), ""
+            if plain is not None:
+                ends, converted, columns = plain
+                read = len(ends)
             else:
-                read, records, rest = _csv_records(block, blocks)
-                columns = _csv_columns(records, read, width, cols)
+                read, rows, records, rest = _csv_records(block, blocks)
+                converted, columns = None, _csv_columns(rows, read, width, cols)
+                del rows
             parsed = None if columns is None else _parse_columns(*columns, currencies, symbols)
             if parsed is not None:
-                lines.frombytes(np.arange(first, first + read, dtype=np.int64).tobytes())
-                for buffer, column in zip((stamps, prices, plots, codes), parsed):
+                converted = _narrow(converted, parsed[0])[0]
+            if parsed is None or (plain is None and converted is not None):
+                converted = np.zeros(read, bool)    # a csv block converts whole or not at all
+            at = np.arange(read) if converted is None else np.flatnonzero(converted)
+            if len(at):
+                lines.frombytes((first + at).tobytes())
+                for buffer, column in zip((stamps, prices, plots, codes), parsed[1]):
                     buffer.frombytes(column.tobytes())
-            else:
+            if converted is not None:               # the other lines take the row checks
+                if plain is not None:
+                    records = _plain_records(block, ends, np.flatnonzero(~converted))
+                checked = len(lines)
                 for before, row in records:
                     parsed = _parse_row(row, width, cols, currencies)
                     if type(parsed) is str:
@@ -427,14 +523,30 @@ def load_transactions(path, currencies: frozenset[str] | None = None):
                     prices.append(price)
                     plots.append(n_plots)
                     codes.append(symbols.setdefault(currency, len(symbols)))
+                shuffled = shuffled or (len(at) > 0 and len(lines) > checked)
+                recode = recode or max(codes[checked:], default=-1) >= known
             first += read
-            del block, columns, records     # hold one block at a time, not two
+            del block, plain, columns, parsed, records      # hold one block at a time, not two
             block = rest or next(blocks, "")
     table = TransactionTable(
         timestamp=np.asarray(stamps, np.int64).view("datetime64[us]"),
         native_price=prices, num_plots=plots, currency=codes,
         symbols=tuple(symbols), line=lines)
+    if shuffled:        # a block's rows that took the row checks follow its converted ones
+        table = table[np.argsort(table.line, kind="stable")]
+    if recode:          # one of them brought a currency new in its block
+        table = _recoded(table)
     return table, rejected
+
+
+def _recoded(table):
+    """``table`` with its symbols in order of first appearance."""
+    present, first = np.unique(table.currency, return_index=True)
+    order = present[np.argsort(first)]
+    code = np.empty(len(table.symbols), np.intp)
+    code[order] = np.arange(len(order))
+    return table.with_columns(currency=code[table.currency],
+                              symbols=tuple(table.symbols[i] for i in order))
 
 
 def load_daily_prices(path) -> FxTable:
@@ -501,7 +613,7 @@ def to_usd(rows: TransactionTable, fx: FxTable):
     quoted = ~np.isnan(rate)
     rejected = [RejectedRow(line, "no fx for date") for line in rows.line[~quoted].tolist()]
     converted = rows if quoted.all() else rows[quoted]     # no copy when all are quoted
-    return replace(converted, usd_price=converted.native_price * rate[quoted]), rejected
+    return converted.with_columns(usd_price=converted.native_price * rate[quoted]), rejected
 
 
 def prepare_dataset(transactions: TransactionTable, winsor_lo: float = 0.001,
@@ -516,7 +628,7 @@ def prepare_dataset(transactions: TransactionTable, winsor_lo: float = 0.001,
     usd_price = transactions.usd_prices()
     if len(transactions) < 10:
         raise InsufficientDataError(f"need >= 10 transactions, got {len(transactions)}")
-    return replace(transactions, usd_price=winsorize(usd_price, winsor_lo, winsor_hi))
+    return transactions.with_columns(usd_price=winsorize(usd_price, winsor_lo, winsor_hi))
 
 
 def rejections_to_csv(rejected, path) -> None:

@@ -81,6 +81,25 @@ def test_transaction_table_checks_columns():
         build_hpi(replace(sales, usd_price=None))
 
 
+def test_derived_table_checks_only_the_columns_it_replaces():
+    sales = table([tx(D0, 10.0, plots=2), tx(week(1), 20.0, weth=True)])
+    derived = sales.with_columns(usd_price=[5.0, 6.0])
+    assert derived.usd_price.dtype == np.float64 and derived.usd_price.tolist() == [5.0, 6.0]
+    assert sales.usd_price.tolist() == [10.0, 20.0]
+    # the columns it keeps are the same arrays, not converted again
+    assert all(getattr(derived, name) is getattr(sales, name)
+               for name in ("timestamp", "native_price", "num_plots", "currency", "line"))
+    for columns, match in [({"usd_price": [10.0, -1.0]}, "usd_price"),
+                           ({"num_plots": [1, 0]}, "num_plots"),
+                           ({"native_price": [1.0]}, "equal length"),
+                           ({"timestamp": sales.timestamp[:1]}, "equal length"),
+                           ({"symbols": ("ETH",)}, "symbols")]:
+        with pytest.raises(ValidationError, match=match):
+            sales.with_columns(**columns)
+    with pytest.raises(TypeError, match="price"):
+        sales.with_columns(price=[1.0, 2.0])
+
+
 # ---------------------------------------------------------------------------
 # period bucketing
 # ---------------------------------------------------------------------------

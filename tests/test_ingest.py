@@ -545,11 +545,11 @@ def _quoted(record):
 def test_clean_file_takes_the_column_pass_for_every_chunk(tmp_path, monkeypatch):
     rows, plain = _spy(monkeypatch, "_parse_row"), _spy(monkeypatch, "_plain_columns")
     parsed = _spy(monkeypatch, "_parse_columns")
-    records = [ADVERSARIAL_ROWS[0]] + _clean_rows(3000, seed=6)
-    for name, end, field_text, n_plain in (
-            ("clean.csv", "\n", str, None), ("crlf.csv", "\r\n", str, None),
+    records = [ADVERSARIAL_ROWS[0]] + _clean_rows(14000, seed=6)
+    for name, end, field_text in (
+            ("clean.csv", "\n", str), ("crlf.csv", "\r\n", str),
             # csv.reader splits these, and they still convert by column
-            ("quoted.csv", "\r\n", _quoted, 0)):
+            ("quoted.csv", "\r\n", _quoted)):
         plain.clear()
         parsed.clear()
         text = end.join(map(field_text, records)) + end
@@ -558,18 +558,63 @@ def test_clean_file_takes_the_column_pass_for_every_chunk(tmp_path, monkeypatch)
         n_blocks = -(-(len(text) - text.index(end) - len(end)) // ingest._BLOCK_CHARS)
         assert n_blocks > 2
         assert rows == []
-        assert len(plain) == len(parsed) == n_blocks
-        assert not any(columns is None for columns in parsed)
-        assert sum(columns is not None for columns in plain) == (
-            n_blocks if n_plain is None else n_plain)
-    # one dirty row sends its block alone through the row checks
-    records.insert(1500, "2021-01-04T12:00:00Z,2.0,ETH,1,a,x")
+        assert all(converted is None for converted, _ in parsed)
+        if field_text is str:
+            assert len(plain) == len(parsed) == n_blocks
+            assert all(split is not None and split[1] is None for split in plain)
+        else:       # csv.reader reads a block _CSV_CHARS characters at a time
+            assert len(plain) == len(parsed) > n_blocks
+            assert all(split is None for split in plain)
+    # one dirty row takes the row checks alone, and the rest of its block converts by column
+    records.insert(7000, "2021-01-04T12:00:00Z,2.0,ETH,1,a,x")
     plain.clear()
     parsed.clear()
     _assert_matches_oracle(write(tmp_path, "one.csv", "\n".join(records) + "\n"), None)
-    failed = [i for i, columns in enumerate(parsed) if columns is None]
+    failed = [converted for converted, _ in parsed if converted is not None]
     assert len(failed) == 1
-    assert len(rows) == len(plain[failed[0]][0]) > 1000
+    assert len(rows) == 1
+    assert len(failed[0]) - 1 == np.count_nonzero(failed[0]) > 1000
+
+
+def _padded(record, length=80):
+    """``record`` with its last field padded out to a line of ``length``
+    characters, its line feed included."""
+    assert len(record) < length
+    return record + "x" * (length - 1 - len(record))
+
+
+@pytest.mark.parametrize("currencies", [None, frozenset({"ETH", "WETH", "SAND", "DOGE"})])
+def test_failing_lines_alone_take_the_row_checks(tmp_path, monkeypatch, currencies):
+    # five blocks of 8 lines of 80 characters: failing lines first and last
+    # in a block, adjacent ones, a block whose every line fails a column
+    # check and one whose every line has the wrong field count.  Some pass
+    # the row checks and bring in a new currency, ahead of one that a
+    # converted line of their block brings in.
+    clean = _plain_rows(30, 11, ("ETH", "WETH"))
+    blocks = [
+        ["2021-01-05T12:00:00Z,2.0,sand,1,z1,x"] + clean[:6]
+        + ["2021-01-05T12:00:00,n/a,ETH,1,n1,x"],
+        clean[6:9] + ["2021-01-05T12:00:00,2.0,Doge,+5,p1,x", "2021-01-05T12:00:00,abc,ETH,1,a1,x",
+                      "2021-01-05T12:00:00,1.0,ETH"] + clean[9:11],
+        ["2021-01-05T12:00:00+01:00,3.0,mana,2,m1,x", "2021-01-05T12:00:00,1.0,ETH",
+         "2021-01-05T12:00:00,0,ETH,1,q1,x", "2021-01-05 12:00:00,1.0,SAND,1,s1,x",
+         "2021-01-05T12:00:00,1.0,ETH, 3,t1,x", "2021-01-05T12:00:00,1.0,,1,b1,x",
+         "2021-02-30T12:00:00,1.0,ETH,1,d1,x", "2021-01-05T12:00:00.5,1.0,weth,1,f1,x"],
+        _plain_rows(8, 12, ("ETH", "SAND", "DOGE")),
+        ["2021-01-05T12:00:00,1.0,ETH", "2021-01-05T12:00:00,1.0,SAND,1,e1,x,y"] * 4,
+    ]
+    text = "".join(_padded(record) + "\n" for block in blocks for record in block)
+    path = write(tmp_path, "rows.csv", ADVERSARIAL_ROWS[0] + "\n" + text)
+    monkeypatch.setattr(ingest, "_BLOCK_CHARS", 8 * 80)
+    rows, plain = _spy(monkeypatch, "_parse_row"), _spy(monkeypatch, "_plain_columns")
+    parsed = _spy(monkeypatch, "_parse_columns")
+    _assert_matches_oracle(path, currencies)
+    assert [split[1] is None for split in plain] == [True, False, False, True, False]
+    assert plain[4][2] is None
+    assert [converted is None for converted, _ in parsed] == [False, False, False, True]
+    assert [np.count_nonzero(converted) for converted, _ in parsed[:3]] == [6, 5, 0]
+    assert len(rows) == 2 + 3 + 8 + 8
+    assert load_transactions(path, currencies)[0].symbols[0] == "SAND"
 
 
 def _tokenizer_case(case):
@@ -613,6 +658,10 @@ def test_tokenizer_edges_match_the_oracle(tmp_path, monkeypatch, case, chunk):
     monkeypatch.setattr(ingest, "_BLOCK_CHARS", chunk)
     _assert_matches_oracle(p, None)
     _assert_matches_oracle(p, frozenset({"ETH", "WETH", "USDC"}))
+    # csv.reader reads pieces of a few lines of a block holding the whole file
+    monkeypatch.setattr(ingest, "_BLOCK_CHARS", len(_tokenizer_case(case)))
+    monkeypatch.setattr(ingest, "_CSV_CHARS", 40 * chunk)
+    _assert_matches_oracle(p, None)
 
 
 def _cuts(case, body):
@@ -691,10 +740,12 @@ def test_price_cast_follows_float(fields, as_bytes):
 @given(rows=st.lists(st.tuples(st.sampled_from(MIXED_ROWS), st.sampled_from(["\n", "\r\n", "\r"])),
                      min_size=1, max_size=40),
        order=st.permutations(range(6)), last_break=st.booleans(), block=st.integers(1, 400),
+       csv_block=st.integers(1, 300),
        currencies=st.sampled_from([None, frozenset({"ETH", "WETH", "DAI"})]))
 @settings(max_examples=200)
 def test_random_files_at_random_block_sizes_match_the_oracle(tmp_path_factory, rows, order,
-                                                             last_break, block, currencies):
+                                                             last_break, block, csv_block,
+                                                             currencies):
     def reorder(record):        # the columns in ``order``, if the record has all six
         fields = record.split(",")
         return ",".join(fields[i] for i in order) if len(fields) == 6 else record
@@ -704,6 +755,7 @@ def test_random_files_at_random_block_sizes_match_the_oracle(tmp_path_factory, r
     p.write_bytes((text if last_break else text.rstrip("\r\n")).encode())
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_BLOCK_CHARS", block)
+        patch.setattr(ingest, "_CSV_CHARS", csv_block)
         _assert_matches_oracle(p, currencies)
 
 
@@ -748,8 +800,8 @@ def test_plain_block_edges_match_the_oracle(tmp_path, monkeypatch, chunk, edge, 
     monkeypatch.setattr(ingest, "_BLOCK_CHARS", chunk or len(text))
     parsed = _spy(monkeypatch, "_parse_columns")
     _assert_matches_oracle(path, currencies)
-    if chunk == 1024:       # most blocks take the column pass
-        assert 2 * sum(columns is not None for columns in parsed) > len(parsed)
+    if chunk == 1024:       # most blocks take the column pass whole
+        assert 2 * sum(converted is None for converted, _ in parsed) > len(parsed)
 
 
 def test_values_out_of_column_range_are_rejected(tmp_path):
