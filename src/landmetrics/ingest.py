@@ -30,23 +30,26 @@ many commas as the header.  Each column of those lines is gathered into
 one fixed-width byte array: timestamps are read as numbers from their
 digits, prices go through ``float``, plot counts are read from their
 digits, and a currency is coded by comparing its bytes with the symbols
-seen so far, or else converted once per distinct field as text.  Any
-other block goes through ``csv.reader``, which may read past the block's
-end to finish a quoted record, and its columns are converted as text.
+seen so far, or else converted once per distinct field.  Any other block
+goes through ``csv.reader``, ``_CSV_CHARS`` (64 Ki) characters at a
+time, which may read past them to finish a quoted record.  If each
+record of such a piece is one line of at least the header's field count,
+each record's four needed fields, joined by commas, make a line of text
+that is converted as a plain block is; otherwise the piece takes the row
+checks whole, as it does when that text is not plain (a needed field
+holds a ``"``, NUL or non-ASCII text).
 
-Either way the column conversion is only a faster route to the row
-checks' result.  In a plain block it converts a line when the line has
-the header's field count, its timestamp has the exact shape
-``YYYY-MM-DDTHH:MM:SS`` and is a date, its price casts to a float > 0
-and finite, its plot count is 1-18 ASCII digits and not 0, and its
-currency is neither blank nor unknown.  Each check runs on the whole
-column first and finds the lines that fail it only when one does.  A
-line that fails one (a short or blank record, a ``Z``, offset, space or
-fractional second in a timestamp, a ``+5`` plot count, or any row that
-fails a check) goes alone through the row checks, in file order, which
-give every rejection its reason and line.  A block that ``csv.reader``
-reads converts only when every record is one line and passes all of
-these checks; otherwise every record of it takes the row checks.
+The column conversion is only a faster route to the row checks' result.
+It converts a line when the line has the header's field count, its
+timestamp has the exact shape ``YYYY-MM-DDTHH:MM:SS`` and is a date, its
+price casts to a float > 0 and finite, its plot count is 1-18 ASCII
+digits and not 0, and its currency is neither blank nor unknown.  Each
+check runs on the whole column first and finds the lines that fail it
+only when one does.  A line that fails one (a short or blank record, a
+``Z``, offset, space or fractional second in a timestamp, a ``+5`` plot
+count, a comma inside a needed csv field, or any row that fails a check)
+goes alone through the row checks, with its own csv fields, in file
+order, which give every rejection its reason and line.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice, repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -173,12 +176,10 @@ def _parse_columns(stamps, prices, currency, plots, currencies, symbols):
     those rows, or is None when it is every row, and ``columns`` are their
     microseconds since 1970, prices, plot counts, and currencies as codes
     into ``symbols``, which gains their new currencies in order of first
-    appearance.  ``stamps`` is an array of byte strings, and ``prices``,
-    ``currency`` and ``plots`` are text fields or arrays of ASCII bytes
-    without NULs (see :func:`_plot_counts` and :func:`_currency_codes`).
-    A row that fails a check is left out of the later ones; the currency
-    check comes last, so ``symbols`` gains only currencies of rows that
-    pass every check."""
+    appearance.  The columns are arrays of ASCII byte strings without
+    NULs, as :func:`_plain_columns` gathers them.  A row that fails a
+    check is left out of the later ones; the currency check comes last,
+    so ``symbols`` gains only currencies of rows that pass every check."""
     micros, ok = _stamp_micros(stamps)
     converted, (prices, currency, plots) = _narrow(None, ok, prices, currency, plots)
     prices, ok = _prices(prices)
@@ -200,8 +201,7 @@ def _narrow(converted, ok, *columns):
         converted = ok
     else:
         converted[converted] = ok
-    return converted, tuple(c[ok] if isinstance(c, np.ndarray) else list(compress(c, ok))
-                            for c in columns)
+    return converted, tuple(c[ok] for c in columns)
 
 
 def _prices(prices):
@@ -213,8 +213,7 @@ def _prices(prices):
     try:
         values = np.asarray(prices, dtype=np.float64)
     except ValueError:
-        fields = prices.tolist() if isinstance(prices, np.ndarray) else prices
-        values = np.fromiter(map(_float, fields), np.float64, len(fields))
+        values = np.fromiter(map(_float, prices.tolist()), np.float64, len(prices))
     ok = (values > 0.0) & np.isfinite(values)
     return (values, None) if ok.all() else (values[ok], ok)
 
@@ -228,63 +227,44 @@ def _float(field):
 
 
 def _plot_counts(plots):
-    """The plot counts that are integers from 1 to ``_MAX_PLOTS``, and a
-    mask of them, or None when it is every one.  In an array of fields only
-    those of 1-18 ASCII digits pass, read from their bytes as
-    :func:`_stamp_micros` reads timestamps; text fields go through
-    ``int(field.strip())`` once per distinct field."""
+    """The plot counts that are 1-18 ASCII digits and not 0, read from
+    their bytes as :func:`_stamp_micros` reads timestamps, and a mask of
+    them, or None when it is every one."""
     ok = None
-    if isinstance(plots, np.ndarray):
-        chars = plots.view(np.uint8).reshape(len(plots), plots.itemsize)
-        digits, pad = chars - np.uint8(ord("0")), chars == 0     # a NUL pads a short field
-        plain = (digits < 10) | pad
-        if plots.itemsize > 18 or not plain.all():
-            ok = plain.all(axis=1) & ~chars[:, 18:].any(axis=1)
-            digits, pad = digits[ok, :18], pad[ok, :18]
-        counts = np.zeros(len(digits), np.int64)
-        for digit, end in zip(digits.T, pad.T):
-            counts = np.where(end, counts, counts * 10 + digit)
-    else:
-        fields, index = _distinct(plots)
-        counts = np.array(list(map(_count, fields)), np.int64)[index]
-    positive = counts >= 1          # an empty field reads 0, a field int fails 0
+    chars = plots.view(np.uint8).reshape(len(plots), plots.itemsize)
+    digits, pad = chars - np.uint8(ord("0")), chars == 0     # a NUL pads a short field
+    plain = (digits < 10) | pad
+    if plots.itemsize > 18 or not plain.all():
+        ok = plain.all(axis=1) & ~chars[:, 18:].any(axis=1)
+        digits, pad = digits[ok, :18], pad[ok, :18]
+    counts = np.zeros(len(digits), np.int64)
+    for digit, end in zip(digits.T, pad.T):
+        counts = np.where(end, counts, counts * 10 + digit)
+    positive = counts >= 1          # an empty field reads 0
     if positive.all():
         return counts, ok
     ok, (counts,) = _narrow(ok, positive, counts)
     return counts, ok
 
 
-def _count(field):
-    """``int(field.strip())`` if it is from 1 to ``_MAX_PLOTS``, else 0."""
-    try:
-        count = int(field.strip())
-    except ValueError:
-        return 0
-    return count if 1 <= count <= _MAX_PLOTS else 0
-
-
 def _currency_codes(currency, currencies, symbols):
     """The codes into ``symbols`` of the currencies that are neither blank
     nor outside ``currencies``, and a mask of them, or None when it is
     every one; ``symbols`` gains their new currencies in order of first
-    appearance.  In an array of ASCII fields, those whose bytes equal a
-    symbol are coded by comparing them; the others, and text fields,
-    convert once per distinct field."""
-    if isinstance(currency, np.ndarray):
-        codes = np.full(len(currency), -1)
-        for name, code in symbols.items():
-            codes[currency == name.encode()] = code
-        rest = np.flatnonzero(codes < 0)
-        if not len(rest):
-            return codes, None
-        fields = currency[rest].astype(str).tolist()
-    else:
-        codes, rest, fields = np.empty(len(currency), np.int64), slice(None), currency
-    fields, index = _distinct(fields)
-    names = [field.strip().upper() for field in fields]
+    appearance.  Fields whose bytes equal a symbol are coded by comparing
+    them; the others convert once per distinct field."""
+    codes = np.full(len(currency), -1)
+    for name, code in symbols.items():
+        codes[currency == name.encode()] = code
+    rest = np.flatnonzero(codes < 0)
+    if not len(rest):
+        return codes, None
+    fields = currency[rest].astype(str).tolist()
+    distinct = {field: i for i, field in enumerate(dict.fromkeys(fields))}    # in order seen
+    names = [field.strip().upper() for field in distinct]
     codes[rest] = np.array([symbols.setdefault(name, len(symbols))
                             if name and (currencies is None or name in currencies) else -1
-                            for name in names], np.int64)[index]
+                            for name in names], np.int64)[list(map(distinct.get, fields))]
     ok = codes >= 0
     return (codes, None) if ok.all() else (codes[ok], ok)
 
@@ -319,14 +299,6 @@ def _stamp_micros(stamps):
     months = (year - 1970) * 12 + month - 1
     days = months.astype("datetime64[M]").astype("datetime64[D]").view(np.int64) + day - 1
     return (((days * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000, ok
-
-
-def _distinct(column):
-    """A column's distinct text fields, in order of first appearance, and
-    the index of each row's field among them."""
-    fields = list(dict.fromkeys(column))
-    index = {field: i for i, field in enumerate(fields)}
-    return fields, np.fromiter(map(index.__getitem__, column), np.int64, len(column))
 
 
 def _numbered(reader):
@@ -453,17 +425,16 @@ def _csv_records(block, blocks):
 
 
 def _csv_columns(rows, read, width, cols):
-    """The ``cols`` columns of the ``rows`` of csv records for
-    :func:`_parse_columns`, or None unless every record is one line, for
-    ``read`` lines, with at least ``width`` fields."""
+    """What :func:`_plain_columns` gives for the ``cols`` fields of the
+    ``rows`` of csv records, each joined by commas into a line, or None
+    unless every record is one line, for ``read`` lines, with at least
+    ``width`` fields.  A record whose needed fields hold a comma has too
+    many fields to split; one that holds a ``"``, NUL or non-ASCII text
+    leaves the joined text not plain."""
     if read != len(rows) or min(map(len, rows)) < width:
         return None
-    columns = tuple(zip(*rows))
-    stamps, prices, currency, plots = (columns[i] for i in cols)
-    text = "".join(stamps)
-    if set(map(len, stamps)) != {19} or not text.isascii():
-        return None
-    return np.frombuffer(text.encode(), "S19"), prices, currency, plots
+    text = "\n".join(map(",".join, map(itemgetter(*cols), rows))) + "\n"
+    return _plain_columns(text, len(cols), range(len(cols)))
 
 
 def load_transactions(path, currencies: frozenset[str] | None = None):
@@ -489,27 +460,28 @@ def load_transactions(path, currencies: frozenset[str] | None = None):
         blocks = _text_blocks(fh)
         block = next(blocks, "")
         while block:
-            known, plain, records, rest = len(symbols), _plain_columns(block, width, cols), (), ""
-            if plain is not None:
+            known, rest, records = len(symbols), "", ()
+            if (plain := _plain_columns(block, width, cols)) is not None:
                 ends, converted, columns = plain
                 read = len(ends)
             else:
                 read, rows, records, rest = _csv_records(block, blocks)
-                converted, columns = None, _csv_columns(rows, read, width, cols)
+                _, converted, columns = (_csv_columns(rows, read, width, cols)
+                                         or (None, np.zeros(read, bool), None))
                 del rows
-            parsed = None if columns is None else _parse_columns(*columns, currencies, symbols)
-            if parsed is not None:
-                converted = _narrow(converted, parsed[0])[0]
-            if parsed is None or (plain is None and converted is not None):
-                converted = np.zeros(read, bool)    # a csv block converts whole or not at all
+            if columns is not None:
+                failed, columns = _parse_columns(*columns, currencies, symbols)
+                converted = _narrow(converted, failed)[0]
             at = np.arange(read) if converted is None else np.flatnonzero(converted)
             if len(at):
                 lines.frombytes((first + at).tobytes())
-                for buffer, column in zip((stamps, prices, plots, codes), parsed[1]):
+                for buffer, column in zip((stamps, prices, plots, codes), columns):
                     buffer.frombytes(column.tobytes())
             if converted is not None:               # the other lines take the row checks
                 if plain is not None:
                     records = _plain_records(block, ends, np.flatnonzero(~converted))
+                else:
+                    records = compress(records, ~converted)
                 checked = len(lines)
                 for before, row in records:
                     parsed = _parse_row(row, width, cols, currencies)
@@ -526,7 +498,7 @@ def load_transactions(path, currencies: frozenset[str] | None = None):
                 shuffled = shuffled or (len(at) > 0 and len(lines) > checked)
                 recode = recode or max(codes[checked:], default=-1) >= known
             first += read
-            del block, plain, columns, parsed, records      # hold one block at a time, not two
+            del block, plain, columns, records      # hold one block at a time, not two
             block = rest or next(blocks, "")
     table = TransactionTable(
         timestamp=np.asarray(stamps, np.int64).view("datetime64[us]"),

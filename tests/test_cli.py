@@ -3,6 +3,7 @@
 import csv
 import datetime as dt
 import hashlib
+import importlib.util
 import json
 import math
 import pathlib
@@ -19,6 +20,7 @@ D0 = dt.date(2021, 1, 4)
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "pipeline_report.json"
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 DEMO_CFG = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "demo" / "run.cfg"
+MAKE_FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
 
 
 def weekly(values, start=D0, name="s"):
@@ -597,6 +599,24 @@ def _nudge_floats(obj, ulps):
     if isinstance(obj, list):
         return [_nudge_floats(v, ulps) for v in obj]
     return obj
+
+
+def test_outputs_match_the_manifest(tmp_path, capsys):
+    # every file of the manifest's three runs; then hpi on a copy of its
+    # input with every field quoted, which csv.reader splits
+    spec = importlib.util.spec_from_file_location("make_fixtures", MAKE_FIXTURES)
+    fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fixtures)
+    want = fixtures.read_manifest(GOLDEN.parent / "outputs.sha256")
+    assert fixtures.output_hashes(MAKE_FIXTURES.parent.parent, tmp_path) == want
+    assert len(want) == 18 + 4 + 4
+    hedonic, quoted = tmp_path / "hedonic", tmp_path / "quoted.csv"
+    with open(hedonic / "transactions.csv", newline="") as fh, open(quoted, "w", newline="") as out:
+        csv.writer(out, quoting=csv.QUOTE_ALL).writerows(csv.reader(fh))
+    assert quoted.read_bytes().count(b'"') > 1000
+    got = fixtures.hpi_hashes(quoted, hedonic / "prices.csv", tmp_path / "hpi_quoted")
+    assert got == {name: digest for name, digest in want.items() if name.startswith("hpi/")}
+    capsys.readouterr()
 
 
 def test_report_bytes_survive_last_ulp_drift(tmp_path):

@@ -1,7 +1,7 @@
 """Source hygiene: no module under ``src/landmetrics`` keeps a dead import,
 a public function, class, method or property that no code outside the
-tests calls, or a dataclass field that nothing reads, and only ``series``
-writes files.  The package imports exactly the third-party packages that
+tests calls, a private function that no module of the package calls, or
+a dataclass field that nothing reads, and only ``series`` writes files.  The package imports exactly the third-party packages that
 ``pyproject.toml`` declares, a CLI run never loads scipy, and ``hpi`` and
 ``summarize`` load neither ``numpy.random`` nor ``hashlib``.
 
@@ -77,22 +77,22 @@ def _without(text: str, node) -> str:
     return "\n".join(lines[:first - 1] + lines[node.end_lineno:])
 
 
+def _unreferenced(sources: dict[str, str], path: str, node) -> bool:
+    """Whether ``node``'s name, defined in ``path``, appears in no text of
+    ``sources`` (path -> source) outside its own definition, decorators
+    and body included."""
+    word = re.compile(rf"\b{re.escape(node.name)}\b")
+    return not any(word.search(_without(text, node) if other == path else text)
+                   for other, text in sources.items())
+
+
 def dead_public_names(sources: dict[str, str], package) -> list[str]:
     """Public top-level functions and classes of the ``package`` paths
-    whose name appears in no text of ``sources`` (path -> source) outside
-    their own definition, decorators and body included."""
-    dead = []
-    for path in sorted(package):
-        for node in ast.parse(sources[path]).body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("_"):
-                continue
-            word = re.compile(rf"\b{re.escape(node.name)}\b")
-            if not any(word.search(_without(text, node) if other == path else text)
-                       for other, text in sources.items()):
-                dead.append(f"{path}: {node.name}")
-    return dead
+    that are unreferenced in ``sources``."""
+    return [f"{path}: {node.name}" for path in sorted(package)
+            for node in ast.parse(sources[path]).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and _unreferenced(sources, path, node)]
 
 
 def test_dead_name_detector_flags_names_used_only_at_their_definition():
@@ -117,6 +117,40 @@ def test_dead_name_detector_flags_names_used_only_at_their_definition():
 def test_package_has_no_dead_public_names():
     package = {p.relative_to(ROOT).as_posix() for p in MODULES}
     assert dead_public_names(_sources(CALLERS), package) == []
+
+
+def dead_private_functions(sources: dict[str, str], package) -> list[str]:
+    """Private top-level functions of the ``package`` paths that are
+    unreferenced in ``sources``."""
+    return [f"{path}: {node.name}" for path in sorted(package)
+            for node in ast.parse(sources[path]).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and _unreferenced(sources, path, node)]
+
+
+def test_dead_private_function_detector_needs_a_reference_from_another_definition():
+    module = ("def _helper():\n"
+              "    return 1\n"
+              "def _lonely(n):\n"
+              "    return _lonely(n - 1) if n else 0\n"
+              "def _tested():\n"
+              "    pass\n"
+              "def _counts():\n"
+              "    return _helper()\n"
+              "class _Private:\n"
+              "    pass\n"
+              "def entry():\n"
+              "    return _counts() + other._called()\n")
+    sources = {"pkg/mod.py": module, "pkg/other.py": "def _called():\n    return 2\n"}
+    assert dead_private_functions(sources, {"pkg/mod.py", "pkg/other.py"}) == [
+        "pkg/mod.py: _lonely", "pkg/mod.py: _tested"]
+
+
+def test_package_has_no_dead_private_functions():
+    # a deleted branch must not leave its helper behind; a test's call
+    # does not keep one alive
+    package = {p.relative_to(ROOT).as_posix() for p in MODULES}
+    assert dead_private_functions(_sources(("src",)), package) == []
 
 
 def dead_public_methods(sources: dict[str, str], package) -> list[str]:

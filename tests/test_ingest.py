@@ -1,6 +1,8 @@
 """CSV ingestion, USD conversion, and dataset preparation tests."""
 
+import csv
 import datetime as dt
+import io
 import tracemalloc
 
 import numpy as np
@@ -563,8 +565,10 @@ def test_clean_file_takes_the_column_pass_for_every_chunk(tmp_path, monkeypatch)
             assert len(plain) == len(parsed) == n_blocks
             assert all(split is not None and split[1] is None for split in plain)
         else:       # csv.reader reads a block _CSV_CHARS characters at a time
-            assert len(plain) == len(parsed) > n_blocks
-            assert all(split is None for split in plain)
+            # each piece's own text is not plain; its fields, joined, split on every line
+            assert len(plain) == 2 * len(parsed) and len(parsed) > n_blocks
+            assert all(split is None for split in plain[::2])
+            assert all(split is not None and split[1] is None for split in plain[1::2])
     # one dirty row takes the row checks alone, and the rest of its block converts by column
     records.insert(7000, "2021-01-04T12:00:00Z,2.0,ETH,1,a,x")
     plain.clear()
@@ -615,6 +619,54 @@ def test_failing_lines_alone_take_the_row_checks(tmp_path, monkeypatch, currenci
     assert [np.count_nonzero(converted) for converted, _ in parsed[:3]] == [6, 5, 0]
     assert len(rows) == 2 + 3 + 8 + 8
     assert load_transactions(path, currencies)[0].symbols[0] == "SAND"
+
+
+def _quoted_line(fields, length=80):
+    """A line of ``fields``, each quoted, with the last padded out to
+    ``length`` characters, its line feed included."""
+    text = ",".join(f'"{field}"' for field in fields)
+    assert len(text) < length
+    return text[:-1] + "x" * (length - 1 - len(text)) + '"\n'
+
+
+@pytest.mark.parametrize("currencies", [None, frozenset({"ETH", "WETH", "SAND"})])
+def test_failing_csv_records_alone_take_the_row_checks(tmp_path, monkeypatch, currencies):
+    # a quoted file read in pieces of 819 lines of 80 characters, the most
+    # that fit in _CSV_CHARS (64 Ki).  In the first piece, failing records
+    # sit first and last and next to each other; the first one, a Z stamp,
+    # passes the row checks and brings in SAND ahead of a converted record,
+    # and a +5 plot count passes them too.  The second piece holds a record
+    # of two lines and the third a short record, so each takes the row
+    # checks whole; in the last, a currency that holds a comma fails alone.
+    fields = [record.split(",") for record in _plain_rows(3400, 13, ("ETH", "WETH"))]
+    failing = {0: ("2021-01-05T12:00:00Z", "2.0", "sand", "1"),
+               400: ("2021-01-05T12:00:00", "2.0", "ETH", "+5"),
+               401: ("2021-01-05T12:00:00", "abc", "ETH", "1"),
+               818: ("2021-01-05T12:00:00", "n/a", "ETH", "1"),
+               3000: ("2021-01-05T12:00:00", "1.5", "E,TH", "2")}
+    for i, (stamp, price, currency, plots) in failing.items():
+        fields[i][:4] = stamp, price, currency, plots
+    fields[600][2] = "SAND"
+    lines = [_quoted_line(record) for record in fields]
+    lines[1000] = _quoted_line(fields[1000][:4] + ["b\nc", "x"], 160)
+    lines[2000] = _quoted_line(fields[2000][:3])
+    text = ADVERSARIAL_ROWS[0] + "\n" + "".join(lines)
+    path = write(tmp_path, "quoted.csv", text)
+    monkeypatch.setattr(ingest, "_BLOCK_CHARS", len(text))
+    assert ingest._CSV_CHARS == 1 << 16 and (1 << 16) // 80 == 819
+    checked, real = [], ingest._parse_row
+    monkeypatch.setattr(ingest, "_parse_row", lambda row, *args: checked.append(row)
+                        or real(row, *args))
+    plain = _spy(monkeypatch, "_plain_columns")
+    _assert_matches_oracle(path, currencies)
+    records = list(csv.reader(io.StringIO(text, newline="")))[1:]
+    wanted = sorted({0, 400, 401, 818, 3000} | set(range(819, 2457)))
+    assert checked == [records[i] for i in wanted]
+    # each piece's own text is not plain; the first and the last are joined,
+    # and all the lines of the first split, and all but one of the last
+    assert [split is None for split in plain] == [True, False, True, True, True, False]
+    assert plain[1][1] is None and np.count_nonzero(~plain[5][1]) == 1
+    assert load_transactions(path, currencies)[0].symbols[:2] == ("SAND", "ETH")
 
 
 def _tokenizer_case(case):
@@ -718,9 +770,9 @@ PRICE_FIELDS = st.one_of(
 @given(fields=st.lists(PRICE_FIELDS, min_size=1, max_size=6), as_bytes=st.booleans())
 @settings(max_examples=300)
 def test_price_cast_follows_float(fields, as_bytes):
-    # _parse_columns converts a block's price fields, a tuple of text or an
-    # array of ASCII bytes, in one numpy call; that must give float's values
-    # or fail where it fails
+    # _parse_columns converts a block's price fields, an array of ASCII
+    # bytes, in one numpy call; that must give float's values or fail where
+    # it fails, as it does for a tuple of text
     fields = tuple(fields)
     if as_bytes:
         fields = np.array([field.encode("ascii", "ignore") for field in fields])
